@@ -24,8 +24,15 @@ class StoreBuffer:  # lint: hot
 
     Entries retire one at a time (one outstanding coherence transaction),
     which matches the conservative single-ported directory interface of
-    the base hardware.  ``service`` maps a transaction start time to its
-    completion time.
+    the base hardware.  Each entry's transaction is the ``service``
+    passed to :meth:`push`, called as ``service(proc, block, nwords,
+    start)`` and returning the entry's completion time.
+
+    Read forwarding: a block stays forwardable (:meth:`has_pending`)
+    from its first push until the next :meth:`flush`, even after its
+    entry has retired.  This is a known deviation from a buffer that
+    forgets an entry when it retires; it is kept because forgetting
+    retired blocks would change simulated results.
     """
 
     __slots__ = (
@@ -39,8 +46,8 @@ class StoreBuffer:  # lint: hot
         self.capacity = capacity
         self._pending: deque[float] = deque()
         self._last_retire = 0.0
-        #: blocks with an un-retired entry (read forwarding / merging).
-        self._pending_blocks: dict[int, int] = {}
+        #: blocks pushed since the last flush (read forwarding / merging).
+        self._pending_blocks: set[int] = set()
         self.total_entries = 0
         self.full_stalls = 0
         #: Highest simultaneous occupancy ever observed (telemetry).
@@ -56,49 +63,46 @@ class StoreBuffer:  # lint: hot
         return len(self._pending)
 
     def has_pending(self, block: int) -> bool:
-        return self._pending_blocks.get(block, 0) > 0
+        return block in self._pending_blocks
 
     def push(
         self,
         now: float,
-        service: Callable[[float], float],
-        block: int | None = None,
+        service: Callable[[int, int, int, float], float],
+        proc: int,
+        block: int,
+        nwords: int = 0,
     ) -> tuple[float, float]:
-        """Enqueue one entry at time ``now``.
+        """Enqueue one write entry for ``block`` at time ``now``.
 
-        Returns ``(proceed_time, write_stall)``: the processor may
-        continue at ``proceed_time`` having stalled ``write_stall``
-        cycles waiting for a free slot.
+        ``service(proc, block, nwords, start)`` is the entry's coherence
+        transaction; taking its arguments here instead of a closure keeps
+        the per-write path allocation-free.  Returns ``(proceed_time,
+        write_stall)``: the processor may continue at ``proceed_time``
+        having stalled ``write_stall`` cycles waiting for a free slot.
         """
-        self.drain_completed(now)
+        pending = self._pending
+        # Inlined drain_completed().
+        while pending and pending[0] <= now:
+            pending.popleft()
         proceed = now
         stall = 0.0
-        if len(self._pending) >= self.capacity:
-            oldest = self._pending.popleft()
-            stall = oldest - now
-            proceed = oldest
+        if len(pending) >= self.capacity:
+            proceed = pending.popleft()
+            stall = proceed - now
             self.full_stalls += 1
-        start = max(proceed, self._last_retire)
-        retire = service(start)
+        last = self._last_retire
+        start = last if last > proceed else proceed
+        retire = service(proc, block, nwords, start)
         if retire < start:
             raise ValueError("service returned completion before start")
-        self._pending.append(retire)
+        pending.append(retire)
         self._last_retire = retire
         self.total_entries += 1
-        if len(self._pending) > self.peak_depth:
-            self.peak_depth = len(self._pending)
-        if block is not None:
-            self._pending_blocks[block] = self._pending_blocks.get(block, 0) + 1
-            # Forget forwarding info once everything up to this entry has
-            # retired; cheap approximation: prune lazily.
-            self._prune_blocks(retire)
+        if len(pending) > self.peak_depth:
+            self.peak_depth = len(pending)
+        self._pending_blocks.add(block)
         return proceed, stall
-
-    def _prune_blocks(self, horizon: float) -> None:
-        # Forwarding state is only needed while entries are in flight; we
-        # clear it wholesale whenever the buffer empties.
-        if not self._pending:
-            self._pending_blocks.clear()
 
     def flush(self, now: float) -> tuple[float, float]:
         """Drain the buffer (release semantics).
@@ -106,12 +110,11 @@ class StoreBuffer:  # lint: hot
         Returns ``(complete_time, buffer_flush_stall)``.
         """
         self.drain_completed(now)
+        self._pending_blocks.clear()
         if not self._pending:
-            self._pending_blocks.clear()
             return now, 0.0
         done = self._pending[-1]
         self._pending.clear()
-        self._pending_blocks.clear()
         return done, done - now
 
     @property
@@ -120,18 +123,21 @@ class StoreBuffer:  # lint: hot
 
 
 class MergeEntry:  # lint: hot
-    """An open merge-buffer line: which words of a block are dirty."""
+    """An open merge-buffer line: which words of a block are dirty.
+
+    ``words`` is a bitmask with bit ``w`` set for each dirty word ``w``.
+    """
 
     __slots__ = ("block", "words", "opened_at")
 
     def __init__(self, block: int, word: int, now: float):
         self.block = block
-        self.words = {word}
+        self.words = 1 << word
         self.opened_at = now
 
     @property
     def nwords(self) -> int:
-        return len(self.words)
+        return self.words.bit_count()
 
 
 class MergeBuffer:  # lint: hot
@@ -163,9 +169,11 @@ class MergeBuffer:  # lint: hot
         or ``None`` if the write merged or a slot was free."""
         entry = self._open.get(block)
         if entry is not None:
-            if word in entry.words:
+            bit = 1 << word
+            if entry.words & bit:
                 self.merged_writes += 1
-            entry.words.add(word)
+            else:
+                entry.words |= bit
             return None
         evicted = None
         if len(self._open) >= self.capacity:

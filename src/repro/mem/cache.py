@@ -72,9 +72,11 @@ class Cache:  # lint: hot
         Applies any pending invalidation whose arrival time has passed,
         and refreshes LRU recency on a hit.
 
-        The hot read paths of the memory systems (``rcinv``/``rcupd``/
-        ``rcadapt``) inline this exact sequence against ``_lines``
-        directly — keep them in lockstep with any change here.
+        Inlined copies of this exact sequence against ``_lines`` — keep
+        them in lockstep with any change here: ``RCInv.read``,
+        ``RCUpd.read`` and ``RCAdapt.read``.  Without the invalidation
+        and LRU steps (a :meth:`peek`), ``_lines.get`` is also inlined in
+        ``BaseMemorySystem._ownership_transaction``.
         """
         line = self._lines.get(block)
         if line is None:

@@ -68,29 +68,28 @@ class DirEntry:  # lint: hot
         )
 
 
-class Directory:  # lint: hot
-    """block -> DirEntry map, created on demand."""
+class Directory(dict[int, DirEntry]):  # lint: hot
+    """block -> DirEntry map, created on demand.
 
-    __slots__ = ("_entries",)
+    Indexing a block that has no entry yet creates it (``__missing__``),
+    so the transaction builders write ``directory[block]`` and pay one
+    dict lookup.  :meth:`peek` and ``in`` never create entries.
+    """
 
-    def __init__(self) -> None:
-        self._entries: dict[int, DirEntry] = {}
+    __slots__ = ()
 
-    def entry(self, block: int) -> DirEntry:
-        e = self._entries.get(block)
-        if e is None:
-            e = DirEntry()
-            self._entries[block] = e
+    def __missing__(self, block: int) -> DirEntry:
+        e = self[block] = DirEntry()
         return e
 
-    def peek(self, block: int) -> DirEntry | None:
-        return self._entries.get(block)
+    def entry(self, block: int) -> DirEntry:
+        return self[block]
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def peek(self, block: int) -> DirEntry | None:
+        return self.get(block)
 
     def blocks(self) -> list[int]:
-        return list(self._entries)
+        return list(self)
 
     def blocks_by_home(self, home_of, nnodes: int) -> list[int]:
         """Directory population per home node (attribution context).
@@ -101,9 +100,33 @@ class Directory:  # lint: hot
         because it homes many blocks or few contended ones.
         """
         counts = [0] * nnodes
-        for block in self._entries:
+        for block in self:
             counts[home_of(block)] += 1
         return counts
 
     def total_writes(self) -> int:
-        return sum(e.write_count for e in self._entries.values())
+        return sum(e.write_count for e in self.values())
+
+
+class SharerTuples(dict[int, tuple[int, ...]]):  # lint: hot
+    """presence mask -> ascending tuple of the processors it names.
+
+    Filled on first use of each mask.  ``sharers[mask & ~(1 << p)]``
+    equals ``DirEntry.sharer_list(exclude=p)`` for that mask, as a
+    tuple that the fan-out paths share instead of building a list per
+    coherence transaction.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        procs = []
+        proc = 0
+        bits = mask
+        while bits:
+            if bits & 1:
+                procs.append(proc)
+            bits >>= 1
+            proc += 1
+        out = self[mask] = tuple(procs)
+        return out

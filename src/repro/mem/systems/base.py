@@ -10,11 +10,13 @@ counters) applied at issue time.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ...config import MachineConfig
 from ...network.base import Network
 from ...sim.stats import AccessResult, SyncPoint
 from ..cache import OWNED, SHARED, Cache
-from ..directory import Directory
+from ..directory import Directory, SharerTuples
 
 
 class BaseMemorySystem:
@@ -27,7 +29,10 @@ class BaseMemorySystem:
         self.config = config
         self.network = network
         self.line_size = config.line_size
+        self._nprocs = config.nprocs
         self.directory = Directory()
+        #: Presence mask -> tuple of sharers, shared by every fan-out.
+        self._sharers = SharerTuples()
         self.caches = [Cache(config.cache_lines) for _ in range(config.nprocs)]
         #: Precomputed per-access costs: frozen-dataclass field reads are
         #: attribute chases on the hot path, so the constant costs are
@@ -51,6 +56,12 @@ class BaseMemorySystem:
         #: Consumers (engine, tracers, checkers) read results before the
         #: next access on this system; the engine copies for ReadNB.
         self._hit_result = AccessResult(0.0, hit=True)
+        #: Flyweight for every other read, write and release outcome
+        #: (misses, write stalls, buffer flushes), under the same
+        #: read-before-next-access contract.  Each use sets all five
+        #: fields; it is never ``_hit_result``, so the engine's
+        #: stall-free shortcut does not apply to it.
+        self._miss_result = AccessResult(0.0)
         #: Flyweight for zero-cost sync ops (acquire, SC release) under
         #: the same read-before-next-access contract.
         self._sync_result = AccessResult(0.0)
@@ -59,6 +70,11 @@ class BaseMemorySystem:
         #: buffer entries retire when the *home* acknowledges (pipelined,
         #: DASH-style); a release must additionally wait for this.
         self.fanout_done = [0.0] * config.nprocs
+        #: Only a subclass that overrides _deliver_update needs a
+        #: per-destination callback from the update fan-out.
+        self._delivers_updates = (
+            type(self)._deliver_update is not BaseMemorySystem._deliver_update
+        )
         # traffic / event counters
         self.read_transactions = 0
         self.write_transactions = 0
@@ -76,6 +92,7 @@ class BaseMemorySystem:
         return (addr % self.line_size) // self.config.word_size
 
     def home_of(self, block: int) -> int:
+        # The transaction builders inline this as ``block % self._nprocs``.
         return self.config.home_node(block)
 
     # ------------------------------------------------------------------
@@ -141,6 +158,19 @@ class BaseMemorySystem:
         res.time = now + self._hit_cycles
         return res
 
+    def _miss(
+        self, time: float, read_stall: float, write_stall: float,
+        buffer_flush: float, hit: bool,
+    ) -> AccessResult:
+        """Fill every field of the ``_miss_result`` flyweight and return it."""
+        res = self._miss_result
+        res.time = time
+        res.read_stall = read_stall
+        res.write_stall = write_stall
+        res.buffer_flush = buffer_flush
+        res.hit = hit
+        return res
+
     def _fetch_line(self, proc: int, block: int, now: float) -> float:
         """Read-miss transaction; returns data arrival time at ``proc``.
 
@@ -150,8 +180,8 @@ class BaseMemorySystem:
         Side effect: ``proc`` becomes a sharer.
         """
         net = self.network
-        home = self.home_of(block)
-        entry = self.directory.entry(block)
+        home = block % self._nprocs
+        entry = self.directory[block]
         t = net.transfer(proc, home, 0, now)
         t += self._mem_cycles_at[home]
         owner = entry.owner
@@ -161,7 +191,7 @@ class BaseMemorySystem:
             arrival = net.transfer(owner, proc, self.line_size, t)
         else:
             arrival = net.transfer(home, proc, self.line_size, t)
-        entry.add_sharer(proc)
+        entry.sharers |= 1 << proc
         self.read_transactions += 1
         return arrival
 
@@ -174,17 +204,18 @@ class BaseMemorySystem:
         Victim caches get a timestamped invalidation at message arrival.
         """
         net = self.network
-        entry = self.directory.entry(block)
-        victims = entry.sharer_list(exclude=requester)
+        entry = self.directory[block]
+        victims = self._sharers[entry.sharers & ~(1 << requester)]
         ack_done = start
         if victims:
+            # Applying the invalidations after the fan-out returns is
+            # equivalent to a per-arrival callback: they touch only
+            # cache lines and presence bits, never the network.
+            arrivals, ack_done = net.fanout(home, victims, 0, start)
             caches = self.caches
-
-            def on_arrival(victim: int, arr: float) -> None:
+            for victim, arr in arrivals.items():
                 caches[victim].invalidate_at(block, arr)
-                entry.remove_sharer(victim)
-
-            _, ack_done = net.fanout(home, victims, 0, start, on_arrival)
+            entry.sharers &= 1 << requester
             self.invalidations_sent += len(victims)
         owner = entry.owner
         if owner is not None and owner != requester:
@@ -200,9 +231,14 @@ class BaseMemorySystem:
         return ack_done
 
     def _ownership_transaction(
-        self, proc: int, block: int, start: float, pipelined: bool = True
+        self, proc: int, block: int, nwords: int, start: float,
+        pipelined: bool = True,
     ) -> float:
         """Write-miss / upgrade: obtain exclusive ownership of ``block``.
+
+        ``nwords`` is unused (ownership moves the whole line); it keeps
+        the store-buffer service signature of
+        :meth:`repro.mem.buffers.StoreBuffer.push`.
 
         With ``pipelined=True`` (release consistency) the entry retires
         when the home grants ownership; invalidation acks complete in the
@@ -214,19 +250,22 @@ class BaseMemorySystem:
         owner with a valid line.
         """
         net = self.network
-        home = self.home_of(block)
-        entry = self.directory.entry(block)
+        home = block % self._nprocs
+        entry = self.directory[block]
         t = net.transfer(proc, home, 0, start)
         t += self._mem_cycles_at[home]
-        acks_done = self._invalidate_sharers(block, proc, t, home)
+        owner = entry.owner
+        if entry.sharers & ~(1 << proc) or (owner is not None and owner != proc):
+            acks_done = self._invalidate_sharers(block, proc, t, home)
+        else:
+            acks_done = t
         # Grant (with data if the requester lacks the line); the home does
         # not wait for acks before granting in the pipelined mode.
-        payload = 0 if self.caches[proc].peek(block) is not None else self.line_size
-        grant = net.transfer(home, proc, payload, t)
+        cache = self.caches[proc]
+        line = cache._lines.get(block)
+        grant = net.transfer(home, proc, 0 if line is not None else self.line_size, t)
         entry.owner = proc
         entry.sharers = 1 << proc
-        cache = self.caches[proc]
-        line = cache.peek(block)
         if line is None:
             cache.insert(block, OWNED)
         else:
@@ -249,22 +288,21 @@ class BaseMemorySystem:
         current sharers; sharer acks complete in the background and are
         awaited at release points (``fanout_done``).
         """
-        cfg = self.config
         net = self.network
-        home = self.home_of(block)
-        entry = self.directory.entry(block)
-        payload = nwords * cfg.word_size
+        home = block % self._nprocs
+        entry = self.directory[block]
+        payload = nwords * self.config.word_size
         t = net.transfer(proc, home, payload, start)
         t += self._mem_cycles_at[home]
         if t > entry.avail_time:
             entry.avail_time = t  # data fetchable from home from here on
         retire = net.transfer(home, proc, 0, t)
-        targets = entry.sharer_list(exclude=proc)
+        targets = self._sharers[entry.sharers & ~(1 << proc)]
         ack_done = t
         if targets:
             _, ack_done = net.fanout(
                 home, targets, payload, t,
-                lambda victim, arr: self._deliver_update(victim, block, arr),
+                partial(self._deliver_update, block) if self._delivers_updates else None,
             )
             self.updates_sent += len(targets)
         if ack_done > self.fanout_done[proc]:
@@ -272,11 +310,12 @@ class BaseMemorySystem:
         self.write_transactions += 1
         return retire
 
-    def _deliver_update(self, victim: int, block: int, arrival: float) -> None:
+    def _deliver_update(self, block: int, victim: int, arrival: float) -> None:
         """Hook: an update for ``block`` arrives at ``victim``.
 
-        The plain update protocol just refreshes the copy; the
-        competitive protocol overrides this to count useless updates.
+        The plain update protocol just refreshes the copy and passes no
+        callback to the fan-out at all; the competitive protocol
+        overrides this to count useless updates.
         """
 
     def _evict(self, proc: int, block: int, line, now: float) -> None:

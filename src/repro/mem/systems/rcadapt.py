@@ -33,7 +33,7 @@ class RCAdapt(RCUpd):
     # that the block enters the SPECIAL state.
     def _update_transaction(self, proc: int, block: int, nwords: int, start: float) -> float:
         done = super()._update_transaction(proc, block, nwords, start)
-        self.directory.entry(block).mode = SPECIAL
+        self.directory[block].mode = SPECIAL
         return done
 
     # ------------------------------------------------------------------
@@ -56,21 +56,24 @@ class RCAdapt(RCUpd):
                 res = self._hit_result
                 res.time = now + self._hit_cycles
                 return res
-        if self.merge_buffers[proc].has(block) or self.store_buffers[proc].has_pending(block):
+        if (
+            block in self.merge_buffers[proc]._open
+            or block in self.store_buffers[proc]._pending_blocks
+        ):
+            # Forwarded from the merge or store buffer (inlined
+            # MergeBuffer.has / StoreBuffer.has_pending).
             res = self._hit_result
             res.time = now + self._hit_cycles
             return res
         arrival = self._adaptive_fetch(proc, block, now)
         self._insert_line(proc, block, SHARED, now)
-        return AccessResult(
-            time=arrival + self.config.cache_hit_cycles, read_stall=arrival - now
-        )
+        return self._miss(arrival + self._hit_cycles, arrival - now, 0.0, 0.0, False)
 
     def _adaptive_fetch(self, proc: int, block: int, now: float) -> float:
         """Read-miss transaction with phase-change detection at the home."""
         net = self.network
-        home = self.home_of(block)
-        entry = self.directory.entry(block)
+        home = block % self._nprocs
+        entry = self.directory[block]
         t = net.transfer(proc, home, 0, now)
         t += self._mem_cycles_at[home]
         if entry.mode == SPECIAL:
@@ -81,6 +84,6 @@ class RCAdapt(RCUpd):
             entry.mode = NORMAL
             self.reinitialisations += 1
         arrival = net.transfer(home, proc, self.line_size, t)
-        entry.add_sharer(proc)
+        entry.sharers |= 1 << proc
         self.read_transactions += 1
         return arrival

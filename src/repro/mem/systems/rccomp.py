@@ -22,7 +22,7 @@ class RCComp(RCUpd):
         self.threshold = config.competitive_threshold
         self.self_invalidations = 0
 
-    def _deliver_update(self, victim: int, block: int, arrival: float) -> None:
+    def _deliver_update(self, block: int, victim: int, arrival: float) -> None:
         line = self.caches[victim].peek(block)
         if line is None:
             return

@@ -58,13 +58,14 @@ class RCInv(BaseMemorySystem):
                 line.ready_at = 0.0
                 if cfg.prefetch_depth:
                     self._prefetch(proc, block, now)
-                return AccessResult(time=done, read_stall=stall, hit=stall == 0.0)
+                return self._miss(done, stall, 0.0, 0.0, stall == 0.0)
             line.updates_since_read = 0
             res = self._hit_result
             res.time = now + self._hit_cycles
             return res
-        if self.store_buffers[proc].has_pending(block):
-            # Forward the value from the processor's own store buffer.
+        if block in self.store_buffers[proc]._pending_blocks:
+            # Forward the value from the processor's own store buffer
+            # (inlined StoreBuffer.has_pending).
             res = self._hit_result
             res.time = now + self._hit_cycles
             return res
@@ -72,8 +73,7 @@ class RCInv(BaseMemorySystem):
         self._insert_line(proc, block, SHARED, now)
         if cfg.prefetch_depth:
             self._prefetch(proc, block, now)
-        stall = arrival - now
-        return AccessResult(time=arrival + cfg.cache_hit_cycles, read_stall=stall)
+        return self._miss(arrival + self._hit_cycles, arrival - now, 0.0, 0.0, False)
 
     def _prefetch(self, proc: int, block: int, now: float) -> None:
         """Fetch the next blocks of the same page non-blockingly."""
@@ -93,7 +93,7 @@ class RCInv(BaseMemorySystem):
         block = addr // self.line_size
         cache = self.caches[proc]
         line = cache.lookup(block, now)
-        entry = self.directory.entry(block)
+        entry = self.directory[block]
         entry.write_count += 1
         if (
             line is not None
@@ -107,25 +107,22 @@ class RCInv(BaseMemorySystem):
             res = self._hit_result
             res.time = now + self._hit_cycles
             return res
-        if self.store_buffers[proc].has_pending(block):
+        sb = self.store_buffers[proc]
+        if block in sb._pending_blocks:
             # Ownership already being acquired for this block: coalesce.
             res = self._hit_result
             res.time = now + self._hit_cycles
             return res
-        proceed, stall = self.store_buffers[proc].push(
-            now,
-            lambda start: self._ownership_transaction(proc, block, start),
-            block=block,
-        )
-        return AccessResult(
-            time=proceed + self._hit_cycles, write_stall=stall, hit=False
-        )
+        proceed, stall = sb.push(now, self._ownership_transaction, proc, block)
+        return self._miss(proceed + self._hit_cycles, 0.0, stall, 0.0, False)
 
     # ------------------------------------------------------------------
     def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
         done, _ = self.store_buffers[proc].flush(now)
         # RC: all invalidations must be acknowledged before the release
         # is performed, not just granted by the home.
-        done = max(done, self.fanout_done[proc])
+        fanout_done = self.fanout_done[proc]
+        if fanout_done > done:
+            done = fanout_done
         self.fanout_done[proc] = 0.0
-        return AccessResult(time=done, buffer_flush=done - now)
+        return self._miss(done, 0.0, 0.0, done - now, False)

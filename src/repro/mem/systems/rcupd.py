@@ -51,23 +51,25 @@ class RCUpd(BaseMemorySystem):
                 res = self._hit_result
                 res.time = now + self._hit_cycles
                 return res
-        if self.merge_buffers[proc].has(block) or self.store_buffers[proc].has_pending(block):
+        if (
+            block in self.merge_buffers[proc]._open
+            or block in self.store_buffers[proc]._pending_blocks
+        ):
+            # Forwarded from the merge or store buffer (inlined
+            # MergeBuffer.has / StoreBuffer.has_pending).
             res = self._hit_result
             res.time = now + self._hit_cycles
             return res
         arrival = self._fetch_line(proc, block, now)
         self._insert_line(proc, block, SHARED, now)
-        return AccessResult(
-            time=arrival + self.config.cache_hit_cycles, read_stall=arrival - now
-        )
+        return self._miss(arrival + self._hit_cycles, arrival - now, 0.0, 0.0, False)
 
     # ------------------------------------------------------------------
     def write(self, proc: int, addr: int, now: float) -> AccessResult:
-        cfg = self.config
         line_size = self.line_size
         block = addr // line_size
-        word = (addr % line_size) // cfg.word_size
-        entry = self.directory.entry(block)
+        word = (addr % line_size) // self.config.word_size
+        entry = self.directory[block]
         entry.write_count += 1
         # Write-validate: the writer keeps (or allocates) a local copy
         # without fetching; it is registered as a sharer so it receives
@@ -75,7 +77,7 @@ class RCUpd(BaseMemorySystem):
         cache = self.caches[proc]
         if cache.lookup(block, now) is None:
             self._insert_line(proc, block, SHARED, now)
-        entry.add_sharer(proc)
+        entry.sharers |= 1 << proc
         evicted = self.merge_buffers[proc].write(block, word, now)
         if evicted is None:
             # Merged (or opened a fresh line): complete locally, no stall.
@@ -83,15 +85,9 @@ class RCUpd(BaseMemorySystem):
             res.time = now + self._hit_cycles
             return res
         proceed, stall = self.store_buffers[proc].push(
-            now,
-            lambda start: self._update_transaction(
-                proc, evicted.block, evicted.nwords, start
-            ),
-            block=evicted.block,
+            now, self._update_transaction, proc, evicted.block, evicted.nwords
         )
-        return AccessResult(
-            time=proceed + cfg.cache_hit_cycles, write_stall=stall, hit=stall == 0.0
-        )
+        return self._miss(proceed + self._hit_cycles, 0.0, stall, 0.0, stall == 0.0)
 
     # ------------------------------------------------------------------
     def publish(self, proc: int, blocks: tuple[int, ...], now: float) -> tuple[float, float]:
@@ -109,11 +105,7 @@ class RCUpd(BaseMemorySystem):
             entry = mb.extract(block)
             if entry is not None:
                 proceed, _ = self.store_buffers[proc].push(
-                    proceed,
-                    lambda start, e=entry: self._update_transaction(
-                        proc, e.block, e.nwords, start
-                    ),
-                    block=entry.block,
+                    proceed, self._update_transaction, proc, entry.block, entry.nwords
                 )
         ready = now
         for block in blocks:
@@ -126,15 +118,12 @@ class RCUpd(BaseMemorySystem):
         """Flush the merge buffer, drain the store buffer, and wait for
         every outstanding update fan-out to be acknowledged."""
         t = now
+        sb = self.store_buffers[proc]
         for entry in self.merge_buffers[proc].flush_all():
-            t, _ = self.store_buffers[proc].push(
-                t,
-                lambda start, e=entry: self._update_transaction(
-                    proc, e.block, e.nwords, start
-                ),
-                block=entry.block,
-            )
-        done, _ = self.store_buffers[proc].flush(t)
-        done = max(done, self.fanout_done[proc])
+            t, _ = sb.push(t, self._update_transaction, proc, entry.block, entry.nwords)
+        done, _ = sb.flush(t)
+        fanout_done = self.fanout_done[proc]
+        if fanout_done > done:
+            done = fanout_done
         self.fanout_done[proc] = 0.0
-        return AccessResult(time=done, buffer_flush=done - now)
+        return self._miss(done, 0.0, 0.0, done - now, False)

@@ -28,15 +28,12 @@ class SCInv(BaseMemorySystem):
             return res
         arrival = self._fetch_line(proc, block, now)
         self._insert_line(proc, block, SHARED, now)
-        return AccessResult(
-            time=arrival + self.config.cache_hit_cycles, read_stall=arrival - now
-        )
+        return self._miss(arrival + self._hit_cycles, arrival - now, 0.0, 0.0, False)
 
     def write(self, proc: int, addr: int, now: float) -> AccessResult:
-        cfg = self.config
         block = addr // self.line_size
         line = self.caches[proc].lookup(block, now)
-        entry = self.directory.entry(block)
+        entry = self.directory[block]
         entry.write_count += 1
         if (
             line is not None
@@ -45,10 +42,8 @@ class SCInv(BaseMemorySystem):
             and entry.sharers == 1 << proc
         ):
             return self._hit(now)
-        done = self._ownership_transaction(proc, block, now, pipelined=False)
-        return AccessResult(
-            time=done + cfg.cache_hit_cycles, write_stall=done - now
-        )
+        done = self._ownership_transaction(proc, block, 0, now, pipelined=False)
+        return self._miss(done + self._hit_cycles, 0.0, done - now, 0.0, False)
 
     def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
         # Writes already completed in program order: nothing to drain.

@@ -20,7 +20,7 @@ from __future__ import annotations
 from ...config import MachineConfig
 from ...network.ideal import IdealNetwork
 from ...sim.stats import AccessResult, SyncPoint
-from ..directory import DirEntry, Directory
+from ..directory import Directory
 
 
 class ZMachine:
@@ -64,8 +64,9 @@ class ZMachine:
 
     def read(self, proc: int, addr: int, now: float) -> AccessResult:
         self.shared_reads += 1
-        # Inlined Directory.peek (hot path: every z-machine read).
-        entry = self.directory._entries.get(addr // self.line_size)
+        # Directory.peek without the method call (hot path: every
+        # z-machine read).
+        entry = self.directory.get(addr // self.line_size)
         if entry is not None and entry.last_writer != proc and entry.avail_time > now:
             # The datum is still in flight: the read stalls until the
             # counter for this block drops to zero.  This is the inherent
@@ -81,12 +82,8 @@ class ZMachine:
 
     def write(self, proc: int, addr: int, now: float) -> AccessResult:
         self.shared_writes += 1
-        # Inlined Directory.entry (hot path: every z-machine write).
-        block = addr // self.line_size
-        entries = self.directory._entries
-        entry = entries.get(block)
-        if entry is None:
-            entry = entries[block] = DirEntry()
+        # Indexing creates the entry on first use (Directory.__missing__).
+        entry = self.directory[addr // self.line_size]
         entry.write_count += 1
         latency = self.latency
         avail = now + latency

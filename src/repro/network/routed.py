@@ -38,11 +38,16 @@ class RoutedNetwork(Network):
         #: of a tuple-keyed dict probe.
         self._link_ids: dict[tuple[int, int], int] = {}
         self._link_free: list[float] = []
-        #: ``src << 20 | dst`` -> precomputed route as link-id tuple.
+        #: Route table indexed ``src * nnodes + dst``: the route as a
+        #: link-id tuple, or None until the pair first sends.
         #: Topologies are static and deterministic, yet route() rebuilds
         #: the hop list per message — ~15% of a protocol-bound run's
-        #: profile before caching.
-        self._routes: dict[int, tuple[int, ...]] = {}
+        #: profile before caching.  Filled lazily, so building a machine
+        #: builds no routes.
+        self._nnodes = topology.nnodes
+        self._route_table: list[tuple[int, ...] | None] = [None] * (
+            topology.nnodes * topology.nnodes
+        )
         #: Link degradation (see :meth:`degrade_link`).  ``_slow_pairs``
         #: maps a *directed* link to its (latency, bandwidth) factors;
         #: ``_lat_f`` / ``_bw_f`` are the per-link-id tables the degraded
@@ -70,8 +75,7 @@ class RoutedNetwork(Network):
                 self._lat_f.append(lat_f)
                 self._bw_f.append(bw_f)
             ids.append(lid)
-        route = tuple(ids)
-        self._routes[src << 20 | dst] = route
+        route = self._route_table[src * self._nnodes + dst] = tuple(ids)
         return route
 
     def degrade_link(
@@ -115,7 +119,7 @@ class RoutedNetwork(Network):
         router_delay = self.router_delay
         head = start
         queued = 0.0
-        route = self._routes.get(src << 20 | dst)
+        route = self._route_table[src * self._nnodes + dst]
         if route is None:
             route = self._route(src, dst)
         link_free = self._link_free
@@ -149,7 +153,7 @@ class RoutedNetwork(Network):
         router_delay = self.router_delay
         head = start
         queued = 0.0
-        route = self._routes.get(src << 20 | dst)
+        route = self._route_table[src * self._nnodes + dst]
         if route is None:
             route = self._route(src, dst)
         link_free = self._link_free
@@ -189,7 +193,9 @@ class RoutedNetwork(Network):
             # to be bit-identical to this fused loop.
             return Network.fanout(self, src, dsts, nbytes, start, on_arrival)
         stats = self.stats
-        routes = self._routes
+        routes = self._route_table
+        nnodes = self._nnodes
+        src_row = src * nnodes
         link_free = self._link_free
         router_delay = self.router_delay
         cpb = self.cycles_per_byte
@@ -206,7 +212,7 @@ class RoutedNetwork(Network):
             else:
                 head = inject
                 queued = 0.0
-                route = routes.get(src << 20 | dst)
+                route = routes[src_row + dst]
                 if route is None:
                     route = self._route(src, dst)
                 for lid in route:
@@ -233,7 +239,7 @@ class RoutedNetwork(Network):
             else:
                 head = arr
                 queued = 0.0
-                route = routes.get(dst << 20 | src)
+                route = routes[dst * nnodes + src]
                 if route is None:
                     route = self._route(dst, src)
                 for lid in route:

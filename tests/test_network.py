@@ -4,7 +4,14 @@ import pytest
 
 from repro.network.ideal import IdealNetwork
 from repro.network.routed import RoutedNetwork
-from repro.network.topology import Mesh2D
+from repro.network.topology import Hypercube, Mesh2D, Ring, Torus2D
+
+TOPOLOGIES = {
+    "mesh": lambda: Mesh2D(3, 4),
+    "torus": lambda: Torus2D(4, 4),
+    "ring": lambda: Ring(6),
+    "hypercube": lambda: Hypercube(8),
+}
 
 
 class TestIdealNetwork:
@@ -122,3 +129,61 @@ class TestRoutedNetwork:
         net = self.make()
         net.transfer(0, 1, 8, 0.0)
         assert (0, 1) in net.link_utilisation
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_lazy_table_matches_topology_routes(self, name):
+        topo = TOPOLOGIES[name]()
+        n = topo.nnodes
+        net = RoutedNetwork(topo, cycles_per_byte=1.0)
+        assert net._route_table == [None] * (n * n)  # nothing built up front
+        net.transfer(0, n - 1, 8, 0.0)
+        filled = [i for i, r in enumerate(net._route_table) if r is not None]
+        assert filled == [n - 1]
+        for src in range(n):
+            for dst in range(n):
+                if src != dst:
+                    net.transfer(src, dst, 8, 0.0)
+        link_of = {lid: link for link, lid in net._link_ids.items()}
+        for src in range(n):
+            for dst in range(n):
+                if src == dst:
+                    continue
+                route = net._route_table[src * n + dst]
+                assert tuple(link_of[lid] for lid in route) == topo.route(src, dst)
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_degrading_before_or_after_first_use_is_identical(self, name):
+        topo = TOPOLOGIES[name]()
+        n = topo.nnodes
+        u, v = topo.links()[len(topo.links()) // 2]
+
+        def traffic(net):
+            out = []
+            for src in range(n):
+                for dst in range(n):
+                    out.append(net.transfer(src, dst, 8 * (src % 3), float(dst)))
+            out.append(net.fanout(u, list(range(n)), 16, 3.0))
+            return out, net.stats.snapshot()
+
+        before = RoutedNetwork(topo, cycles_per_byte=1.6)
+        before.degrade_link(u, v, latency_factor=3.0, bandwidth_factor=2.5)
+        after = RoutedNetwork(topo, cycles_per_byte=1.6)
+        traffic(after)  # every route and link id now exists
+        after.reset()
+        after.degrade_link(u, v, latency_factor=3.0, bandwidth_factor=2.5)
+        assert traffic(after) == traffic(before)
+
+    def test_link_utilisation_keyed_by_directed_link(self):
+        topo = Mesh2D(2, 2)
+        net = RoutedNetwork(topo, cycles_per_byte=1.0)
+        end = net.transfer(0, 3, 8, 0.0)
+        util = net.link_utilisation
+        assert set(util) == set(topo.route(0, 3))
+        assert all(isinstance(link, tuple) and len(link) == 2 for link in util)
+        assert max(util.values()) < end
+        net.transfer(3, 0, 8, 0.0)
+        util = net.link_utilisation
+        assert set(util) == set(topo.route(0, 3)) | set(topo.route(3, 0))
+        assert not set(topo.route(0, 3)) & set(topo.route(3, 0))

@@ -40,6 +40,30 @@ class TestReadNB:
         assert access.hit
         assert access.time <= now + machine.config.cache_hit_cycles
 
+    def test_outstanding_miss_results_are_independent(self):
+        # Miss results come from a per-system flyweight; the engine must
+        # copy them for ReadNB, so the first fed-back result keeps its
+        # values after a second miss reuses the flyweight.
+        machine = Machine(MachineConfig(nprocs=2), "RCinv")
+        arr = machine.shm.array(64, "a", align_line=True)
+        far = arr.addr(32)
+        feedback = []
+
+        def worker(ctx):
+            if ctx.pid != 0:
+                return
+            first = yield ReadNB(arr.addr(0))
+            snapshot = (first[1].time, first[1].read_stall, first[1].hit)
+            second = yield ReadNB(far)
+            feedback.append((first, snapshot, second))
+
+        machine.run(worker)
+        (first, snapshot, second) = feedback[0]
+        assert not first[1].hit and not second[1].hit
+        assert first[1] is not second[1]
+        assert (first[1].time, first[1].read_stall, first[1].hit) == snapshot
+        assert second[1].time > first[1].time
+
     def test_feedback_after_ordinary_ops(self):
         # Ordinary ops feed the thread's clock back as a bare float
         # (only ReadNB carries a (time, AccessResult) tuple).

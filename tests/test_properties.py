@@ -94,7 +94,7 @@ def test_store_buffer_retires_in_fifo_and_flush_covers_all(latencies, capacity):
     t = 0.0
     retire_expected = 0.0
     for lat in latencies:
-        proceed, stall = sb.push(t, lambda s, lat=lat: s + lat)
+        proceed, stall = sb.push(t, lambda proc, block, nwords, s, lat=lat: s + lat, 0, 0)
         assert proceed >= t
         assert stall >= 0.0
         t = proceed + 1.0
