@@ -9,10 +9,10 @@ fig1     print the Figure 1 inherent-cost-vs-overhead scenario
 claims   evaluate the paper's qualitative claims on fresh runs
 trace    run one application with the tracer attached and export a
          Perfetto/Chrome trace (and optionally interval metrics)
-profile  run one application under the host self-profiler and print the
-         per-component wall-time attribution (wheel / app / mem /
-         network / tracer / sync / observer / dispatch), optionally as
-         a Perfetto flame view
+profile  build and run one application under the host stack sampler and
+         print the per-component wall-time attribution (setup / wheel /
+         app / mem / network / tracer / sync / observer / dispatch),
+         optionally as a Perfetto flame view
 attribute run one application under exact overhead attribution and
          print ranked stall-cycle tables by shared region / sync object /
          phase / home node (``--vs`` adds an inline overhead-delta diff
@@ -329,13 +329,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     name, factory = _resolve_trace_app(args.app)
     factory = _scaled_factory(name, factory, args.scale)
-    app = factory()
-    machine = Machine(cfg, args.system)
-    app.setup(machine)
-    # Attach last so any tracer/metrics decorators are already in place
-    # and their overhead lands in the ``tracer`` component.
-    prof = HostProfiler.attach(machine)
-    result = machine.run(app.worker)
+    with HostProfiler() as prof:
+        app = factory()
+        machine = Machine(cfg, args.system)
+        app.setup(machine)
+        result = machine.run(app.worker)
     log.info(
         f"{name} on {args.system}: {result.ops} ops, "
         f"{result.total_time:.0f} simulated cycles"
@@ -343,7 +341,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     log.out(prof.table())
     if args.out:
         doc = prof.to_dict()
-        doc.update({"app": name, "system": args.system, "nprocs": cfg.nprocs})
+        doc.update(
+            {"app": name, "system": args.system, "nprocs": cfg.nprocs, "ops": result.ops}
+        )
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
         log.out(f"attribution written to {args.out}")
     if args.flame:
@@ -971,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="measure self-profiler overhead instead: interleaved plain vs "
-        f"profiled study matrix (writes {PROFILE_BENCH_FILE})",
+        f"stack-sampled study matrix (writes {PROFILE_BENCH_FILE})",
     )
     p_bench.add_argument(
         "--attrib",

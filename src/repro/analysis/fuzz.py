@@ -14,9 +14,10 @@ decorator stack) and cross-checks each draw with three oracle families:
     bit-identical :class:`SimResult`, traffic, network counters, and
     final shared-memory image.
 ``decorators``
-    the drawn observability stack (tracer / metrics / profiler /
-    attribution / checked invariants, attached in the drawn order) vs
-    the bare run — unchanged simulated results.
+    the drawn observability stack (tracer / metrics / attribution /
+    checked invariants, attached in the drawn order, plus the stack
+    sampler armed around the run) vs the bare run — unchanged simulated
+    results.
 ``checkers``
     race detector + invariant auditor + static analyzer agreement —
     dynamic race labels must be a subset of the static report's,
@@ -48,6 +49,7 @@ import hashlib
 import json
 import time
 from collections.abc import Callable, Iterator, Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
@@ -379,24 +381,27 @@ def _attach_decorator(name: str, machine) -> None:
         from ..obs.attrib import AttributionCollector
 
         AttributionCollector.attach(machine)
-    elif name == "profiler":
-        from ..obs.profile import HostProfiler
-
-        HostProfiler.attach(machine)
     else:
         raise ValueError(f"unknown decorator {name!r}; expected one of {DECORATORS}")
 
 
 def run_decorated(draw: FuzzDraw) -> dict:
-    """One wheel-engine run with the draw's decorator stack attached."""
+    """One wheel-engine run with the draw's decorator stack attached.
+
+    ``"profiler"`` is not a memory-system decorator: it arms the stack
+    sampler around the run, wherever it sits in the drawn order.
+    """
+    from ..obs.profile import HostProfiler
     from ..runtime.context import Machine
 
     app = draw.factory()()
     machine = Machine(draw.config(), draw.system)
     app.setup(machine)
     for name in draw.decorators:
-        _attach_decorator(name, machine)
-    result = machine.run(app.worker)
+        if name != "profiler":
+            _attach_decorator(name, machine)
+    with HostProfiler() if "profiler" in draw.decorators else nullcontext():
+        result = machine.run(app.worker)
     if draw.verify:
         app.verify()
     return capture_outcome(machine, result)

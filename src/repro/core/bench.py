@@ -331,30 +331,30 @@ def run_profile_bench(
     systems: tuple[str, ...] = PAPER_SYSTEMS,
     out: str | os.PathLike | None = PROFILE_BENCH_FILE,
 ) -> dict:
-    """Measure self-profiler overhead and record the attribution.
+    """Measure self-profiler overhead and record the sampled attribution.
 
     Runs the engine-bench workload (every preset app x every paper
-    system, in-process) with and without :class:`HostProfiler`
-    attached, **alternating the two modes per matrix cell** so host
-    noise hits both equally, then takes the *median* of the per-rep
-    ratios (a best-rep-per-mode ratio lets one mode cherry-pick its
-    luckiest rep; the median of paired ratios is stable).  Asserts that
-    the profiled runs produce identical simulated results (the profiler
-    is timing-transparent by design; bit-identity is pinned harder by
-    tests/test_profile.py), and embeds the aggregated per-component
-    attribution — the measured answer to "where does host time go?".
+    system, in-process) plain and with the :class:`HostProfiler` stack
+    sampler armed around ``machine.run``, **alternating the two modes
+    per matrix cell** so host noise hits both equally, then takes the
+    *median* of the per-rep ratios (a best-rep-per-mode ratio lets one
+    mode cherry-pick its luckiest rep; the median of paired ratios is
+    stable).  Asserts that the profiled runs produce identical simulated
+    results (sampling only reads frames; bit-identity is pinned harder
+    by tests/test_profile.py), and embeds the per-component attribution
+    pooled over every profiled run — sample shares and their count, the
+    measured answer to "where does host time go?".
     """
     from ..obs.profile import COMPONENTS, HostProfiler
 
     cfg = MachineConfig(nprocs=nprocs)
     apps = preset(scale)
     walls = {"plain": float("inf"), "profiled": float("inf")}
-    attribution = dict.fromkeys(COMPONENTS, 0)
-    wall_ns = 0
+    prof = HostProfiler()
     events = 0
     identical = True
     ratios = []
-    for rep in range(max(1, reps)):
+    for _rep in range(max(1, reps)):
         rep_walls = {"plain": 0.0, "profiled": 0.0}
         outcomes: dict[str, list] = {"plain": [], "profiled": []}
         total_ops = 0
@@ -364,17 +364,16 @@ def run_profile_bench(
                     app = factory()
                     machine = Machine(cfg, system)
                     app.setup(machine)
-                    prof = HostProfiler.attach(machine) if mode == "profiled" else None
                     t0 = time.perf_counter()
-                    result = machine.run(app.worker)
+                    if mode == "profiled":
+                        with prof:
+                            result = machine.run(app.worker)
+                    else:
+                        result = machine.run(app.worker)
                     rep_walls[mode] += time.perf_counter() - t0
                     if mode == "plain":
                         total_ops += result.ops
                     outcomes[mode].append((result.total_time, result.ops))
-                    if prof is not None and rep == 0:
-                        for name in COMPONENTS:
-                            attribution[name] += prof.ns[name]
-                        wall_ns += prof.wall_ns
         events = total_ops
         identical = identical and outcomes["plain"] == outcomes["profiled"]
         if rep_walls["plain"] > 0:
@@ -383,6 +382,7 @@ def run_profile_bench(
             walls[mode] = min(walls[mode], rep_walls[mode])
     assert identical, "profiler changed simulated results"
     ratio = sorted(ratios)[len(ratios) // 2] if ratios else float("inf")
+    attribution = prof.to_dict()
     doc = {
         "bench": "profiler-overhead",
         "scale": scale,
@@ -395,11 +395,11 @@ def run_profile_bench(
         "overhead_ratio": round(ratio, 3),
         "rep_ratios": [round(r, 3) for r in ratios],
         "results_identical": identical,
+        "sampled": True,
+        "samples": attribution["samples"],
+        "interval_s": attribution["interval_s"],
         "attribution": {
-            name: {
-                "ns": attribution[name],
-                "pct": round(100.0 * attribution[name] / wall_ns, 2) if wall_ns else 0.0,
-            }
+            name: {key: attribution["components"][name][key] for key in ("ns", "samples", "pct")}
             for name in COMPONENTS
         },
         "cpu_count": os.cpu_count(),
@@ -416,7 +416,7 @@ def format_profile_bench(doc: dict) -> str:
         f"P={doc['nprocs']}, {len(doc['systems'])} systems), median of {doc['reps']}",
         f"  plain {doc['plain_wall_s']:.3f}s, profiled {doc['profiled_wall_s']:.3f}s "
         f"-> {doc['overhead_ratio']:.2f}x",
-        f"{'component':>10s} {'share':>7s}",
+        f"{'component':>10s} {'share':>7s}  (sampled, {doc['samples']:,} samples)",
     ]
     for name, comp in doc["attribution"].items():
         lines.append(f"{name:>10s} {comp['pct']:>6.1f}%")

@@ -12,8 +12,8 @@ Four pillars (see docs/observability.md):
   and studies are self-describing artifacts.
 - :mod:`repro.obs.log` — the structured logger behind the CLI's
   ``--verbose``/``--quiet``/``--json`` modes.
-- :mod:`repro.obs.profile` — the host self-profiler: wall-time
-  attribution per simulator component (``repro profile``).
+- :mod:`repro.obs.profile` — the host self-profiler: a stack sampler
+  attributing wall time per simulator component (``repro profile``).
 - :mod:`repro.obs.telemetry` — per-job heartbeat records streamed from
   ``run_jobs`` workers: live progress rendering plus the
   ``--telemetry-out`` replayable JSONL sink.

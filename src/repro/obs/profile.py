@@ -1,86 +1,85 @@
-"""Self-profiler: host wall-time attribution for the simulation engine.
+"""Self-profiler: host wall-time attribution by statistical stack sampling.
 
 The paper decomposes *simulated* cycles into overhead categories
 relative to the zero-overhead z-machine.  This module gives the host
 simulator the same story about itself: where do *wall-clock*
-nanoseconds go while the engine runs?  Components:
+nanoseconds go?  Components:
 
+``setup``
+    Everything outside :meth:`repro.sim.engine.Engine.run`: building
+    the application's inputs, constructing the machine, ``setup()``.
 ``wheel``
-    Event-wheel scheduling: ``pop_and_peek`` at segment entry and the
-    fused ``push_pop_peek`` at segment exit.
+    Event-wheel scheduling: :mod:`repro.sim.wheel` plus the lines of
+    ``Engine.run`` that inline ``EventWheel.push_pop_peek``.
 ``app``
-    Application Python execution — the generator ``send`` that runs
-    real workload code between two yielded ops.
+    Application Python execution (:mod:`repro.apps`): the generator
+    code that runs between two yielded ops.
 ``mem``
-    Memory-system transaction handling (directory/cache protocol
-    models), excluding time spent inside the network.
+    Memory-system transaction handling (:mod:`repro.mem`), excluding
+    time spent inside the network.
 ``network``
-    Network routing/transfer calls made by the memory system.
+    Network routing/transfer (:mod:`repro.network`).
 ``tracer``
-    Overhead of attached memory-system decorators (TracingMemory,
-    MetricsCollector, CheckedMemorySystem): outer-call time minus
-    inner-system time.  Zero when nothing is attached.
+    Attached memory-system decorators (:mod:`repro.sim.trace`,
+    :mod:`repro.obs`, :mod:`repro.analysis.checkers`).  Zero when
+    nothing is attached.
 ``sync``
-    Synchronisation manager calls (locks, barriers, flags) including
-    the wakes they trigger.
+    The synchronisation manager (:mod:`repro.runtime.sync`), including
+    the wakes it triggers.
 ``observer``
-    Engine-observer callbacks (interval metrics) on the data hot path.
+    Engine-observer callbacks: the ``on_*`` methods of the modules that
+    make up ``tracer``, with the helpers they call.
 ``dispatch``
-    Everything else inside the scheduler loop: op-class dispatch,
-    stall-decomposition accounting, run-ahead checks, stale-entry
-    discards.
+    Everything else inside ``Engine.run``: op-class dispatch,
+    stall-decomposition accounting, run-ahead checks.
 
-Profiling is **off by default** and costs one attribute check per
-:meth:`repro.sim.engine.Engine.run` call when disabled — the engine's
-hot loop is untouched and results stay bit-identical (pinned by the
-golden-equivalence suite).  When enabled, the engine executes
-:func:`run_profiled` instead: the same conservative schedule, the same
-float-operation order (so the :class:`~repro.sim.stats.SimResult` is
-bit-identical to an unprofiled run), with ``perf_counter_ns`` marks at
-component boundaries.  Measured overhead is recorded in
-``BENCH_profile.json`` (see :func:`repro.core.bench.run_profile_bench`).
+While a :class:`HostProfiler` is armed (``with HostProfiler() as
+prof:``) an interval timer interrupts the process every
+:data:`SAMPLE_INTERVAL_S` seconds of wall time.  The handler walks the
+interrupted frame's ``f_back`` chain and charges the sample to the
+innermost frame whose module maps to a component; frames of unmapped
+modules (``sim/stats``, ``runtime/sharedmem``, other ``Engine``
+methods such as ``wake``) pass the sample on to their caller.  The
+per-code-object verdict is cached, so a sample costs a short walk of
+dict lookups.  Component times are sample fractions scaled to the
+measured wall time of the armed block.
+
+Sampling only reads frames, so the engine, the memory system and the
+results are exactly those of an unprofiled run; the engine has no
+profiler hook at all.
 
 Typical use::
 
-    machine = Machine(cfg, "RCinv")
-    prof = HostProfiler.attach(machine)
-    result = machine.run(app.worker)
+    with HostProfiler() as prof:
+        app = factory()
+        machine = Machine(cfg, "RCinv")
+        app.setup(machine)
+        result = machine.run(app.worker)
     print(prof.table())
     write_trace("flame.json", prof.to_perfetto())
 """
 
 from __future__ import annotations
 
-import gc
+import ast
+import inspect
+import os
+import signal
+import textwrap
 from time import perf_counter_ns
+from types import CodeType, FrameType
 from typing import Any
 
-from ..sim.events import (
-    Acquire,
-    BarrierWait,
-    Compute,
-    Fence,
-    FlagSet,
-    FlagWait,
-    Phase,
-    Read,
-    ReadNB,
-    Release,
-    SelfInvalidate,
-    Stall,
-    Write,
-)
-from ..sim.stats import AccessResult, SimResult, SyncPoint
-
-_INF = float("inf")
+from ..sim.engine import Engine
 
 #: Host-time components, in display order.
 COMPONENTS = (
-    "wheel", "app", "mem", "network", "tracer", "sync", "observer", "dispatch",
+    "setup", "wheel", "app", "mem", "network", "tracer", "sync", "observer", "dispatch",
 )
 
 #: One-line description per component (for tables and docs).
 COMPONENT_HELP = {
+    "setup": "outside Engine.run: inputs, machine build, setup",
     "wheel": "event-wheel pop/push scheduling",
     "app": "application generator execution",
     "mem": "memory-system transaction handling",
@@ -91,140 +90,174 @@ COMPONENT_HELP = {
     "dispatch": "engine dispatch + cycle accounting",
 }
 
-#: Network entry points timed by the profiler.
-_NETWORK_METHODS = ("transfer", "fanout", "multicast")
+#: Seconds of wall time between two samples.
+SAMPLE_INTERVAL_S = 0.001
 
-#: Memory-system entry points timed on the innermost system.
-_MEMSYS_METHODS = ("read", "write", "acquire", "release", "publish", "self_invalidate")
+#: The timer behind the sampler and the signal it raises.  The
+#: real-time timer fires at the requested rate; the CPU-time timers
+#: (``ITIMER_PROF``/``ITIMER_VIRTUAL``) tick at the kernel's HZ, only
+#: 250 Hz on common kernel builds, which leaves a default-scale run of
+#: ~0.1 s with a couple of dozen samples.
+_TIMER = signal.ITIMER_REAL
+_SIGNAL = signal.SIGALRM
+
+#: Verdicts for code objects that are not a component of their own.
+_PASS = "pass"  # attribute to the caller
+_RUN = "run"  # the engine's run loop: wheel or dispatch by line
+
+#: Module path (relative to the ``repro`` package) -> component.  The
+#: first matching prefix wins; unmatched modules pass samples through,
+#: and so does this module (a sample taken inside the handler).
+_MODULE_COMPONENTS = (
+    ("obs/profile.py", _PASS),
+    ("sim/wheel.py", "wheel"),
+    ("apps/", "app"),
+    ("mem/", "mem"),
+    ("network/", "network"),
+    ("runtime/sync.py", "sync"),
+    ("sim/trace.py", "tracer"),
+    ("obs/", "tracer"),
+    ("analysis/checkers/", "tracer"),
+)
+
+_PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+
+
+def _code_kind(code: CodeType) -> str:
+    """Component (or :data:`_PASS` / :data:`_RUN`) of one code object."""
+    if code is Engine.run.__code__:
+        return _RUN
+    filename = code.co_filename
+    if not filename.startswith(_PKG_ROOT):
+        return _PASS
+    rel = filename[len(_PKG_ROOT):].replace(os.sep, "/")
+    for prefix, component in _MODULE_COMPONENTS:
+        if rel.startswith(prefix):
+            if component == "tracer" and code.co_name.startswith("on_"):
+                return "observer"
+            return component
+    return _PASS
+
+
+def inlined_wheel_lines() -> frozenset[int]:
+    """Line numbers of ``Engine.run`` that inline the event wheel.
+
+    These are the lines that touch the wheel's private state
+    (``queue._seq``, ``queue._cur_bucket``, ...), the current-epoch
+    ``bucket`` and the C heap calls of the fused push/pop.  Read from
+    the source once per profiler; without the source (a bytecode-only
+    install) they count as dispatch.
+    """
+    try:
+        lines, first = inspect.getsourcelines(Engine.run)
+    except (OSError, TypeError):
+        return frozenset()
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    return frozenset(
+        node.lineno + first - 1
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "queue"
+        )
+        or (isinstance(node, ast.Name) and node.id in ("bucket", "heappush", "heappushpop"))
+    )
 
 
 class HostProfiler:
-    """Accumulates host nanoseconds per simulator component.
+    """Samples the interpreter stack while armed; reports host time per component.
 
-    Attach with :meth:`attach` *after* any tracer/metrics decorators so
-    decorator overhead is split out into the ``tracer`` component.
+    Use as a context manager; the same profiler may be armed several
+    times and accumulates across blocks.  Only one profiler may be
+    armed at a time (the timer is process-wide), and only from the main
+    thread (where Python runs signal handlers).
     """
 
     def __init__(self) -> None:
-        self.ns: dict[str, int] = dict.fromkeys(COMPONENTS, 0)
-        #: Total profiled wall time (ns) of the run.
+        #: Samples per component.
+        self.counts: dict[str, int] = dict.fromkeys(COMPONENTS, 0)
+        #: Total armed wall time (ns).
         self.wall_ns = 0
-        #: Ops executed and scheduling segments observed.
-        self.ops = 0
-        self.segments = 0
-        #: Total nanoseconds inside network calls (flushed into
-        #: ``ns["network"]`` at the end of a profiled run).
-        self._net_ns = 0
-        #: Reentrancy guard: fanout/multicast may call transfer
-        #: internally; only the outermost network call is timed.
-        self._net_depth = 0
-        #: Total nanoseconds inside the innermost memory system (only
-        #: tracked when a decorator chain is wrapped; flushed at end).
-        self._inner_ns = 0
-        #: Whether a decorator chain was found and inner timing is live.
-        self.has_decorators = False
+        self._kinds: dict[CodeType, str] = {}
+        self._wheel_lines = inlined_wheel_lines()
+        self._t0 = 0
+        self._prev_handler: Any = None
 
-    # -- construction ----------------------------------------------------
-    @classmethod
-    def attach(cls, machine: Any) -> HostProfiler:
-        """Enable profiling on ``machine``; returns the profiler.
+    # -- arming ----------------------------------------------------------
+    def __enter__(self) -> HostProfiler:
+        prev = signal.signal(_SIGNAL, self._on_sample)
+        self._prev_handler = signal.SIG_DFL if prev is None else prev
+        self._t0 = perf_counter_ns()
+        signal.setitimer(_TIMER, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S)
+        return self
 
-        Wraps the network's transfer entry points (so ``network`` time
-        is split out of ``mem``) and, when the engine's memory system is
-        a decorator chain, the innermost system's entry points (so
-        decorator overhead lands in ``tracer``).
+    def __exit__(self, *exc: object) -> None:
+        signal.setitimer(_TIMER, 0.0, 0.0)
+        self.wall_ns += perf_counter_ns() - self._t0
+        signal.signal(_SIGNAL, self._prev_handler)
+
+    def _on_sample(self, signum: int, frame: FrameType | None) -> None:
+        self.counts[self.classify(frame)] += 1
+
+    # -- classification --------------------------------------------------
+    def classify(self, frame: Any) -> str:
+        """Component of a stack whose innermost frame is ``frame``.
+
+        Accepts anything with ``f_code``/``f_lineno``/``f_back``, so the
+        mapping can be checked on synthetic chains.
         """
-        profiler = cls()
-        profiler._wrap_network(machine.network)
-        profiler._wrap_inner(machine.engine.memsys)
-        machine.engine.profiler = profiler
-        return profiler
-
-    def _wrap_network(self, network: Any) -> None:
-        for name in _NETWORK_METHODS:
-            fn = getattr(network, name, None)
-            if fn is None:
-                continue
-            setattr(network, name, self._timed_net(fn))
-
-    def _timed_net(self, fn):
-        pcn = perf_counter_ns
-
-        def timed(*args, **kwargs):
-            if self._net_depth:
-                return fn(*args, **kwargs)
-            self._net_depth = 1
-            t0 = pcn()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self._net_ns += pcn() - t0
-                self._net_depth = 0
-
-        return timed
-
-    def _wrap_inner(self, memsys: Any) -> None:
-        """Time the innermost system of a decorator chain.
-
-        Decorators (tracer/metrics/checker) expose the wrapped system as
-        ``.inner``; without one there is nothing to split and ``tracer``
-        stays zero.  Decorators that bound the inner's methods directly
-        (MetricsCollector's read/write bypass) are re-pointed at the
-        timed versions so the split stays exact.
-        """
-        chain = []
-        sys = memsys
-        while hasattr(sys, "inner") and sys.inner is not None:
-            chain.append(sys)
-            sys = sys.inner
-        if not chain:
-            return
-        self.has_decorators = True
-        pcn = perf_counter_ns
-        for name in _MEMSYS_METHODS:
-            fn = getattr(sys, name, None)
-            if fn is None:
-                continue
-
-            def timed(*args, _fn=fn, **kwargs):
-                t0 = pcn()
-                try:
-                    return _fn(*args, **kwargs)
-                finally:
-                    self._inner_ns += pcn() - t0
-
-            # Re-point decorator-level direct bindings at the timed
-            # version before shadowing the inner method itself
-            # (MetricsCollector binds read/write straight to the inner
-            # system; bound methods compare ``==`` on func + receiver).
-            for deco in chain:
-                if deco.__dict__.get(name) == fn:
-                    setattr(deco, name, timed)
-            setattr(sys, name, timed)
+        kinds = self._kinds
+        component = None
+        while frame is not None:
+            code = frame.f_code
+            kind = kinds.get(code)
+            if kind is None:
+                kind = kinds[code] = _code_kind(code)
+            if kind is _RUN:
+                if component is not None:
+                    return component
+                return "wheel" if frame.f_lineno in self._wheel_lines else "dispatch"
+            if component is None:
+                if kind is not _PASS:
+                    component = kind
+            elif kind == "observer" and component == "tracer":
+                # Helpers of an engine-observer callback are observer time.
+                component = kind
+            frame = frame.f_back
+        return "setup"
 
     # -- reporting -------------------------------------------------------
-    def attributed_ns(self) -> int:
-        """Nanoseconds attributed to any component."""
-        return sum(self.ns.values())
+    @property
+    def samples(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def ns(self) -> dict[str, int]:
+        """Estimated nanoseconds per component: sample share x wall time."""
+        n = self.samples
+        wall = self.wall_ns
+        return {
+            name: wall * count // n if n else 0 for name, count in self.counts.items()
+        }
 
     def to_dict(self) -> dict:
         """JSON-ready attribution document."""
-        wall = self.wall_ns
-        attributed = self.attributed_ns()
+        n = self.samples
+        ns = self.ns
         return {
-            "schema": 1,
+            "schema": 2,
             "profile": "host-component-attribution",
-            "wall_ns": wall,
-            "attributed_ns": attributed,
-            "unattributed_ns": wall - attributed,
-            "ops": self.ops,
-            "segments": self.segments,
-            "ns_per_op": round(wall / self.ops, 1) if self.ops else None,
-            "has_decorators": self.has_decorators,
+            "sampled": True,
+            "samples": n,
+            "interval_s": SAMPLE_INTERVAL_S,
+            "wall_ns": self.wall_ns,
             "components": {
                 name: {
-                    "ns": self.ns[name],
-                    "pct": round(100.0 * self.ns[name] / wall, 2) if wall else 0.0,
+                    "ns": ns[name],
+                    "samples": self.counts[name],
+                    "pct": round(100.0 * self.counts[name] / n, 2) if n else 0.0,
                     "help": COMPONENT_HELP[name],
                 }
                 for name in COMPONENTS
@@ -233,52 +266,48 @@ class HostProfiler:
 
     def table(self) -> str:
         """Human-readable per-component attribution table."""
-        wall = self.wall_ns
+        n = self.samples
+        ns = self.ns
         lines = [
-            f"host profile: {self.ops:,} ops in {wall / 1e9:.3f}s wall "
-            f"({wall / self.ops:,.0f} ns/op, {self.segments:,} segments)"
-            if self.ops
-            else "host profile: no ops executed",
+            f"host profile (sampled): {n:,} samples at "
+            f"{SAMPLE_INTERVAL_S * 1e3:g} ms over {self.wall_ns / 1e9:.3f}s wall",
             f"{'component':>10s} {'time (ms)':>10s} {'share':>7s}  what",
         ]
         for name in COMPONENTS:
-            ns = self.ns[name]
-            pct = 100.0 * ns / wall if wall else 0.0
+            pct = 100.0 * self.counts[name] / n if n else 0.0
             lines.append(
-                f"{name:>10s} {ns / 1e6:>10.2f} {pct:>6.1f}%  {COMPONENT_HELP[name]}"
+                f"{name:>10s} {ns[name] / 1e6:>10.2f} {pct:>6.1f}%  {COMPONENT_HELP[name]}"
             )
-        other = wall - self.attributed_ns()
-        pct = 100.0 * other / wall if wall else 0.0
-        lines.append(f"{'(untracked)':>10s} {other / 1e6:>10.2f} {pct:>6.1f}%  marks + loop entry/exit")
         return "\n".join(lines)
 
     def to_perfetto(self) -> dict:
         """Perfetto-compatible flame view of the attribution.
 
-        Aggregate flame: one host lane with a root ``engine.run`` slice
-        whose children are the components laid side by side, each sized
-        by its accumulated time (1 us of trace time per 1 us of host
-        time).  Loadable in https://ui.perfetto.dev like any timeline.
+        Aggregate flame: one host lane with a root ``profile`` slice
+        spanning the armed wall time, whose children are the components
+        laid side by side, each sized by its estimated time (1 us of
+        trace time per 1 us of host time).  Loadable in
+        https://ui.perfetto.dev like any timeline.
         """
-        wall_us = self.wall_ns / 1e3
+        ns = self.ns
         events: list[dict] = [
             {"ph": "M", "pid": 0, "tid": 0, "ts": 0, "name": "process_name",
              "args": {"name": "repro self-profile"}},
             {"ph": "M", "pid": 0, "tid": 0, "ts": 0, "name": "thread_name",
              "args": {"name": "host"}},
-            {"ph": "X", "pid": 0, "tid": 0, "cat": "profile", "name": "engine.run",
-             "ts": 0, "dur": wall_us,
-             "args": {"ops": self.ops, "segments": self.segments}},
+            {"ph": "X", "pid": 0, "tid": 0, "cat": "profile", "name": "profile",
+             "ts": 0, "dur": self.wall_ns / 1e3,
+             "args": {"samples": self.samples, "interval_s": SAMPLE_INTERVAL_S}},
         ]
         cursor = 0.0
         for name in COMPONENTS:
-            dur = self.ns[name] / 1e3
+            dur = ns[name] / 1e3
             if dur <= 0.0:
                 continue
             events.append(
                 {"ph": "X", "pid": 0, "tid": 0, "cat": "profile", "name": name,
                  "ts": cursor, "dur": dur,
-                 "args": {"help": COMPONENT_HELP[name]}}
+                 "args": {"samples": self.counts[name], "help": COMPONENT_HELP[name]}}
             )
             cursor += dur
         return {
@@ -288,514 +317,7 @@ class HostProfiler:
         }
 
 
-def run_profiled(engine: Any, prof: HostProfiler) -> SimResult:
-    """Profiled twin of :meth:`repro.sim.engine.Engine.run`.
-
-    Identical conservative schedule, identical float-operation order —
-    the returned :class:`SimResult` is bit-identical to an unprofiled
-    run (pinned by tests/test_profile.py against the goldens).  The only
-    differences are ``perf_counter_ns`` marks at component boundaries
-    and method-call (rather than inlined) wheel operations at segment
-    exits, whose cost is *part of what is being measured*.
-
-    To keep overhead low on a ~2 us/op hot loop where a clock read
-    costs ~100 ns, marks are two-tier:
-
-    * **exact** — wheel spans at every segment boundary, sync-manager
-      and memory-system spans on the rare synchronisation ops, observer
-      callback spans, and the total intra-segment span;
-    * **sampled** — every 16th *segment* additionally takes per-op
-      app/mem/tail marks; the exact intra-segment total (minus the
-      exactly-measured sync/observer/mem parts) is apportioned across
-      ``app``, ``mem`` and ``dispatch`` by the sampled shares at flush
-      time.  Ops in unsampled segments pay a single local-bool branch
-      per mark site and no clock reads at all.
-
-    Component totals therefore always sum to the measured span exactly;
-    only the app/mem/dispatch *split* is statistical (hundreds of
-    sampled segments on any non-trivial run).  Sampling is keyed off
-    the deterministic segment counter, so it never perturbs the
-    simulation.
-
-    Keep the simulation semantics in lockstep with ``Engine.run``: any
-    change to the op-handling arithmetic there must be mirrored here.
-    """
-    pcn = perf_counter_ns
-    threads = engine._threads
-    tlist: list[Any] = [None] * engine.config.nprocs
-    for th in threads.values():
-        tlist[th.tid] = th
-    queue = engine._queue
-    pop_and_peek = queue.pop_and_peek
-    push_pop_peek = queue.push_pop_peek
-    memsys = engine.memsys
-    mem_read = memsys.read
-    mem_write = memsys.write
-    syncmgr = engine.syncmgr
-    max_ops = engine.max_ops
-    ops_limit = max_ops if max_ops is not None else _INF
-    ops = engine._ops_executed
-    obs = engine.observer
-    charge = engine._charge
-    hit_res = getattr(memsys, "_hit_result", None)
-    lock_episode = engine._lock_episode
-    barrier_episode = engine._barrier_episode
-    flag_epoch = engine._flag_epoch
-    has_inner = prof.has_decorators
-    deg = engine._degrade
-    if deg is not None:
-        cpu_f = deg.cpu_factors(engine.config.nprocs)
-        burst_period = deg.burst_period
-        burst_len = burst_period * deg.burst_duty
-        burst_factor = deg.burst_factor
-        burst_phase = deg.burst_phase
-    else:
-        cpu_f = []
-        burst_period = burst_len = burst_phase = 0.0
-        burst_factor = 1.0
-
-    # Exact accumulators (local ints: a dict item-add per mark would
-    # roughly double the profiling cost; flushed to ``prof.ns`` at end).
-    ns_wheel = ns_sync = ns_observer = 0
-    ns_mem_x = 0  # exact memory-system spans on the rare sync-op paths
-    ns_intra = 0  # total time between segment boundaries
-    # Sampled shares (every 16th segment) used to split ns_intra at flush.
-    s_app = s_mem = s_tail = 0
-    t0 = t1 = t2 = 0
-    segments = 0
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    t_run0 = pcn()
-    try:
-        entry, horizon = pop_and_peek()
-        bound = pcn()
-        ns_wheel += bound - t_run0
-        while True:
-            if entry is None:
-                break
-            time, _seq, tid = entry
-            thread = tlist[tid]
-            if thread.done or thread.blocked or thread.time != time:
-                entry, horizon = pop_and_peek()
-                now_ns = pcn()
-                ns_wheel += now_ns - bound
-                bound = now_ns
-                continue
-            segments += 1
-            # Segment-level sampling: every 16th segment (including the
-            # first, so tiny runs still sample) takes the fine-grained
-            # app/mem/tail marks; a rare sync op flips it off for the
-            # segment remainder since its span is measured exactly.
-            sampled = (segments & 15) == 1
-            engine._horizon = hz = horizon
-            send = thread.gen.send
-            stats = thread.stats
-            t = thread.time
-            fb = thread.feedback
-            while True:
-                if sampled:
-                    t0 = pcn()
-                try:
-                    op = send(fb)
-                except StopIteration:
-                    thread.done = True
-                    thread.time = t
-                    stats.finish_time = t
-                    now_ns = pcn()
-                    ns_intra += now_ns - bound
-                    entry, horizon = pop_and_peek()
-                    bound = pcn()
-                    ns_wheel += bound - now_ns
-                    break
-                if sampled:
-                    t1 = pcn()
-                    s_app += t1 - t0
-                    t2 = t1
-                ops += 1
-                if ops > ops_limit:
-                    raise RuntimeError(
-                        f"operation budget exceeded ({engine.max_ops}); "
-                        "likely runaway application loop"
-                    )
-                cls = op.__class__
-                now = t
-                fb = None
-                if cls is Read:
-                    res = mem_read(tid, op.addr, now)
-                    if sampled:
-                        t2 = pcn()
-                        s_mem += t2 - t1
-                    stats.reads += 1
-                    if res is hit_res:
-                        stats.read_hits += 1
-                        rt = res.time
-                        busy = rt - now
-                        if busy <= 0.0:
-                            busy = 0.0
-                        stats.busy += busy
-                        t = rt
-                        if obs is not None and busy > 0.0:
-                            now_ns = pcn()
-                            obs.on_access(tid, now, rt, 0.0, 0.0, 0.0, busy)
-                            o2 = pcn()
-                            ns_observer += o2 - now_ns
-                            if sampled:
-                                t2 += o2 - now_ns
-                    else:
-                        if res.hit:
-                            stats.read_hits += 1
-                        else:
-                            stats.read_misses += 1
-                        rt = res.time
-                        elapsed = rt - now
-                        if elapsed < -1e-9:
-                            raise RuntimeError(
-                                f"memory system returned completion {rt} before issue {now}"
-                            )
-                        rs = res.read_stall
-                        ws = res.write_stall
-                        bf = res.buffer_flush
-                        stalls = rs + ws + bf
-                        stats.read_stall += rs
-                        stats.write_stall += ws
-                        stats.buffer_flush += bf
-                        busy = elapsed - stalls
-                        if busy <= 0.0:
-                            busy = 0.0
-                        stats.busy += busy
-                        t = rt
-                        if obs is not None and elapsed > 0.0:
-                            now_ns = pcn()
-                            obs.on_access(tid, now, rt, rs, ws, bf, busy)
-                            o2 = pcn()
-                            ns_observer += o2 - now_ns
-                            if sampled:
-                                t2 += o2 - now_ns
-                elif cls is Compute:
-                    cycles = op.cycles
-                    if deg is not None:
-                        f = cpu_f[tid]
-                        if (
-                            burst_period > 0.0
-                            and (now + tid * burst_phase) % burst_period < burst_len
-                        ):
-                            f *= burst_factor
-                        cycles = cycles * f
-                    stats.busy += cycles
-                    t = now + cycles
-                    if obs is not None and cycles > 0.0:
-                        now_ns = pcn()
-                        obs.on_busy(tid, now, cycles)
-                        o2 = pcn()
-                        ns_observer += o2 - now_ns
-                        if sampled:
-                            t2 += o2 - now_ns
-                elif cls is Write:
-                    res = mem_write(tid, op.addr, now)
-                    if sampled:
-                        t2 = pcn()
-                        s_mem += t2 - t1
-                    stats.writes += 1
-                    if res is hit_res:
-                        rt = res.time
-                        busy = rt - now
-                        if busy <= 0.0:
-                            busy = 0.0
-                        stats.busy += busy
-                        t = rt
-                        if obs is not None and busy > 0.0:
-                            now_ns = pcn()
-                            obs.on_access(tid, now, rt, 0.0, 0.0, 0.0, busy)
-                            o2 = pcn()
-                            ns_observer += o2 - now_ns
-                            if sampled:
-                                t2 += o2 - now_ns
-                    else:
-                        rt = res.time
-                        elapsed = rt - now
-                        if elapsed < -1e-9:
-                            raise RuntimeError(
-                                f"memory system returned completion {rt} before issue {now}"
-                            )
-                        rs = res.read_stall
-                        ws = res.write_stall
-                        bf = res.buffer_flush
-                        stalls = rs + ws + bf
-                        stats.read_stall += rs
-                        stats.write_stall += ws
-                        stats.buffer_flush += bf
-                        busy = elapsed - stalls
-                        if busy <= 0.0:
-                            busy = 0.0
-                        stats.busy += busy
-                        t = rt
-                        if obs is not None and elapsed > 0.0:
-                            now_ns = pcn()
-                            obs.on_access(tid, now, rt, rs, ws, bf, busy)
-                            o2 = pcn()
-                            ns_observer += o2 - now_ns
-                            if sampled:
-                                t2 += o2 - now_ns
-                elif cls is Acquire:
-                    sampled = False
-                    tA = pcn()
-                    sync = SyncPoint("lock", op.lock_id, lock_episode(op.lock_id))
-                    res = memsys.acquire(tid, now, sync)
-                    tB = pcn()
-                    ns_mem_x += tB - tA
-                    t = charge(stats, tid, now, res)
-                    stats.acquires += 1
-                    grant = syncmgr.acquire(tid, op.lock_id, t)
-                    tC = pcn()
-                    ns_sync += tC - tB
-                    if grant is None:
-                        thread.blocked = True
-                        thread.block_time = t
-                        thread.time = t
-                        thread.feedback = None
-                        now_ns = pcn()
-                        ns_intra += now_ns - bound
-                        entry, horizon = pop_and_peek()
-                        bound = pcn()
-                        ns_wheel += bound - now_ns
-                        break
-                    wait = grant - t
-                    if wait > 0.0:
-                        stats.sync_wait += wait
-                        if obs is not None:
-                            obs.on_sync_wait(tid, t, wait)
-                        t = grant
-                    hz = engine._horizon
-                elif cls is Release:
-                    sampled = False
-                    tA = pcn()
-                    sync = SyncPoint("lock", op.lock_id, lock_episode(op.lock_id))
-                    res = memsys.release(tid, now, sync)
-                    tB = pcn()
-                    ns_mem_x += tB - tA
-                    t = charge(stats, tid, now, res)
-                    stats.releases += 1
-                    done = syncmgr.release(tid, op.lock_id, t)
-                    tC = pcn()
-                    ns_sync += tC - tB
-                    wait = done - t
-                    if wait > 0.0:
-                        stats.sync_wait += wait
-                        if obs is not None:
-                            obs.on_sync_wait(tid, t, wait)
-                        t = done
-                    hz = engine._horizon
-                elif cls is BarrierWait:
-                    sampled = False
-                    tA = pcn()
-                    sync = SyncPoint(
-                        "barrier", op.barrier_id, barrier_episode(op.barrier_id)
-                    )
-                    res = memsys.release(tid, now, sync)
-                    tB = pcn()
-                    ns_mem_x += tB - tA
-                    t = charge(stats, tid, now, res)
-                    stats.barriers += 1
-                    depart = syncmgr.barrier_wait(tid, op.barrier_id, t)
-                    tC = pcn()
-                    ns_sync += tC - tB
-                    if depart is None:
-                        thread.blocked = True
-                        thread.block_time = t
-                        thread.time = t
-                        thread.feedback = None
-                        now_ns = pcn()
-                        ns_intra += now_ns - bound
-                        entry, horizon = pop_and_peek()
-                        bound = pcn()
-                        ns_wheel += bound - now_ns
-                        break
-                    wait = depart - t
-                    if wait > 0.0:
-                        stats.sync_wait += wait
-                        if obs is not None:
-                            obs.on_sync_wait(tid, t, wait)
-                        t = depart
-                    hz = engine._horizon
-                elif cls is Fence:
-                    sampled = False
-                    tA = pcn()
-                    res = memsys.release(tid, now, SyncPoint("fence", -1))
-                    tB = pcn()
-                    ns_mem_x += tB - tA
-                    t = charge(stats, tid, now, res)
-                    stats.fences += 1
-                elif cls is ReadNB:
-                    sampled = False
-                    tA = pcn()
-                    res = mem_read(tid, op.addr, now)
-                    tB = pcn()
-                    ns_mem_x += tB - tA
-                    stats.reads += 1
-                    if res.hit:
-                        stats.read_hits += 1
-                    else:
-                        stats.read_misses += 1
-                    issue = engine.config.cache_hit_cycles
-                    stats.busy += issue
-                    t = now + issue
-                    if obs is not None and issue > 0.0:
-                        obs.on_busy(tid, now, issue)
-                    fb = (
-                        t,
-                        AccessResult(
-                            res.time, res.read_stall, res.write_stall,
-                            res.buffer_flush, res.hit,
-                        ),
-                    )
-                elif cls is FlagSet:
-                    sampled = False
-                    tA = pcn()
-                    note = getattr(memsys, "sync_note", None)
-                    if note is not None:
-                        note(
-                            tid,
-                            now,
-                            SyncPoint("flag_set", op.flag_id, flag_epoch(op.flag_id) + 1),
-                        )
-                    proceed, data_ready = memsys.publish(tid, op.blocks, now)
-                    tB = pcn()
-                    ns_mem_x += tB - tA
-                    done = syncmgr.flag_set(tid, op.flag_id, proceed, data_ready)
-                    tC = pcn()
-                    ns_sync += tC - tB
-                    busy = done - now
-                    if busy > 0.0:
-                        stats.busy += busy
-                        if obs is not None:
-                            obs.on_busy(tid, now, busy)
-                        t = done
-                    hz = engine._horizon
-                elif cls is FlagWait:
-                    sampled = False
-                    tA = pcn()
-                    note = getattr(memsys, "sync_note", None)
-                    if note is not None:
-                        note(tid, now, SyncPoint("flag_wait", op.flag_id, op.epoch))
-                    depart = syncmgr.flag_wait(tid, op.flag_id, op.epoch, now)
-                    tB = pcn()
-                    ns_sync += tB - tA
-                    if depart is None:
-                        thread.blocked = True
-                        thread.block_time = t
-                        thread.time = t
-                        thread.feedback = None
-                        now_ns = pcn()
-                        ns_intra += now_ns - bound
-                        entry, horizon = pop_and_peek()
-                        bound = pcn()
-                        ns_wheel += bound - now_ns
-                        break
-                    wait = depart - now
-                    if wait > 0.0:
-                        stats.sync_wait += wait
-                        if obs is not None:
-                            obs.on_sync_wait(tid, now, wait)
-                        t = depart
-                    hz = engine._horizon
-                elif cls is SelfInvalidate:
-                    sampled = False
-                    tA = pcn()
-                    memsys.self_invalidate(tid, op.blocks, now)
-                    tB = pcn()
-                    ns_mem_x += tB - tA
-                    cost = len(op.blocks) * 1.0
-                    stats.busy += cost
-                    t = now + cost
-                    if obs is not None and cost > 0.0:
-                        obs.on_busy(tid, now, cost)
-                elif cls is Stall:
-                    cycles = op.cycles
-                    category = op.category
-                    if category == "read":
-                        stats.read_stall += cycles
-                    elif category == "write":
-                        stats.write_stall += cycles
-                    elif category == "flush":
-                        stats.buffer_flush += cycles
-                    else:
-                        stats.sync_wait += cycles
-                    t = now + cycles
-                    if obs is not None and cycles > 0.0:
-                        obs.on_stall(tid, now, cycles, category)
-                elif cls is Phase:
-                    note = getattr(memsys, "phase_note", None)
-                    if note is not None:
-                        note(tid, now, op.label)
-                    if obs is not None:
-                        obs.on_phase(tid, now, op.label)
-                else:
-                    raise TypeError(f"thread {tid} yielded non-Op {op!r}")
-                if fb is None:
-                    fb = t
-                if t > hz:
-                    thread.time = t
-                    thread.feedback = fb
-                    now_ns = pcn()
-                    if sampled:
-                        s_tail += now_ns - t2
-                    ns_intra += now_ns - bound
-                    entry, horizon = push_pop_peek(t, tid)
-                    bound = pcn()
-                    ns_wheel += bound - now_ns
-                    break
-                if sampled:
-                    now_ns = pcn()
-                    s_tail += now_ns - t2
-    finally:
-        engine._ops_executed = ops
-        if gc_was_enabled:
-            gc.enable()
-        prof.ops = ops
-        prof.segments = segments
-        prof.wall_ns = pcn() - t_run0
-        ns = prof.ns
-        ns["wheel"] += ns_wheel
-        ns["sync"] += ns_sync
-        ns["observer"] += ns_observer
-        # The exact intra-segment total, minus the exactly-measured
-        # parts, is apportioned across app/mem/dispatch by the sampled
-        # shares; integer remainders land in dispatch so the component
-        # totals keep summing to the measured spans exactly.
-        pool = ns_intra - ns_sync - ns_observer - ns_mem_x
-        denom = s_app + s_mem + s_tail
-        if denom > 0:
-            app = pool * s_app // denom
-            memp = pool * s_mem // denom
-        else:
-            app = memp = 0
-        ns["app"] += app
-        ns["dispatch"] += pool - app - memp
-        # Carve the wrapper totals out of the raw memory-system time:
-        # tracer = outer - inner, mem = inner - network.
-        mem_raw = memp + ns_mem_x
-        net = prof._net_ns
-        prof._net_ns = 0
-        if has_inner:
-            inner = prof._inner_ns
-            prof._inner_ns = 0
-            ns["tracer"] += mem_raw - inner
-            ns["mem"] += inner - net
-        else:
-            ns["mem"] += mem_raw - net
-        ns["network"] += net
-    blocked = [th.tid for th in threads.values() if th.blocked]
-    unfinished = [th.tid for th in threads.values() if not th.done]
-    if blocked:
-        from ..sim.engine import DeadlockError
-
-        raise DeadlockError(
-            f"simulation deadlocked: threads {blocked} blocked, "
-            f"threads {unfinished} unfinished"
-        )
-    total = max((th.stats.finish_time for th in threads.values()), default=0.0)
-    procs = [threads[tid].stats for tid in sorted(threads)]
-    return SimResult(total_time=total, procs=procs, ops=ops)
-
-
-__all__ = ["COMPONENTS", "COMPONENT_HELP", "HostProfiler", "run_profiled"]
+__all__ = [
+    "COMPONENTS", "COMPONENT_HELP", "SAMPLE_INTERVAL_S", "HostProfiler",
+    "inlined_wheel_lines",
+]

@@ -144,12 +144,10 @@ class Engine:
         #: exact per-category cycle accounting so interval metrics can
         #: reproduce :class:`SimResult` totals to the last cycle.
         self.observer = None
-        #: Optional :class:`repro.obs.profile.HostProfiler`.  When None
-        #: (the default) the cost is one attribute check per *run*, not
-        #: per op — the hot loop below is untouched and results are
-        #: bit-identical.  When set, :meth:`run` delegates to the
-        #: profiled twin loop in :mod:`repro.obs.profile`.
-        self.profiler = None
+        # Two schedulers must agree float for float: :meth:`run` and the
+        # plain-heapq oracle :class:`repro.sim.reference.ReferenceEngine`.
+        # A timing change lands in both.  Host profiling needs no hook
+        # here: :class:`repro.obs.profile.HostProfiler` samples the stack.
         #: CPU-side degradation (per-node slowdown factors and the burst
         #: schedule) from ``config.degradation``.  None — the common case
         #: — keeps the Compute branch on a single pointer check; the
@@ -239,19 +237,15 @@ class Engine:
         the old ``_charge`` helper is inlined with the *identical* float
         operation order, so results are bit-for-bit those of the
         original heap-based loop (pinned by tests/test_engine_equivalence.py).
+        Keep it in lockstep with
+        :class:`repro.sim.reference.ReferenceEngine`, the only other
+        scheduler loop: a timing change lands in both.
 
         The run-ahead horizon lives in the local ``hz``: only sync
         operations can wake another thread (the only way the earliest
         pending time can move down mid-segment), so ``hz`` is refreshed
         from ``self._horizon`` after those and nowhere else.
         """
-        if self.profiler is not None:
-            # Host self-profiling: same schedule, same float-operation
-            # order, perf marks at component boundaries.  Imported
-            # lazily so the simulator core never depends on obs.
-            from ..obs.profile import run_profiled
-
-            return run_profiled(self, self.profiler)
         threads = self._threads
         # Hot-loop thread lookup is a list index (tids are dense 0..P-1).
         tlist: list[_Thread | None] = [None] * self.config.nprocs

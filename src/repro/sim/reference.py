@@ -12,9 +12,11 @@ oracle: one straight-line op loop, a global heap, no fusions, no
 flyweight shortcut, no gc fiddling.  It must stay *structurally* simple
 and *numerically* exact — every float operation appears in the same
 order as the production engine so results agree bit-for-bit, which is
-what ``repro fuzz`` (and the equivalence tests) rely on.  Keep the two
-in lockstep: any intentional timing change lands in both, plus a golden
-regeneration with a commit message explaining why the timing moved.
+what ``repro fuzz`` (and the equivalence tests) rely on.  These are the
+only two scheduler loops — :meth:`repro.sim.engine.Engine.run` and this
+one — so keep the two in lockstep: any intentional timing change lands
+in both, plus a golden regeneration with a commit message explaining
+why the timing moved.
 
 Equivalence notes (why this simpler loop is bit-identical):
 
@@ -95,8 +97,7 @@ class ReferenceEngine:
     the runtime touches (``spawn``/``spawn_all``/``wake``/``run``,
     ``memsys``/``observer``), so :func:`use_reference_engine` can swap it
     into a built :class:`repro.runtime.context.Machine` before apps are
-    spawned.  Host self-profiling is a production-engine feature; setting
-    ``profiler`` here raises at :meth:`run`.
+    spawned.
     """
 
     def __init__(self, config, memsys, syncmgr, max_ops: int | None = None):
@@ -105,7 +106,6 @@ class ReferenceEngine:
         self.syncmgr = syncmgr
         self.max_ops = max_ops
         self.observer = None
-        self.profiler = None
         deg = config.degradation
         self._degrade = deg if deg is not None and deg.affects_cpu else None
         self._threads: dict[int, _Thread] = {}
@@ -166,11 +166,6 @@ class ReferenceEngine:
     # ------------------------------------------------------------------
     def run(self) -> SimResult:
         """Run all threads to completion and return the statistics."""
-        if self.profiler is not None:
-            raise RuntimeError(
-                "the reference engine does not support host self-profiling; "
-                "attach the profiler to the production engine instead"
-            )
         heap = self._heap
         threads = self._threads
         while heap:

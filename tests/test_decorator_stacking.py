@@ -4,8 +4,8 @@ Every permutation of the tracer / metrics / attribution / checked
 decorators stacked on one machine must produce a simulated outcome
 bit-identical to the bare run — the observer-neutrality contract the
 ``decorators`` fuzz oracle enforces, pinned here exhaustively for a
-fixed configuration (and spot-checked with the host profiler and under
-a degraded scenario).
+fixed configuration (and spot-checked with the host profiler's stack
+sampler armed around the run, and under a degraded scenario).
 """
 
 from __future__ import annotations

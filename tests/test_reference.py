@@ -137,13 +137,6 @@ def test_wake_requires_blocked_thread():
         ref.wake(0, 5.0)
 
 
-def test_profiler_is_rejected():
-    ref = use_reference_engine(_machine())
-    ref.profiler = object()
-    with pytest.raises(RuntimeError, match="does not support host self-profiling"):
-        ref.run()
-
-
 def test_deadlock_detection():
     machine = _machine(nprocs=2)
     use_reference_engine(machine)
