@@ -1,9 +1,10 @@
 """Protocol invariant checking for the directory-based memory systems.
 
-:class:`CheckedMemorySystem` decorates any memory system (sibling of
-:class:`~repro.sim.trace.TracingMemory`) and audits the directory/cache
-state machine after every operation, logging violations instead of
-raising so a sweep can surface every failure:
+:class:`CheckedMemorySystem` decorates any memory system and audits the
+directory/cache state machine after every operation, logging violations
+instead of raising so a sweep can surface every failure.  It is the only
+memory-system decorator: it inspects protocol state, which the engine
+observers of :mod:`repro.sim.observer` never see.  The rules:
 
 * **single-owned** — at most one cache holds a block OWNED with no
   invalidation in flight, and the directory's ``owner`` field points at
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ...sim.stats import AccessResult, SyncPoint
+from ...sim.stats import AccessResult
 
 #: Float-comparison slack for cycle arithmetic.
 EPS = 1e-6
@@ -136,19 +137,16 @@ class CheckedMemorySystem:
         self._after_op("write", proc, addr, now, res)
         return res
 
-    def acquire(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
-        res = self.inner.acquire(proc, now, sync=sync)
+    def acquire(self, proc: int, now: float) -> AccessResult:
+        res = self.inner.acquire(proc, now)
         self._after_op("acquire", proc, None, now, res)
         return res
 
-    def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
-        res = self.inner.release(proc, now, sync=sync)
+    def release(self, proc: int, now: float) -> AccessResult:
+        res = self.inner.release(proc, now)
         self._after_op("release", proc, None, now, res)
         self._check_release_drained(proc, res.time)
         return res
-
-    def sync_note(self, proc: int, now: float, sync: SyncPoint) -> None:
-        self.inner.sync_note(proc, now, sync)
 
     def __getattr__(self, name: str):
         # Delegate everything else (publish, caches, line_size, ...) inward.

@@ -3,9 +3,9 @@
 One :class:`CheckSpec` is one instrumented simulation: the application
 runs with a :class:`~repro.analysis.checkers.invariants.CheckedMemorySystem`
 wrapped around the memory system (protocol invariants audited after
-every operation) and a :class:`~repro.sim.trace.TracingMemory` wrapped
-around that (so the trace records events *after* they are checked), then
-the happens-before race pass runs over the trace.
+every operation) and a :class:`~repro.sim.trace.TracingMemory`
+subscribed to the engine observer, then the happens-before race pass
+runs over the trace.
 
 Specs and outcomes are picklable and carry a stable fingerprint, so the
 matrix fans out through :func:`repro.core.parallel.run_jobs` and caches

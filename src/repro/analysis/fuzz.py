@@ -2,7 +2,7 @@
 
 The reproduction's claims rest on every engine variant computing the
 *same* simulated machine: the wheel engine must match the plain-heapq
-reference loop bit-for-bit, observability decorators must not perturb
+reference loop bit-for-bit, observability attachments must not perturb
 simulated results, and the dynamic correctness checkers must agree with
 the static analyzer.  This module is the standing stress harness for
 those contracts: it draws seeded random configurations (application x
@@ -64,7 +64,8 @@ from ..sim.reference import capture_outcome, run_case
 #: Oracle families, in evaluation order.
 ORACLES = ("reference", "decorators", "checkers")
 
-#: Observability decorators a draw may stack (attach order = draw order).
+#: Observability attachments a draw may stack (attach order = draw order):
+#: the checker decorator, the engine-observer subscribers and the sampler.
 DECORATORS = ("checked", "tracer", "metrics", "attrib", "profiler")
 
 #: Memory systems in the draw space (kept in lockstep with the golden set).

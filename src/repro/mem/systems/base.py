@@ -14,7 +14,7 @@ from functools import partial
 
 from ...config import MachineConfig
 from ...network.base import Network
-from ...sim.stats import AccessResult, SyncPoint
+from ...sim.stats import AccessResult
 from ..cache import OWNED, SHARED, Cache
 from ..directory import Directory, SharerTuples
 
@@ -104,25 +104,14 @@ class BaseMemorySystem:
     def write(self, proc: int, addr: int, now: float) -> AccessResult:
         raise NotImplementedError
 
-    def acquire(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
-        """Acquire semantics: nothing to do in these systems.
-
-        ``sync`` identifies the synchronisation operation (lock id,
-        barrier episode, ...); the protocol models ignore it, decorators
-        such as :class:`repro.sim.trace.TracingMemory` record it.
-        """
+    def acquire(self, proc: int, now: float) -> AccessResult:
+        """Acquire semantics: nothing to do in these systems."""
         res = self._sync_result
         res.time = now
         return res
 
-    def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
+    def release(self, proc: int, now: float) -> AccessResult:
         raise NotImplementedError
-
-    def sync_note(self, proc: int, now: float, sync: SyncPoint) -> None:
-        """Zero-cost notification of a flag set/wait (tracing hook)."""
-
-    def phase_note(self, proc: int, now: float, label: str) -> None:
-        """Zero-cost notification of an application phase marker."""
 
     # -- decoupled data-flow synchronisation (paper Section 6) ----------
     def publish(self, proc: int, blocks: tuple[int, ...], now: float) -> tuple[float, float]:

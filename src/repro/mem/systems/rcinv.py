@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ...config import MachineConfig
 from ...network.base import Network
-from ...sim.stats import AccessResult, SyncPoint
+from ...sim.stats import AccessResult
 from ..buffers import StoreBuffer
 from ..cache import OWNED, SHARED
 from .base import BaseMemorySystem
@@ -117,7 +117,7 @@ class RCInv(BaseMemorySystem):
         return self._miss(proceed + self._hit_cycles, 0.0, stall, 0.0, False)
 
     # ------------------------------------------------------------------
-    def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
+    def release(self, proc: int, now: float) -> AccessResult:
         done, _ = self.store_buffers[proc].flush(now)
         # RC: all invalidations must be acknowledged before the release
         # is performed, not just granted by the home.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ...config import MachineConfig
 from ...network.base import Network
-from ...sim.stats import AccessResult, SyncPoint
+from ...sim.stats import AccessResult
 from ..buffers import MergeBuffer, StoreBuffer
 from ..cache import SHARED
 from .base import BaseMemorySystem
@@ -114,7 +114,7 @@ class RCUpd(BaseMemorySystem):
                 ready = dir_entry.avail_time
         return proceed, ready
 
-    def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
+    def release(self, proc: int, now: float) -> AccessResult:
         """Flush the merge buffer, drain the store buffer, and wait for
         every outstanding update fan-out to be acknowledged."""
         t = now

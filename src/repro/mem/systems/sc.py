@@ -11,7 +11,7 @@ nothing to flush at releases.
 
 from __future__ import annotations
 
-from ...sim.stats import AccessResult, SyncPoint
+from ...sim.stats import AccessResult
 from ..cache import OWNED, SHARED
 from .base import BaseMemorySystem
 
@@ -45,7 +45,7 @@ class SCInv(BaseMemorySystem):
         done = self._ownership_transaction(proc, block, 0, now, pipelined=False)
         return self._miss(done + self._hit_cycles, 0.0, done - now, 0.0, False)
 
-    def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
+    def release(self, proc: int, now: float) -> AccessResult:
         # Writes already completed in program order: nothing to drain.
         res = self._sync_result
         res.time = now

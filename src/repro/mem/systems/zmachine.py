@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ...config import MachineConfig
 from ...network.ideal import IdealNetwork
-from ...sim.stats import AccessResult, SyncPoint
+from ...sim.stats import AccessResult
 from ..directory import Directory
 
 
@@ -101,24 +101,18 @@ class ZMachine:
         res.time = now + self._hit_cycles
         return res
 
-    def acquire(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
+    def acquire(self, proc: int, now: float) -> AccessResult:
         res = self._sync_result
         res.time = now
         return res
 
-    def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
+    def release(self, proc: int, now: float) -> AccessResult:
         # Synchronisation on the z-machine is pure process control: the
         # counter mechanism already guarantees consumers see produced
         # values, so there are no buffers to flush (paper Section 3).
         res = self._sync_result
         res.time = now
         return res
-
-    def sync_note(self, proc: int, now: float, sync: SyncPoint) -> None:
-        """Zero-cost notification of a flag set/wait (tracing hook)."""
-
-    def phase_note(self, proc: int, now: float, label: str) -> None:
-        """Zero-cost notification of an application phase marker."""
 
     def publish(self, proc: int, blocks: tuple[int, ...], now: float) -> tuple[float, float]:
         """Data-flow publication: on the z-machine the counter mechanism

@@ -22,9 +22,9 @@ Four pillars (see docs/observability.md):
   region, sync object, application phase and home node, with
   differential reports (``repro attribute`` / ``repro diff``).
 
-Everything here is strictly additive: with no collector attached the
-simulation pays one ``is None`` check per resumed thread and nothing
-else.
+Everything here is strictly additive: collectors subscribe to the
+engine observer (:mod:`repro.sim.observer`), and with none attached the
+simulation pays one ``is None`` check per op and nothing else.
 """
 
 from .attrib import (

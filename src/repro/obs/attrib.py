@@ -3,14 +3,15 @@ home nodes every stall cycle is paid for.
 
 The paper's headline numbers decompose execution time into read-stall /
 write-stall / buffer-flush totals per processor; this module explains
-them.  :class:`AttributionCollector` is a memory-system decorator (same
-composition contract as :class:`repro.sim.trace.TracingMemory`) that
-charges every overhead cycle to a *cell* — the cross product of the
-current application phase and either an address block (data accesses) or
-a sync object (acquire / release / barrier / fence) — while maintaining
-per-processor per-category accumulators with the **same addends in the
-same order** as the engine's ``ProcStats``, so the attributed totals
-equal the :class:`repro.sim.stats.SimResult` totals bit-for-bit.
+them.  :class:`AttributionCollector` is an engine observer (see
+:mod:`repro.sim.observer`) that charges every overhead cycle to a
+*cell* — the cross product of the current application phase and either
+an address block (data accesses), a sync object (acquire / release /
+barrier / fence) or the ``Stall`` ops of latency-tolerant code — while
+maintaining per-processor per-category accumulators with the **same
+addends in the same order** as the engine's ``ProcStats``, so the
+attributed totals equal the :class:`repro.sim.stats.SimResult` totals
+bit-for-bit.
 
 :func:`build_report` folds the cells into four ranked dimensions at
 once:
@@ -27,6 +28,9 @@ once:
   per-link load derived from the requester→home pairs of stalled
   accesses.
 
+Block, sync and home also get a ``(stall ops)`` row when the run charged
+``Stall`` cycles (:mod:`repro.runtime.multithread` does).
+
 :func:`diff_reports` aligns two reports on system-independent keys
 (array names, sync labels, phase labels — block numbering differs
 between the z-machine's one-word lines and the real systems' 32-byte
@@ -34,11 +38,6 @@ lines) and decomposes the overhead *delta*, which is what makes Table 1
 and the scenario reports explainable: "RCinv pays the gap on ``excess``
 inside the ``discharge`` phase" is a sentence this module can back with
 cycles.
-
-Known limits: the latency-tolerance wrapper's ``ReadNB``/``Stall`` ops
-are charged by the engine without consulting the memory system, so runs
-through :mod:`repro.runtime.multithread` surface as a nonzero residual;
-the standard applications never use them and their residual is zero.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ from math import fsum
 from pathlib import Path
 
 from ..analysis.naming import sync_label
-from ..sim.stats import AccessResult, SyncPoint
+from ..sim.observer import Observer, subscribe
+from ..sim.stats import SyncPoint
 
 #: JSON schema version of attribution reports.
 SCHEMA = 1
@@ -68,6 +68,11 @@ DIMENSIONS = ("block", "sync", "phase", "home")
 #: partitions of the attributed overhead.
 SYNC_ROW = "(sync ops)"
 DATA_ROW = "(data)"
+STALL_ROW = "(stall ops)"
+
+#: ``Stall`` op category -> index into the overhead categories (the
+#: ``"sync"`` category is sync wait, not overhead).
+_STALL_INDEX = {"read": 0, "write": 1, "flush": 2}
 
 #: Phase label charged before the first ``ctx.phase(...)`` marker.
 STARTUP_PHASE = "(startup)"
@@ -77,36 +82,30 @@ STARTUP_PHASE = "(startup)"
 EXACT_TOLERANCE = 1e-6
 
 
-class AttributionCollector:
-    """Memory-system decorator charging overhead cycles to cells.
-
-    Attach after any tracer/checker so their delegation keeps working::
+class AttributionCollector(Observer):
+    """Engine observer charging overhead cycles to cells::
 
         machine = Machine(cfg, "RCinv"); app.setup(machine)
         collector = AttributionCollector.attach(machine)
         result = machine.run(app.worker)
         report = build_report(collector, result, app="IS", system="RCinv")
 
-    The engine's flyweight-hit shortcut survives the wrap (``__getattr__``
-    delegates ``_hit_result`` inward and identity is preserved), so the
-    stall-free common case costs one dict upsert and nothing else.
+    Results that *are* the memory system's stall-free flyweight skip the
+    stall reads, so the common case costs one dict upsert.
     """
 
-    def __init__(self, inner, nprocs: int, shm=None):
-        self.inner = inner
+    def __init__(self, memsys, nprocs: int, shm=None):
+        #: The observed memory system, read for its line size, hit
+        #: flyweight and addr→home map, and at report time for its
+        #: directory and configuration.
+        self.memsys = memsys
         self.nprocs = nprocs
         #: Optional :class:`repro.runtime.sharedmem.SharedMemory`; when
         #: set, block cells resolve to array names in reports.
         self.shm = shm
-        self._line = inner.line_size
-        #: Stall-free flyweight of the wrapped system: results that *are*
-        #: this object carry zero stalls by construction, so the hot path
-        #: skips the three attribute reads entirely.
-        self._hit = getattr(inner, "_hit_result", None)
-        #: Bound addr→home hook of the wrapped system (report-time only
-        #: on the non-stall path; bound once so stalled accesses do not
-        #: pay a delegation chain per call).
-        self._home_of = getattr(inner, "home_of", None)
+        self._line = memsys.line_size
+        self._hit = getattr(memsys, "_hit_result", None)
+        self._home_of = getattr(memsys, "home_of", None)
         # Phase interning: labels -> small ints, one current id per proc.
         self._phase_names: list[str] = [STARTUP_PHASE]
         self._phase_ids: dict[str, int] = {STARTUP_PHASE: 0}
@@ -117,6 +116,8 @@ class AttributionCollector:
         self._data: dict[tuple[int, int], list] = {}
         #: (phase_id, sync_kind, sync_id) -> [rs, ws, bf, events]
         self._sync: dict[tuple[int, str, int], list] = {}
+        #: phase_id -> [rs, ws, bf, Stall ops]
+        self._stall: dict[int, list] = {}
         #: (requester, home) -> stall cycles of stalled data accesses —
         #: feeds the derived per-link load, not the exact-sum contract.
         self._pairs: dict[tuple[int, int], float] = {}
@@ -131,82 +132,38 @@ class AttributionCollector:
     # -- construction ---------------------------------------------------
     @classmethod
     def attach(cls, machine) -> AttributionCollector:
-        """Interpose a collector between a Machine's engine and memory."""
+        """Subscribe a collector to a Machine's engine."""
         collector = cls(
             machine.engine.memsys,
             machine.config.nprocs,
             shm=getattr(machine, "shm", None),
         )
-        machine.engine.memsys = collector
-        return collector
+        return subscribe(machine.engine, collector)
 
-    # -- memory-system decorator surface ---------------------------------
-    def read(self, proc: int, addr: int, now: float) -> AccessResult:
-        res = self.inner.read(proc, addr, now)
-        self.accesses += 1
-        key = (self._cur[proc], addr // self._line)
-        cell = self._data.get(key)
-        if cell is None:
-            cell = self._data[key] = [0.0, 0.0, 0.0, 0]
-        cell[3] += 1
-        if res is self._hit:
-            return res
-        rs = res.read_stall
-        ws = res.write_stall
-        bf = res.buffer_flush
-        if rs == 0.0 and ws == 0.0 and bf == 0.0:
-            return res
-        cell[0] += rs
-        cell[1] += ws
-        cell[2] += bf
-        acc = self._acc[proc]
-        acc[0] += rs
-        acc[1] += ws
-        acc[2] += bf
-        if self._home_of is not None:
-            pair = (proc, self._home_of(key[1]))
-            self._pairs[pair] = self._pairs.get(pair, 0.0) + rs + ws + bf
-        return res
-
-    def write(self, proc: int, addr: int, now: float) -> AccessResult:
-        res = self.inner.write(proc, addr, now)
-        self.accesses += 1
-        key = (self._cur[proc], addr // self._line)
-        cell = self._data.get(key)
-        if cell is None:
-            cell = self._data[key] = [0.0, 0.0, 0.0, 0]
-        cell[3] += 1
-        if res is self._hit:
-            return res
-        rs = res.read_stall
-        ws = res.write_stall
-        bf = res.buffer_flush
-        if rs == 0.0 and ws == 0.0 and bf == 0.0:
-            return res
-        cell[0] += rs
-        cell[1] += ws
-        cell[2] += bf
-        acc = self._acc[proc]
-        acc[0] += rs
-        acc[1] += ws
-        acc[2] += bf
-        if self._home_of is not None:
-            pair = (proc, self._home_of(key[1]))
-            self._pairs[pair] = self._pairs.get(pair, 0.0) + rs + ws + bf
-        return res
-
-    def _sync_cell(self, proc: int, sync: SyncPoint | None) -> list:
-        if sync is not None:
-            key = (self._cur[proc], sync.kind, sync.sync_id)
+    # -- engine-observer callbacks ----------------------------------------
+    def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
+        if target.__class__ is SyncPoint:
+            # Barriers and fences arrive as releases; the SyncPoint's
+            # kind keeps them apart.
+            self.sync_events += 1
+            key = (self._cur[proc], target.kind, target.sync_id)
+            cell = self._sync.get(key)
+            if cell is None:
+                cell = self._sync[key] = [0.0, 0.0, 0.0, 0]
+            cell[3] += 1
+            block = None
         else:
-            key = (self._cur[proc], "sync", -1)
-        cell = self._sync.get(key)
-        if cell is None:
-            cell = self._sync[key] = [0.0, 0.0, 0.0, 0]
-        return cell
-
-    def _charge_sync(self, proc: int, cell: list, res: AccessResult) -> None:
-        cell[3] += 1
+            self.accesses += 1
+            block = target // self._line
+            key = (self._cur[proc], block)
+            cell = self._data.get(key)
+            if cell is None:
+                cell = self._data[key] = [0.0, 0.0, 0.0, 0]
+            cell[3] += 1
+            # A non-blocking read's latency is hidden: the engine charges
+            # none of its result.
+            if res is self._hit or kind == "read_nb":
+                return
         rs = res.read_stall
         ws = res.write_stall
         bf = res.buffer_flush
@@ -219,40 +176,30 @@ class AttributionCollector:
         acc[0] += rs
         acc[1] += ws
         acc[2] += bf
+        if block is not None and self._home_of is not None:
+            pair = (proc, self._home_of(block))
+            self._pairs[pair] = self._pairs.get(pair, 0.0) + rs + ws + bf
 
-    def acquire(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
-        res = self.inner.acquire(proc, now, sync=sync)
-        self.sync_events += 1
-        self._charge_sync(proc, self._sync_cell(proc, sync), res)
-        return res
+    def on_stall(self, proc: int, start: float, cycles: float, category: str) -> None:
+        i = _STALL_INDEX.get(category)
+        if i is None:
+            return
+        pid = self._cur[proc]
+        cell = self._stall.get(pid)
+        if cell is None:
+            cell = self._stall[pid] = [0.0, 0.0, 0.0, 0]
+        cell[i] += cycles
+        cell[3] += 1
+        self._acc[proc][i] += cycles
 
-    def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
-        # Barriers and fences arrive here too (the engine models both as
-        # release-semantics operations); ``sync.kind`` keeps them apart.
-        res = self.inner.release(proc, now, sync=sync)
-        self.sync_events += 1
-        self._charge_sync(proc, self._sync_cell(proc, sync), res)
-        return res
-
-    def sync_note(self, proc: int, now: float, sync: SyncPoint) -> None:
-        """Count a zero-cost flag set/wait into its sync cell."""
-        self.inner.sync_note(proc, now, sync)
-        self.sync_events += 1
-        self._sync_cell(proc, sync)[3] += 1
-
-    def phase_note(self, proc: int, now: float, label: str) -> None:
+    def on_phase(self, proc: int, time: float, label: str) -> None:
         """Switch ``proc``'s attribution target to phase ``label``."""
-        self.inner.phase_note(proc, now, label)
         pid = self._phase_ids.get(label)
         if pid is None:
             pid = self._phase_ids[label] = len(self._phase_names)
             self._phase_names.append(label)
         self._cur[proc] = pid
-        self.phase_marks.append((now, proc, label))
-
-    def __getattr__(self, name: str):
-        # Delegate everything else (line_size, publish, caches, ...) inward.
-        return getattr(self.inner, name)
+        self.phase_marks.append((time, proc, label))
 
     # -- accessors --------------------------------------------------------
     def proc_totals(self) -> dict[str, list[float]]:
@@ -392,12 +339,23 @@ def build_report(
                 "count": n,
             }
         )
+    for pid, (rs, ws, bf, n) in sorted(collector._stall.items()):
+        cells.append(
+            {
+                "phase": phase_names[pid], "kind": "stall", "key": STALL_ROW,
+                "name": STALL_ROW, "home": None,
+                "read_stall": rs, "write_stall": ws, "buffer_flush": bf,
+                "count": n,
+            }
+        )
 
     # Dimension folds.  Every dimension partitions the attributed
     # overhead: block/home absorb sync cells into a "(sync ops)" row,
-    # sync absorbs data cells into "(data)".
+    # sync absorbs data cells into "(data)", and all three absorb stall
+    # cells into "(stall ops)".
     data_total = _zero_row()
     sync_total = _zero_row()
+    stall_total = _zero_row()
     by_block: dict[str, dict] = {}
     by_sync: dict[str, dict] = {}
     by_phase: dict[str, dict] = {}
@@ -416,14 +374,19 @@ def build_report(
                 meta["block"] = None  # name spans several blocks across phases
             home_key = f"node {c['home']}" if c["home"] is not None else "(no home)"
             _fold(by_home.setdefault(home_key, _zero_row()), rs, ws, bf, n)
-        else:
+        elif c["kind"] == "sync":
             _fold(sync_total, rs, ws, bf, n)
             _fold(by_sync.setdefault(c["name"], _zero_row()), rs, ws, bf, n)
+        else:
+            _fold(stall_total, rs, ws, bf, n)
     if sync_total["count"]:
         by_block[SYNC_ROW] = dict(sync_total)
         by_home[SYNC_ROW] = dict(sync_total)
     if data_total["count"]:
         by_sync[DATA_ROW] = dict(data_total)
+    if stall_total["count"]:
+        for rows in (by_block, by_sync, by_home):
+            rows[STALL_ROW] = dict(stall_total)
 
     dims = {
         "block": _finish_rows(by_block, attributed_overhead),
@@ -439,7 +402,7 @@ def build_report(
     # Home-dimension context: directory population and the derived
     # route-weighted link load (a stalled cycle is credited to every hop
     # of its requester->home route, so links do NOT sum to the totals).
-    directory = getattr(collector.inner, "directory", None)
+    directory = getattr(collector.memsys, "directory", None)
     if directory is not None and collector._home_of is not None:
         dir_blocks = directory.blocks_by_home(collector._home_of, nprocs)
         for row in dims["home"]:
@@ -486,7 +449,7 @@ def _link_load(collector: AttributionCollector) -> list[dict]:
     """Per-link stall load from the requester→home pairs (derived view)."""
     if not collector._pairs:
         return []
-    config = getattr(collector.inner, "config", None)
+    config = getattr(collector.memsys, "config", None)
     if config is None:
         return []
     from ..network.topology import make_topology
@@ -532,11 +495,14 @@ def _aligned(report: dict, dim: str) -> dict[tuple[str, str], dict]:
     out: dict[tuple[str, str], dict] = {}
     for c in report["cells"]:
         if dim == "block":
-            key = c["key"] if c["kind"] == "data" else SYNC_ROW
+            key = SYNC_ROW if c["kind"] == "sync" else c["key"]
         elif dim == "sync":
-            key = c["name"] if c["kind"] == "sync" else DATA_ROW
+            key = DATA_ROW if c["kind"] == "data" else c["name"]
         elif dim == "home":
-            key = f"node {c['home']}" if c.get("home") is not None else SYNC_ROW
+            if c.get("home") is not None:
+                key = f"node {c['home']}"
+            else:
+                key = STALL_ROW if c["kind"] == "stall" else SYNC_ROW
         else:  # phase
             key = ""
         row = out.setdefault((c["phase"], key), _zero_row())
@@ -762,6 +728,7 @@ __all__ = [
     "OVERHEAD_CATEGORIES",
     "REPORT_KIND",
     "SCHEMA",
+    "STALL_ROW",
     "AttributionCollector",
     "block_span_name",
     "build_report",

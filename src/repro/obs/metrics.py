@@ -1,14 +1,12 @@
 """Interval metrics: cycle accounting in fixed-width time buckets.
 
-:class:`MetricsCollector` is both a memory-system decorator (so it
-composes with :class:`repro.sim.trace.TracingMemory` and
-:class:`repro.analysis.checkers.invariants.CheckedMemorySystem`) and the
-engine's *observer*.  The decorator half sees every access and feeds the
-latency histogram; the observer half receives the engine's exact
-per-category cycle accounting — including :class:`repro.sim.events.Stall`
-ops that never reach the memory system — so that summing any category
-over all buckets reproduces the corresponding :class:`SimResult` total
-to floating-point accuracy.
+:class:`MetricsCollector` is an engine observer (see
+:mod:`repro.sim.observer`): it receives the engine's exact per-category
+cycle accounting — including :class:`repro.sim.events.Stall` ops that
+never reach the memory system — so that summing any category over all
+buckets reproduces the corresponding :class:`SimResult` total to
+floating-point accuracy, and it feeds the latency histogram and the
+access/sync counters from the same callbacks.
 
 Bucketing rule: cycles of a span ``[start, start + dur)`` are spread
 uniformly over the span and integrated per bucket; the final bucket
@@ -20,7 +18,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from ..sim.stats import AccessResult, SyncPoint
+from ..sim.observer import Observer, subscribe
+from ..sim.stats import SyncPoint
 
 #: Cycle categories tracked per processor per bucket (the paper's stall
 #: decomposition plus sync wait).
@@ -103,10 +102,8 @@ class Histogram:
         }
 
 
-class MetricsCollector:
-    """Per-interval cycle accounting + traffic/buffer gauges.
-
-    Attach to a machine *after* any tracer/checker decorators::
+class MetricsCollector(Observer):
+    """Per-interval cycle accounting + traffic/buffer gauges::
 
         machine = Machine(cfg, "RCinv")
         metrics = MetricsCollector.attach(machine, interval=1000.0)
@@ -121,7 +118,7 @@ class MetricsCollector:
     #: JSON export schema version.
     SCHEMA = 1
 
-    def __init__(self, nprocs: int, interval: float, network=None, inner=None, engine=None):
+    def __init__(self, nprocs: int, interval: float, network=None, memsys=None, engine=None):
         if interval <= 0:
             raise ValueError(f"metrics interval must be > 0, got {interval}")
         if nprocs < 1:
@@ -129,7 +126,9 @@ class MetricsCollector:
         self.nprocs = nprocs
         self.interval = float(interval)
         self.network = network
-        self.inner = inner
+        #: memory system whose store/merge buffer depths are sampled at
+        #: bucket crossings; None outside :meth:`attach`.
+        self.memsys = memsys
         #: bucket index -> {category: [per-proc cycles]}
         self._buckets: dict[int, dict[str, list[float]]] = {}
         #: bucket index -> network counter deltas accrued while it was current
@@ -154,51 +153,19 @@ class MetricsCollector:
         self.accesses = Counter("accesses")
         self.sync_events = Counter("sync_events")
         self.phases: list[tuple[float, int, str]] = []
-        if inner is not None:
-            # Data accesses bypass the decorator entirely (bound inner
-            # methods shadow any class-level wrapper): their accounting
-            # arrives through the engine-observer callbacks instead, so
-            # the hottest path pays no extra Python frame.
-            self.read = inner.read
-            self.write = inner.write
 
     # -- construction ----------------------------------------------------
     @classmethod
     def attach(cls, machine, interval: float = 1000.0) -> MetricsCollector:
-        """Interpose a collector on ``machine`` (decorator + observer)."""
+        """Subscribe a collector to a Machine's engine."""
         collector = cls(
             machine.config.nprocs,
             interval,
             network=machine.network,
-            inner=machine.engine.memsys,
+            memsys=machine.engine.memsys,
             engine=machine.engine,
         )
-        machine.engine.memsys = collector
-        machine.engine.observer = collector
-        return collector
-
-    # -- memory-system decorator surface ---------------------------------
-    # read/write are bound straight to the inner system in __init__;
-    # access counting and the latency histogram are fed by on_access.
-
-    def acquire(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
-        self.sync_events.inc()
-        return self.inner.acquire(proc, now, sync=sync)
-
-    def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
-        self.sync_events.inc()
-        return self.inner.release(proc, now, sync=sync)
-
-    def sync_note(self, proc: int, now: float, sync: SyncPoint) -> None:
-        self.sync_events.inc()
-        self.inner.sync_note(proc, now, sync)
-
-    def phase_note(self, proc: int, now: float, label: str) -> None:
-        self.inner.phase_note(proc, now, label)
-
-    def __getattr__(self, name: str):
-        # Delegate everything else (line_size, publish, caches, ...) inward.
-        return getattr(self.inner, name)
+        return subscribe(machine.engine, collector)
 
     # -- engine-observer surface -----------------------------------------
     def on_busy(self, proc: int, start: float, cycles: float) -> None:
@@ -216,20 +183,21 @@ class MetricsCollector:
             return
         self._deposit_one(proc, start, cycles, "busy", cycles)
 
-    def on_access(
-        self,
-        proc: int,
-        issue: float,
-        complete: float,
-        read_stall: float,
-        write_stall: float,
-        buffer_flush: float,
-        busy: float,
-    ) -> None:
+    def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
+        if target.__class__ is SyncPoint:
+            self.sync_events.value += 1
+        elif kind == "read_nb":
+            return  # the engine charges only its issue cycles (on_busy)
+        complete = res.time
+        if complete <= issue:
+            return  # nothing charged
         latency = complete - issue
         acc = self.accesses
         acc.value += 1
         self.latency.observe(latency)
+        read_stall = res.read_stall
+        write_stall = res.write_stall
+        buffer_flush = res.buffer_flush
         if read_stall == 0.0 and write_stall == 0.0 and buffer_flush == 0.0:
             # Hit path (the overwhelming majority): one category, and
             # almost always within a single bucket — inlined.
@@ -299,10 +267,10 @@ class MetricsCollector:
 
     def _sample_depths(self) -> dict[str, list[int]]:
         out: dict[str, list[int]] = {}
-        store = getattr(self, "store_buffers", None) if self.inner is not None else None
+        store = getattr(self.memsys, "store_buffers", None)
         if store is not None:
             out["store_buffer"] = [len(sb._pending) for sb in store]
-        merge = getattr(self, "merge_buffers", None) if self.inner is not None else None
+        merge = getattr(self.memsys, "merge_buffers", None)
         if merge is not None:
             out["merge_buffer"] = [len(mb) for mb in merge]
         return out

@@ -20,15 +20,17 @@ nanoseconds go?  Components:
 ``network``
     Network routing/transfer (:mod:`repro.network`).
 ``tracer``
-    Attached memory-system decorators (:mod:`repro.sim.trace`,
-    :mod:`repro.obs`, :mod:`repro.analysis.checkers`).  Zero when
-    nothing is attached.
+    The invariant-checking memory-system decorator
+    (:mod:`repro.analysis.checkers`), and code of the observer modules
+    (:mod:`repro.sim.trace`, :mod:`repro.obs`) that no engine callback
+    called.  Zero when nothing is attached.
 ``sync``
     The synchronisation manager (:mod:`repro.runtime.sync`), including
     the wakes it triggers.
 ``observer``
-    Engine-observer callbacks: the ``on_*`` methods of the modules that
-    make up ``tracer``, with the helpers they call.
+    Engine-observer callbacks: the fan-out of :mod:`repro.sim.observer`
+    and the ``on_*`` methods of the modules that make up ``tracer``,
+    with the helpers they call.
 ``dispatch``
     Everything else inside ``Engine.run``: op-class dispatch,
     stall-decomposition accounting, run-ahead checks.
@@ -84,9 +86,9 @@ COMPONENT_HELP = {
     "app": "application generator execution",
     "mem": "memory-system transaction handling",
     "network": "network routing/transfer",
-    "tracer": "tracer/metrics/checker decorator overhead",
+    "tracer": "invariant-checker decorator overhead",
     "sync": "sync manager (locks/barriers/flags)",
-    "observer": "engine-observer metric callbacks",
+    "observer": "engine-observer callbacks (tracer, metrics, attribution)",
     "dispatch": "engine dispatch + cycle accounting",
 }
 
@@ -115,6 +117,7 @@ _MODULE_COMPONENTS = (
     ("mem/", "mem"),
     ("network/", "network"),
     ("runtime/sync.py", "sync"),
+    ("sim/observer.py", "observer"),
     ("sim/trace.py", "tracer"),
     ("obs/", "tracer"),
     ("analysis/checkers/", "tracer"),

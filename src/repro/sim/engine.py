@@ -66,21 +66,15 @@ _INF = float("inf")
 
 
 class MemorySystemProtocol(Protocol):
-    """What the engine requires of a memory system model.
-
-    ``sync`` carries the identity of the synchronisation operation that
-    triggered an ``acquire``/``release`` (which lock, barrier episode,
-    ...); memory systems may ignore it, but tracers use it to attribute
-    sync events (see :class:`repro.sim.trace.TracingMemory`).
-    """
+    """What the engine requires of a memory system model."""
 
     def read(self, proc: int, addr: int, now: float) -> AccessResult: ...
 
     def write(self, proc: int, addr: int, now: float) -> AccessResult: ...
 
-    def acquire(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult: ...
+    def acquire(self, proc: int, now: float) -> AccessResult: ...
 
-    def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult: ...
+    def release(self, proc: int, now: float) -> AccessResult: ...
 
 
 class SyncManagerProtocol(Protocol):
@@ -137,12 +131,10 @@ class Engine:
         self.memsys = memsys
         self.syncmgr = syncmgr
         self.max_ops = max_ops
-        #: Optional :class:`repro.obs.metrics.MetricsCollector`-style
-        #: observer.  When None (the default) the only cost is one
-        #: attribute load per resumed thread; when set, the engine calls
-        #: ``on_busy``/``on_access``/``on_stall``/``on_sync_wait`` with
-        #: exact per-category cycle accounting so interval metrics can
-        #: reproduce :class:`SimResult` totals to the last cycle.
+        #: The run's observer (see :mod:`repro.sim.observer`): the only
+        #: way to watch a run.  When None (the default) each op pays one
+        #: ``None`` check; when set, the engine reports every charged
+        #: cycle and memory-system outcome through its ``on_*`` callbacks.
         self.observer = None
         # Two schedulers must agree float for float: :meth:`run` and the
         # plain-heapq oracle :class:`repro.sim.reference.ReferenceEngine`.
@@ -262,14 +254,11 @@ class Engine:
         ops = self._ops_executed
         obs = self.observer
         # Flyweight identity of the memory system's stall-free hit
-        # result (None when the system is wrapped by a tracer/checker,
-        # which disables the shortcut but changes nothing else): a result
-        # that *is* this object carries zero stalls by construction, so
-        # the stall decomposition below collapses to a busy charge.
+        # result (None for systems without one, which disables the
+        # shortcut but changes nothing else): a result that *is* this
+        # object carries zero stalls by construction, so the stall
+        # decomposition below collapses to a busy charge.
         hit_res = getattr(memsys, "_hit_result", None)
-        lock_episode = self._lock_episode
-        barrier_episode = self._barrier_episode
-        flag_epoch = self._flag_epoch
         # CPU degradation, hoisted to locals for the Compute branch.
         deg = self._degrade
         if deg is not None:
@@ -343,8 +332,8 @@ class Engine:
                             busy = 0.0
                         stats.busy += busy
                         t = rt
-                        if obs is not None and busy > 0.0:
-                            obs.on_access(tid, now, rt, 0.0, 0.0, 0.0, busy)
+                        if obs is not None:
+                            obs.on_access(tid, "read", op.addr, now, res, busy)
                     else:
                         if res.hit:
                             stats.read_hits += 1
@@ -368,8 +357,8 @@ class Engine:
                             busy = 0.0
                         stats.busy += busy
                         t = rt
-                        if obs is not None and elapsed > 0.0:
-                            obs.on_access(tid, now, rt, rs, ws, bf, busy)
+                        if obs is not None:
+                            obs.on_access(tid, "read", op.addr, now, res, busy)
                 elif cls is Compute:
                     cycles = op.cycles
                     if deg is not None:
@@ -399,8 +388,8 @@ class Engine:
                             busy = 0.0
                         stats.busy += busy
                         t = rt
-                        if obs is not None and busy > 0.0:
-                            obs.on_access(tid, now, rt, 0.0, 0.0, 0.0, busy)
+                        if obs is not None:
+                            obs.on_access(tid, "write", op.addr, now, res, busy)
                     else:
                         rt = res.time
                         elapsed = rt - now
@@ -420,12 +409,15 @@ class Engine:
                             busy = 0.0
                         stats.busy += busy
                         t = rt
-                        if obs is not None and elapsed > 0.0:
-                            obs.on_access(tid, now, rt, rs, ws, bf, busy)
+                        if obs is not None:
+                            obs.on_access(tid, "write", op.addr, now, res, busy)
                 elif cls is Acquire:
-                    sync = SyncPoint("lock", op.lock_id, lock_episode(op.lock_id))
-                    res = memsys.acquire(tid, now, sync)
-                    t = self._charge(stats, tid, now, res)
+                    res = memsys.acquire(tid, now)
+                    busy = self._charge(stats, now, res)
+                    t = res.time
+                    if obs is not None:
+                        sync = SyncPoint("lock", op.lock_id, self._lock_episode(op.lock_id))
+                        obs.on_access(tid, "acquire", sync, now, res, busy)
                     stats.acquires += 1
                     grant = syncmgr.acquire(tid, op.lock_id, t)
                     if grant is None:
@@ -446,9 +438,12 @@ class Engine:
                         t = grant
                     hz = self._horizon
                 elif cls is Release:
-                    sync = SyncPoint("lock", op.lock_id, lock_episode(op.lock_id))
-                    res = memsys.release(tid, now, sync)
-                    t = self._charge(stats, tid, now, res)
+                    res = memsys.release(tid, now)
+                    busy = self._charge(stats, now, res)
+                    t = res.time
+                    if obs is not None:
+                        sync = SyncPoint("lock", op.lock_id, self._lock_episode(op.lock_id))
+                        obs.on_access(tid, "release", sync, now, res, busy)
                     stats.releases += 1
                     done = syncmgr.release(tid, op.lock_id, t)
                     wait = done - t
@@ -459,11 +454,14 @@ class Engine:
                         t = done
                     hz = self._horizon
                 elif cls is BarrierWait:
-                    sync = SyncPoint(
-                        "barrier", op.barrier_id, barrier_episode(op.barrier_id)
-                    )
-                    res = memsys.release(tid, now, sync)
-                    t = self._charge(stats, tid, now, res)
+                    res = memsys.release(tid, now)
+                    busy = self._charge(stats, now, res)
+                    t = res.time
+                    if obs is not None:
+                        sync = SyncPoint(
+                            "barrier", op.barrier_id, self._barrier_episode(op.barrier_id)
+                        )
+                        obs.on_access(tid, "release", sync, now, res, busy)
                     stats.barriers += 1
                     depart = syncmgr.barrier_wait(tid, op.barrier_id, t)
                     if depart is None:
@@ -481,8 +479,11 @@ class Engine:
                         t = depart
                     hz = self._horizon
                 elif cls is Fence:
-                    res = memsys.release(tid, now, SyncPoint("fence", -1))
-                    t = self._charge(stats, tid, now, res)
+                    res = memsys.release(tid, now)
+                    busy = self._charge(stats, now, res)
+                    t = res.time
+                    if obs is not None:
+                        obs.on_access(tid, "release", SyncPoint("fence", -1), now, res, busy)
                     stats.fences += 1
                 elif cls is ReadNB:
                     res = mem_read(tid, op.addr, now)
@@ -500,8 +501,10 @@ class Engine:
                     issue = self.config.cache_hit_cycles
                     stats.busy += issue
                     t = now + issue
-                    if obs is not None and issue > 0.0:
-                        obs.on_busy(tid, now, issue)
+                    if obs is not None:
+                        obs.on_access(tid, "read_nb", op.addr, now, res, 0.0)
+                        if issue > 0.0:
+                            obs.on_busy(tid, now, issue)
                     fb = (
                         t,
                         AccessResult(
@@ -510,14 +513,10 @@ class Engine:
                         ),
                     )
                 elif cls is FlagSet:
-                    note = getattr(memsys, "sync_note", None)
-                    if note is not None:
+                    if obs is not None:
                         # The epoch this set establishes is the current one + 1.
-                        note(
-                            tid,
-                            now,
-                            SyncPoint("flag_set", op.flag_id, flag_epoch(op.flag_id) + 1),
-                        )
+                        sync = SyncPoint("flag_set", op.flag_id, self._flag_epoch(op.flag_id) + 1)
+                        obs.on_access(tid, "flag_set", sync, now, AccessResult(now, hit=True), 0.0)
                     proceed, data_ready = memsys.publish(tid, op.blocks, now)
                     done = syncmgr.flag_set(tid, op.flag_id, proceed, data_ready)
                     busy = done - now
@@ -528,9 +527,9 @@ class Engine:
                         t = done
                     hz = self._horizon
                 elif cls is FlagWait:
-                    note = getattr(memsys, "sync_note", None)
-                    if note is not None:
-                        note(tid, now, SyncPoint("flag_wait", op.flag_id, op.epoch))
+                    if obs is not None:
+                        sync = SyncPoint("flag_wait", op.flag_id, op.epoch)
+                        obs.on_access(tid, "flag_wait", sync, now, AccessResult(now, hit=True), 0.0)
                     depart = syncmgr.flag_wait(tid, op.flag_id, op.epoch, now)
                     if depart is None:
                         thread.blocked = True
@@ -569,9 +568,6 @@ class Engine:
                         obs.on_stall(tid, now, cycles, category)
                 elif cls is Phase:
                     # Zero simulated cycles: purely an observability marker.
-                    note = getattr(memsys, "phase_note", None)
-                    if note is not None:
-                        note(tid, now, op.label)
                     if obs is not None:
                         obs.on_phase(tid, now, op.label)
                 else:
@@ -624,8 +620,8 @@ class Engine:
         procs = [threads[tid].stats for tid in sorted(threads)]
         return SimResult(total_time=total, procs=procs, ops=ops)
 
-    def _charge(self, stats: ProcStats, tid: int, now: float, res: AccessResult) -> float:
-        """Bucket the elapsed cycles of a sync-op access; return its completion time.
+    def _charge(self, stats: ProcStats, now: float, res: AccessResult) -> float:
+        """Bucket the elapsed cycles of a sync-op access; return the busy part.
 
         Data reads/writes inline this arithmetic in :meth:`run`'s op
         loop; keep the two in lockstep (same operations, same order).
@@ -643,10 +639,4 @@ class Engine:
         # (e.g. the one-cycle cache-hit cost).
         busy = max(0.0, elapsed - stalls)
         stats.busy += busy
-        obs = self.observer
-        if obs is not None and elapsed > 0.0:
-            obs.on_access(
-                tid, now, res.time,
-                res.read_stall, res.write_stall, res.buffer_flush, busy,
-            )
-        return res.time
+        return busy

@@ -183,11 +183,11 @@ class Phase(Op):
     """Zero-cost application phase marker (observability only).
 
     Emitted via :meth:`repro.runtime.context.AppContext.phase`; the
-    engine charges no simulated time and forwards the marker to the
-    memory system's ``phase_note`` hook so tracers and metrics
-    collectors can attribute subsequent events to a named phase
-    (``repro.obs``).  Timing-transparent: a run with phase markers is
-    cycle-identical to the same run without them.
+    engine charges no simulated time and reports the marker to its
+    observer (``on_phase``) so tracers and metrics collectors can
+    attribute subsequent events to a named phase (``repro.obs``).
+    Timing-transparent: a run with phase markers is cycle-identical to
+    the same run without them.
     """
 
     __slots__ = ("label",)

@@ -194,9 +194,6 @@ class ReferenceEngine:
         syncmgr = self.syncmgr
         obs = self.observer
         ops_limit = self.max_ops if self.max_ops is not None else _INF
-        lock_episode = self._lock_episode
-        barrier_episode = self._barrier_episode
-        flag_epoch = self._flag_epoch
         deg = self._degrade
         if deg is not None:
             cpu_f = deg.cpu_factors(self.config.nprocs)
@@ -237,7 +234,10 @@ class ReferenceEngine:
                     stats.read_hits += 1
                 else:
                     stats.read_misses += 1
-                t = self._charge(stats, tid, now, res)
+                busy = self._charge(stats, now, res)
+                t = res.time
+                if obs is not None:
+                    obs.on_access(tid, "read", op.addr, now, res, busy)
             elif cls is Compute:
                 cycles = op.cycles
                 if deg is not None:
@@ -255,11 +255,17 @@ class ReferenceEngine:
             elif cls is Write:
                 res = memsys.write(tid, op.addr, now)
                 stats.writes += 1
-                t = self._charge(stats, tid, now, res)
+                busy = self._charge(stats, now, res)
+                t = res.time
+                if obs is not None:
+                    obs.on_access(tid, "write", op.addr, now, res, busy)
             elif cls is Acquire:
-                sync = SyncPoint("lock", op.lock_id, lock_episode(op.lock_id))
-                res = memsys.acquire(tid, now, sync)
-                t = self._charge(stats, tid, now, res)
+                res = memsys.acquire(tid, now)
+                busy = self._charge(stats, now, res)
+                t = res.time
+                if obs is not None:
+                    sync = SyncPoint("lock", op.lock_id, self._lock_episode(op.lock_id))
+                    obs.on_access(tid, "acquire", sync, now, res, busy)
                 stats.acquires += 1
                 grant = syncmgr.acquire(tid, op.lock_id, t)
                 if grant is None:
@@ -275,9 +281,12 @@ class ReferenceEngine:
                         obs.on_sync_wait(tid, t, wait)
                     t = grant
             elif cls is Release:
-                sync = SyncPoint("lock", op.lock_id, lock_episode(op.lock_id))
-                res = memsys.release(tid, now, sync)
-                t = self._charge(stats, tid, now, res)
+                res = memsys.release(tid, now)
+                busy = self._charge(stats, now, res)
+                t = res.time
+                if obs is not None:
+                    sync = SyncPoint("lock", op.lock_id, self._lock_episode(op.lock_id))
+                    obs.on_access(tid, "release", sync, now, res, busy)
                 stats.releases += 1
                 done = syncmgr.release(tid, op.lock_id, t)
                 wait = done - t
@@ -287,11 +296,14 @@ class ReferenceEngine:
                         obs.on_sync_wait(tid, t, wait)
                     t = done
             elif cls is BarrierWait:
-                sync = SyncPoint(
-                    "barrier", op.barrier_id, barrier_episode(op.barrier_id)
-                )
-                res = memsys.release(tid, now, sync)
-                t = self._charge(stats, tid, now, res)
+                res = memsys.release(tid, now)
+                busy = self._charge(stats, now, res)
+                t = res.time
+                if obs is not None:
+                    sync = SyncPoint(
+                        "barrier", op.barrier_id, self._barrier_episode(op.barrier_id)
+                    )
+                    obs.on_access(tid, "release", sync, now, res, busy)
                 stats.barriers += 1
                 depart = syncmgr.barrier_wait(tid, op.barrier_id, t)
                 if depart is None:
@@ -307,8 +319,11 @@ class ReferenceEngine:
                         obs.on_sync_wait(tid, t, wait)
                     t = depart
             elif cls is Fence:
-                res = memsys.release(tid, now, SyncPoint("fence", -1))
-                t = self._charge(stats, tid, now, res)
+                res = memsys.release(tid, now)
+                busy = self._charge(stats, now, res)
+                t = res.time
+                if obs is not None:
+                    obs.on_access(tid, "release", SyncPoint("fence", -1), now, res, busy)
                 stats.fences += 1
             elif cls is ReadNB:
                 res = memsys.read(tid, op.addr, now)
@@ -320,8 +335,10 @@ class ReferenceEngine:
                 issue = self.config.cache_hit_cycles
                 stats.busy += issue
                 t = now + issue
-                if obs is not None and issue > 0.0:
-                    obs.on_busy(tid, now, issue)
+                if obs is not None:
+                    obs.on_access(tid, "read_nb", op.addr, now, res, 0.0)
+                    if issue > 0.0:
+                        obs.on_busy(tid, now, issue)
                 # Copy: memory systems may reuse a flyweight result, but
                 # this one outlives the call (the app holds it until the
                 # value is consumed).
@@ -333,13 +350,9 @@ class ReferenceEngine:
                     ),
                 )
             elif cls is FlagSet:
-                note = getattr(memsys, "sync_note", None)
-                if note is not None:
-                    note(
-                        tid,
-                        now,
-                        SyncPoint("flag_set", op.flag_id, flag_epoch(op.flag_id) + 1),
-                    )
+                if obs is not None:
+                    sync = SyncPoint("flag_set", op.flag_id, self._flag_epoch(op.flag_id) + 1)
+                    obs.on_access(tid, "flag_set", sync, now, AccessResult(now, hit=True), 0.0)
                 proceed, data_ready = memsys.publish(tid, op.blocks, now)
                 done = syncmgr.flag_set(tid, op.flag_id, proceed, data_ready)
                 busy = done - now
@@ -349,9 +362,9 @@ class ReferenceEngine:
                         obs.on_busy(tid, now, busy)
                     t = done
             elif cls is FlagWait:
-                note = getattr(memsys, "sync_note", None)
-                if note is not None:
-                    note(tid, now, SyncPoint("flag_wait", op.flag_id, op.epoch))
+                if obs is not None:
+                    sync = SyncPoint("flag_wait", op.flag_id, op.epoch)
+                    obs.on_access(tid, "flag_wait", sync, now, AccessResult(now, hit=True), 0.0)
                 depart = syncmgr.flag_wait(tid, op.flag_id, op.epoch, now)
                 if depart is None:
                     thread.blocked = True
@@ -387,9 +400,6 @@ class ReferenceEngine:
                 if obs is not None and cycles > 0.0:
                     obs.on_stall(tid, now, cycles, category)
             elif cls is Phase:
-                note = getattr(memsys, "phase_note", None)
-                if note is not None:
-                    note(tid, now, op.label)
                 if obs is not None:
                     obs.on_phase(tid, now, op.label)
             else:
@@ -403,8 +413,8 @@ class ReferenceEngine:
                 self._push(thread)
                 return
 
-    def _charge(self, stats: ProcStats, tid: int, now: float, res: AccessResult) -> float:
-        """Bucket the elapsed cycles of an access; return its completion time.
+    def _charge(self, stats: ProcStats, now: float, res: AccessResult) -> float:
+        """Bucket the elapsed cycles of an access; return the busy part.
 
         Identical float operations in identical order to
         ``Engine._charge`` (and to the inlined data-access arithmetic of
@@ -421,13 +431,7 @@ class ReferenceEngine:
         stats.buffer_flush += res.buffer_flush
         busy = max(0.0, elapsed - stalls)
         stats.busy += busy
-        obs = self.observer
-        if obs is not None and elapsed > 0.0:
-            obs.on_access(
-                tid, now, res.time,
-                res.read_stall, res.write_stall, res.buffer_flush, busy,
-            )
-        return res.time
+        return busy
 
 
 # ----------------------------------------------------------------------

@@ -137,12 +137,12 @@ class SimResult:
 class SyncPoint:
     """Identity of the synchronisation operation behind a memory-system call.
 
-    The engine attaches one of these to every ``acquire``/``release`` it
-    forwards to the memory system (and to the zero-cost ``sync_note``
-    hook for flag operations) so that a trace can attribute the event to
-    a concrete sync object: which lock, which barrier episode, which
-    flag epoch.  ``kind`` is one of ``"lock"``, ``"barrier"``,
-    ``"flag_set"``, ``"flag_wait"`` or ``"fence"``; ``episode`` counts
+    When an observer is attached, the engine passes one of these to
+    ``on_access`` for every acquire, release, barrier, fence and flag
+    operation (see :mod:`repro.sim.observer`) so that a trace can
+    attribute the event to a concrete sync object: which lock, which
+    barrier episode, which flag epoch.  ``kind`` is one of ``"lock"``,
+    ``"barrier"``, ``"flag_set"``, ``"flag_wait"`` or ``"fence"``; ``episode`` counts
     completed grants/episodes/epochs of that object at the time of the
     operation (see :mod:`repro.analysis.checkers.races` for how the
     happens-before relation is rebuilt from these tags).

@@ -1,9 +1,10 @@
 """Optional access tracing.
 
-Wrap any memory system in :class:`TracingMemory` to record every shared
-access with its timing and stall decomposition — the moral equivalent of
-SPASM's event logs.  Useful for debugging protocol models and for
-explaining where an application's overhead comes from.
+:class:`TracingMemory` is an engine observer (see
+:mod:`repro.sim.observer`) that records every memory-system outcome with
+its timing and stall decomposition — the moral equivalent of SPASM's
+event logs.  Useful for debugging protocol models and for explaining
+where an application's overhead comes from.
 
     machine = Machine(cfg, "RCinv")
     trace = TracingMemory.attach(machine)
@@ -16,7 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .stats import AccessResult, SyncPoint
+from .observer import Observer, subscribe
+from .stats import SyncPoint
 
 
 @dataclass(slots=True)
@@ -51,11 +53,12 @@ class TraceEvent:  # lint: hot
         return self.complete - self.issue
 
 
-class TracingMemory:
-    """Decorates a memory system, recording every call.
+class TracingMemory(Observer):
+    """Engine observer recording every memory-system outcome.
 
-    ``max_events`` bounds memory use; older events are dropped (the
-    counters keep full totals).
+    ``max_events`` bounds memory use; later events are dropped (the
+    counters keep full totals).  A non-blocking read is recorded as a
+    ``"read"`` with the memory system's own result.
     """
 
     #: Single source of truth for the event-buffer bound; ``__init__``
@@ -63,16 +66,13 @@ class TracingMemory:
     #: changing it cannot leave the two constructors disagreeing.
     DEFAULT_MAX_EVENTS = 100_000
 
-    def __init__(self, inner, max_events: int | None = None, shm=None):
+    def __init__(self, line_size: int, max_events: int | None = None, shm=None):
         if max_events is None:
             max_events = self.DEFAULT_MAX_EVENTS
         if max_events < 1:
             raise ValueError("max_events must be >= 1")
-        self.inner = inner
         self.max_events = max_events
-        # line_size is constant per system; bind once to keep the
-        # per-access path off the delegation chain.
-        self._line_size = inner.line_size
+        self._line_size = line_size
         #: Optional :class:`repro.runtime.sharedmem.SharedMemory`; when
         #: set, block rankings resolve block numbers to array names.
         self.shm = shm
@@ -84,111 +84,56 @@ class TracingMemory:
     # -- construction ---------------------------------------------------
     @classmethod
     def attach(cls, machine, max_events: int | None = None) -> TracingMemory:
-        """Interpose a tracer between a Machine's engine and memory.
-
-        Wraps whatever the engine currently dispatches to, so tracers
-        compose with other decorators (e.g. a ``CheckedMemorySystem``
-        attached first keeps auditing underneath the tracer).
-        """
-        tracer = cls(machine.engine.memsys, max_events, shm=getattr(machine, "shm", None))
-        machine.engine.memsys = tracer
+        """Subscribe a tracer to a Machine's engine."""
+        tracer = cls(
+            machine.engine.memsys.line_size, max_events, shm=getattr(machine, "shm", None)
+        )
+        subscribe(machine.engine, tracer)
         return tracer
 
-    # -- memory-system protocol ------------------------------------------
-    def _record(
-        self,
-        kind: str,
-        proc: int,
-        addr: int | None,
-        issue: float,
-        res: AccessResult,
-        sync: SyncPoint | None = None,
-    ) -> AccessResult:
+    # -- engine-observer callbacks ----------------------------------------
+    def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
         events = self.events
-        if len(events) < self.max_events:
-            if sync is None:
+        if target.__class__ is SyncPoint:
+            if len(events) < self.max_events:
                 events.append(
                     TraceEvent(
-                        kind, proc, addr, issue, res.time,
+                        kind, proc, None, issue, res.time,
                         res.read_stall, res.write_stall, res.buffer_flush, res.hit,
+                        target.kind, target.sync_id, target.episode,
                     )
                 )
             else:
-                events.append(
-                    TraceEvent(
-                        kind, proc, addr, issue, res.time,
-                        res.read_stall, res.write_stall, res.buffer_flush, res.hit,
-                        sync.kind, sync.sync_id, sync.episode,
-                    )
-                )
-        else:
-            self.dropped += 1
-        if addr is not None:
-            block = addr // self._line_size
-            self._block_access[block] += 1
-            stall = res.read_stall + res.write_stall
-            if stall:
-                self._block_stall[block] += stall
-        return res
-
-    def _data_access(self, kind: str, proc: int, addr: int, now: float, res: AccessResult):
-        # Inlined hot path: read/write dominate event volume, so they
-        # skip _record's sync plumbing entirely.
-        events = self.events
+                self.dropped += 1
+            return
+        if kind == "read_nb":
+            kind = "read"
         if len(events) < self.max_events:
             events.append(
                 TraceEvent(
-                    kind, proc, addr, now, res.time,
+                    kind, proc, target, issue, res.time,
                     res.read_stall, res.write_stall, res.buffer_flush, res.hit,
                 )
             )
         else:
             self.dropped += 1
-        block = addr // self._line_size
+        block = target // self._line_size
         self._block_access[block] += 1
         stall = res.read_stall + res.write_stall
         if stall:
             self._block_stall[block] += stall
-        return res
 
-    def read(self, proc: int, addr: int, now: float) -> AccessResult:
-        return self._data_access("read", proc, addr, now, self.inner.read(proc, addr, now))
-
-    def write(self, proc: int, addr: int, now: float) -> AccessResult:
-        return self._data_access("write", proc, addr, now, self.inner.write(proc, addr, now))
-
-    def acquire(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
-        return self._record(
-            "acquire", proc, None, now, self.inner.acquire(proc, now, sync=sync), sync=sync
-        )
-
-    def release(self, proc: int, now: float, sync: SyncPoint | None = None) -> AccessResult:
-        return self._record(
-            "release", proc, None, now, self.inner.release(proc, now, sync=sync), sync=sync
-        )
-
-    def sync_note(self, proc: int, now: float, sync: SyncPoint) -> None:
-        """Record a zero-cost synchronisation event (flag set/wait)."""
-        self.inner.sync_note(proc, now, sync)
-        self._record(sync.kind, proc, None, now, AccessResult(time=now, hit=True), sync=sync)
-
-    def phase_note(self, proc: int, now: float, label: str) -> None:
-        """Record a zero-cost application phase marker."""
-        self.inner.phase_note(proc, now, label)
+    def on_phase(self, proc: int, time: float, label: str) -> None:
         if len(self.events) < self.max_events:
             self.events.append(
                 TraceEvent(
-                    kind="phase", proc=proc, addr=None, issue=now, complete=now,
+                    kind="phase", proc=proc, addr=None, issue=time, complete=time,
                     read_stall=0.0, write_stall=0.0, buffer_flush=0.0, hit=True,
                     label=label,
                 )
             )
         else:
             self.dropped += 1
-
-    def __getattr__(self, name: str):
-        # Delegate everything else (traffic_summary, caches, ...) inward.
-        return getattr(self.inner, name)
 
     # -- analysis ---------------------------------------------------------
     def block_name(self, block: int) -> str:

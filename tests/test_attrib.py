@@ -28,8 +28,10 @@ from repro.obs.attrib import (
     DIMENSIONS,
     EXACT_TOLERANCE,
     OVERHEAD_CATEGORIES,
+    STALL_ROW,
     AttributionCollector,
     block_span_name,
+    build_report,
     diff_reports,
     load_report,
     run_attribution,
@@ -109,6 +111,30 @@ def test_every_dimension_partitions_the_overhead(app_name):
             )
 
 
+@pytest.mark.parametrize("contexts", [1, 2, 4])
+def test_attribution_exact_under_multithreading(contexts):
+    """Switch-on-miss contexts hide ReadNB latency and charge Stall ops;
+    attribution takes the engine's charged cycles, so it stays exact and
+    the Stall cycles form a "(stall ops)" row in every dimension."""
+    from .test_multithread import scan_machine
+
+    machine, worker, *_ = scan_machine(contexts_per_proc=contexts)
+    collector = AttributionCollector.attach(machine)
+    result = machine.run(worker)
+    report = build_report(collector, result)
+    assert report["exact"] is True
+    assert report["residual"] == dict.fromkeys(OVERHEAD_CATEGORIES, 0.0)
+    attributed = sum(report["attributed"].values())
+    for dim in DIMENSIONS:
+        rows = report["dims"][dim]
+        assert math.isclose(
+            sum(r["overhead"] for r in rows), attributed,
+            rel_tol=0.0, abs_tol=EXACT_TOLERANCE,
+        )
+        if dim != "phase":
+            assert STALL_ROW in {r["key"] for r in rows}
+
+
 def test_attribution_does_not_change_simulated_results():
     factory = smoke_scale()["Maxflow"][0]
     cfg = MachineConfig()
@@ -181,12 +207,6 @@ class _StubMem:
     def write(self, proc, addr, now):
         return self._hit_result
 
-    def sync_note(self, proc, now, sync):
-        pass
-
-    def phase_note(self, proc, now, label):
-        pass
-
     def home_of(self, block):
         return block % 4
 
@@ -194,11 +214,17 @@ class _StubMem:
 def test_startup_phase_and_per_proc_phase_switching():
     """Accesses before a proc's first marker land in '(startup)'; a
     phase marker moves only that proc's attribution target."""
-    c = AttributionCollector(_StubMem(), nprocs=4)
-    c.read(0, 0, 0.0)            # proc 0, still in startup
-    c.phase_note(0, 1.0, "work")
-    c.read(0, 64, 2.0)           # proc 0, now in "work"
-    c.read(1, 0, 3.0)            # proc 1 never saw a marker
+    mem = _StubMem()
+    c = AttributionCollector(mem, nprocs=4)
+
+    def access(kind, proc, addr, now):
+        res = getattr(mem, kind)(proc, addr, now)
+        c.on_access(proc, kind, addr, now, res, 0.0)
+
+    access("read", 0, 0, 0.0)    # proc 0, still in startup
+    c.on_phase(0, 1.0, "work")
+    access("read", 0, 64, 2.0)   # proc 0, now in "work"
+    access("read", 1, 0, 3.0)    # proc 1 never saw a marker
     # (phase_id, block): proc 0 and proc 1's startup reads share a cell
     assert set(c._data) == {(0, 0), (1, 2)}
     assert c._data[(0, 0)][3] == 2     # two startup accesses to block 0
@@ -207,7 +233,7 @@ def test_startup_phase_and_per_proc_phase_switching():
     totals = c.proc_totals()
     assert totals["read_stall"] == [10.0, 5.0, 0.0, 0.0]
     # the stall-free write flyweight took the count-only fast path
-    c.write(2, 0, 4.0)
+    access("write", 2, 0, 4.0)
     assert totals == c.proc_totals()
 
 

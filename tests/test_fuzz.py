@@ -177,10 +177,10 @@ def test_injected_engine_bug_is_caught(monkeypatch):
 
     orig = ReferenceEngine._charge
 
-    def buggy(self, stats, tid, now, res):
-        t = orig(self, stats, tid, now, res)
+    def buggy(self, stats, now, res):
+        busy = orig(self, stats, now, res)
         stats.busy += 1e-9  # mis-accounts one nano-cycle per access
-        return t
+        return busy
 
     monkeypatch.setattr(ReferenceEngine, "_charge", buggy)
     detail = oracle_reference(_draw())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from types import SimpleNamespace
 
 from repro import MachineConfig
 from repro.apps import AppFactory
@@ -27,6 +28,7 @@ from repro.obs import (
 from repro.obs.log import Logger
 from repro.obs.metrics import CATEGORIES, Counter, Gauge, Histogram
 from repro.runtime.context import Machine
+from repro.sim.observer import FanOut, Observer, subscribe
 from repro.sim.trace import TracingMemory
 
 CFG = MachineConfig(nprocs=4)
@@ -179,6 +181,30 @@ def golden_trace(tmp_path):
     path = tmp_path / "trace.json"
     write_trace(path, doc)
     return doc, path
+
+
+def test_fan_out_forwards_only_overridden_callbacks():
+    """One subscriber is the observer itself; a second one turns it into
+    a fan-out that calls each subscriber that overrides a callback."""
+
+    class Phases(Observer):
+        def __init__(self):
+            self.seen = []
+
+        def on_phase(self, proc, time, label):
+            self.seen.append(label)
+
+    engine = SimpleNamespace(observer=None)
+    first, second = Phases(), Phases()
+    assert subscribe(engine, first) is first
+    assert engine.observer is first
+    subscribe(engine, second)
+    fan = engine.observer
+    assert isinstance(fan, FanOut) and fan.subscribers == [first, second]
+    fan.on_phase(0, 1.0, "work")
+    assert first.seen == second.seen == ["work"]
+    # Nobody overrides on_busy: the fan-out keeps the inherited no-op.
+    assert "on_busy" not in vars(fan) and "on_phase" in vars(fan)
 
 
 def test_perfetto_document_shape(tmp_path):

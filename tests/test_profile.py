@@ -18,9 +18,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro import MachineConfig
+from repro.analysis.checkers.invariants import CheckedMemorySystem
 from repro.apps.intsort import IntegerSort
 from repro.mem.systems.rcinv import RCInv
 from repro.network.routed import RoutedNetwork
+from repro.obs.attrib import AttributionCollector
 from repro.obs.metrics import MetricsCollector
 from repro.obs.profile import (
     COMPONENTS,
@@ -34,6 +36,7 @@ from repro.runtime.sharedmem import SharedMemory
 from repro.runtime.sync import SyncManager
 from repro.sim.engine import DeadlockError, Engine
 from repro.sim.events import Acquire
+from repro.sim.observer import FanOut
 from repro.sim.stats import AccessResult
 from repro.sim.trace import TracingMemory
 from repro.sim.wheel import EventWheel
@@ -152,8 +155,8 @@ def test_signal_delivery_never_perturbs_sync_heavy_run(name, system):
 
 def test_metrics_collector_composes():
     """Armed over a MetricsCollector, results stay bit-identical, and
-    its ``on_*`` callbacks are observer time while its memory-system
-    side is decorator (tracer) time."""
+    its ``on_*`` callbacks (with their helpers) are observer time while
+    its reporting is tracer time."""
     plain, m_plain, _ = _run("IS", "RCinv", profiled=False, metrics=True)
     prof_res, m_prof, _ = _run("IS", "RCinv", profiled=True, metrics=True)
     assert _fingerprint(plain, m_plain) == _fingerprint(prof_res, m_prof)
@@ -161,7 +164,7 @@ def test_metrics_collector_composes():
     assert prof.classify(_chain(_RUN, MetricsCollector.on_access)) == "observer"
     chain = _chain(_RUN, MetricsCollector.on_access, MetricsCollector._deposit_one)
     assert prof.classify(chain) == "observer"
-    assert prof.classify(_chain(_RUN, MetricsCollector.acquire)) == "tracer"
+    assert prof.classify(_chain(_RUN, MetricsCollector.to_dict)) == "tracer"
 
 
 # -- stack classification -----------------------------------------------------
@@ -173,16 +176,29 @@ def test_metrics_collector_composes():
         ((_RUN, IntegerSort.worker, SharedMemory.array), "app"),
         ((_RUN, RCInv.read), "mem"),
         ((_RUN, RCInv.read, RoutedNetwork.transfer), "network"),
-        ((_RUN, TracingMemory.read, RCInv.read, RoutedNetwork.transfer), "network"),
+        # Explicit ids: the qualname chain of these two cases is too
+        # long to tell them apart in a truncated test listing.
+        pytest.param(
+            (_RUN, CheckedMemorySystem.read, RCInv.read, RoutedNetwork.transfer),
+            "network",
+            id="Engine.run/Checked.read/RCInv.read/RoutedNetwork.transfer-network",
+        ),
         ((_RUN, SyncManager.release), "sync"),
         # A wake belongs to the sync manager that issued it, its
         # re-queue to the wheel: other Engine methods pass through.
         ((_RUN, SyncManager.release, Engine.wake), "sync"),
         ((_RUN, SyncManager.release, Engine.wake, Engine._push), "sync"),
         ((_RUN, SyncManager.release, Engine.wake, Engine._push, EventWheel.push), "wheel"),
-        ((_RUN, TracingMemory.read), "tracer"),
-        ((_RUN, TracingMemory.release), "tracer"),
-        ((_RUN, TracingMemory.read, RCInv.read), "mem"),
+        ((_RUN, CheckedMemorySystem.read), "tracer"),
+        ((_RUN, CheckedMemorySystem.release), "tracer"),
+        pytest.param(
+            (_RUN, CheckedMemorySystem.read, RCInv.read),
+            "mem",
+            id="Engine.run/Checked.read/RCInv.read-mem",
+        ),
+        ((_RUN, TracingMemory.on_access), "observer"),
+        ((_RUN, FanOut.add), "observer"),
+        ((_RUN, AttributionCollector.on_stall), "observer"),
         ((_RUN, RCInv.read, AccessResult.__init__), "mem"),
         ((_RUN, AccessResult.__init__), "dispatch"),
         ((_RUN, Engine._charge), "dispatch"),

@@ -21,6 +21,7 @@ from repro.runtime.context import Machine
 from repro.scenarios import apply_scenario
 from repro.sim.engine import DeadlockError
 from repro.sim.events import Acquire, BarrierWait, Compute
+from repro.sim.observer import Observer, subscribe
 from repro.sim.reference import (
     ENGINES,
     PROC_FIELDS,
@@ -195,21 +196,76 @@ def test_barrier_wake_accounts_sync_wait():
     assert result.procs[1].barriers == 1
 
 
-def test_observer_neutrality_on_reference_engine():
-    """Attaching metrics must not perturb reference-engine results."""
-    from repro.obs.metrics import MetricsCollector
+class _Recorder(Observer):
+    """Records every engine-observer callback with its arguments."""
 
-    factory = AppFactory("IS", n_keys=128, nbuckets=16)
-    bare = run_case(factory, "RCinv", True, nprocs=4, engine="reference")
+    def __init__(self):
+        self.calls = []
 
-    app = factory()
+    def on_busy(self, *args):
+        self.calls.append(("busy", *args))
+
+    def on_access(self, proc, kind, target, issue, res, busy):
+        self.calls.append((
+            "access", proc, kind, target, issue, res.time,
+            res.read_stall, res.write_stall, res.buffer_flush, res.hit, busy,
+        ))
+
+    def on_stall(self, *args):
+        self.calls.append(("stall", *args))
+
+    def on_sync_wait(self, *args):
+        self.calls.append(("sync_wait", *args))
+
+    def on_phase(self, *args):
+        self.calls.append(("phase", *args))
+
+
+def _is_run(engine: str):
+    app = AppFactory("IS", n_keys=128, nbuckets=16)()
     machine = Machine(MachineConfig(nprocs=4), "RCinv")
-    use_reference_engine(machine)
+    if engine == "reference":
+        use_reference_engine(machine)
     app.setup(machine)
-    MetricsCollector.attach(machine)
-    result = machine.run(app.worker)
-    app.verify()
-    from repro.sim.reference import capture_outcome
+    return machine, app.worker, app.verify
 
-    observed = capture_outcome(machine, result)
-    assert json.loads(json.dumps(bare)) == json.loads(json.dumps(observed))
+
+def _scan_run(engine: str):
+    from tests.test_multithread import scan_machine
+
+    machine, worker, *_ = scan_machine(contexts_per_proc=2)
+    if engine == "reference":
+        use_reference_engine(machine)
+    return machine, worker, lambda: None
+
+
+def test_observer_neutrality_on_reference_engine():
+    """Observers never perturb either engine, and both engines deliver
+    the same callback stream: IS covers barriers and phase markers, the
+    switch-on-miss scan covers ReadNB and Stall ops."""
+    from repro.obs.attrib import AttributionCollector
+    from repro.obs.metrics import MetricsCollector
+    from repro.sim.reference import capture_outcome
+    from repro.sim.trace import TracingMemory
+
+    for build, must_see in ((_is_run, {"barrier", "phase"}), (_scan_run, {"read_nb", "stall"})):
+        streams = {}
+        for engine in ENGINES:
+            outcomes = []
+            for observed in (False, True):
+                machine, worker, verify = build(engine)
+                if observed:
+                    TracingMemory.attach(machine)
+                    MetricsCollector.attach(machine)
+                    AttributionCollector.attach(machine)
+                    recorder = subscribe(machine.engine, _Recorder())
+                result = machine.run(worker)
+                verify()
+                outcomes.append(json.loads(json.dumps(capture_outcome(machine, result))))
+            assert outcomes[0] == outcomes[1], f"{build.__name__} on {engine}"
+            streams[engine] = recorder.calls
+        assert streams["wheel"] == streams["reference"], build.__name__
+        seen = {c[0] for c in streams["wheel"]}
+        seen |= {c[2] for c in streams["wheel"] if c[0] == "access"}
+        seen |= {c[3].kind for c in streams["wheel"] if c[0] == "access" and c[2] == "release"}
+        assert must_see <= seen, build.__name__

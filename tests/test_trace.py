@@ -83,24 +83,23 @@ class TestTracing:
         assert tracer.dropped > 0
         assert tracer.summary()["events"] == 5 + tracer.dropped
 
-    def test_delegates_inner_attributes(self):
+    def test_subscribes_to_engine_without_wrapping_memory(self):
         machine, tracer, _ = run_traced()
-        assert tracer.inner is machine.memsys
-        assert tracer.traffic_summary() == machine.memsys.traffic_summary()
-        assert tracer.line_size == 32
+        assert machine.engine.memsys is machine.memsys
+        assert machine.engine.observer is tracer
 
     def test_invalid_max_events(self):
         with pytest.raises(ValueError):
-            TracingMemory(inner=None, max_events=0)
+            TracingMemory(32, max_events=0)
 
     def test_default_max_events_single_source(self):
         """attach() and __init__ both inherit DEFAULT_MAX_EVENTS."""
         machine = Machine(MachineConfig(nprocs=2), "RCinv")
         tracer = TracingMemory.attach(machine)
         assert tracer.max_events == TracingMemory.DEFAULT_MAX_EVENTS
-        direct = TracingMemory(machine.memsys)
+        direct = TracingMemory(machine.memsys.line_size)
         assert direct.max_events == TracingMemory.DEFAULT_MAX_EVENTS
-        explicit = TracingMemory(machine.memsys, max_events=7)
+        explicit = TracingMemory(machine.memsys.line_size, max_events=7)
         assert explicit.max_events == 7
 
     def test_hottest_accessed_alias(self):
