@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from math import fsum
 from pathlib import Path
 
@@ -224,24 +225,47 @@ def block_span_name(shm, line_size: int, block: int) -> tuple[str, str]:
     second element drops the index ranges (``excess[0:8]`` -> ``excess``)
     and is the system-independent key :func:`diff_reports` aligns on.
     """
-    fallback = f"block:{block}"
-    if shm is None:
-        return fallback, fallback
-    lo, hi = block * line_size, (block + 1) * line_size
-    spans: list[str] = []
-    arrays: list[str] = []
-    for arr in shm.arrays:
-        word = arr._word
-        base, end = arr.base, arr.base + arr.n * word
-        if lo < end and hi > base:
-            e0 = max(0, (lo - base) // word)
-            e1 = min(arr.n, (hi - base + word - 1) // word)
-            name = arr.name or f"@0x{arr.base:x}"
-            spans.append(f"{name}[{e0}:{e1}]" if arr.n > 1 else name)
-            arrays.append(name)
-    if not spans:
-        return fallback, fallback
-    return "+".join(spans), "+".join(arrays)
+    return _block_namer(shm, line_size)(block)
+
+
+def _block_namer(shm, line_size: int):
+    """:func:`block_span_name` bound to one run's arrays.
+
+    A block resolves by bisecting the array ends, built once, instead of
+    scanning every array: the bump allocator hands out disjoint spans in
+    ascending order (the race detector's address map relies on the same).
+    """
+    arrays = list(shm.arrays) if shm is not None else []
+    ends = [a.base + a.n * a._word for a in arrays]
+
+    def name_of(block: int) -> tuple[str, str]:
+        lo = block * line_size
+        hi = lo + line_size
+        # Arrays before i end at or below lo; from i on every array ends
+        # above lo, and the first one starting at or past hi closes the span.
+        i = j = bisect_right(ends, lo)
+        while j < len(arrays) and arrays[j].base < hi:
+            j += 1
+        if i == j:
+            return f"block:{block}", f"block:{block}"
+        if j == i + 1:
+            return _span_name(arrays[i], lo, hi)
+        pairs = [_span_name(arr, lo, hi) for arr in arrays[i:j]]
+        return "+".join(p[0] for p in pairs), "+".join(p[1] for p in pairs)
+
+    return name_of
+
+
+def _span_name(arr, lo: int, hi: int) -> tuple[str, str]:
+    """``(element span, array name)`` of ``arr``'s part of ``[lo, hi)``."""
+    base = arr.base
+    name = arr.name or f"@0x{base:x}"
+    if arr.n <= 1:
+        return name, name
+    word = arr._word
+    e0 = max(0, (lo - base) // word)
+    e1 = min(arr.n, (hi - base + word - 1) // word)
+    return f"{name}[{e0}:{e1}]", name
 
 
 def _sync_row_label(sync_names, kind: str, sync_id: int) -> str:
@@ -268,11 +292,16 @@ def _fold(row: dict, rs: float, ws: float, bf: float, count) -> None:
     row["count"] += count
 
 
-def _finish_rows(rows: dict[str, dict], total_overhead: float) -> list[dict]:
+def _finish_rows(rows: dict[str, list], total_overhead: float) -> list[dict]:
+    """Report rows from ``[read_stall, write_stall, buffer_flush, count]``
+    folds, largest overhead first."""
     out = []
-    for key, row in rows.items():
-        overhead = row["read_stall"] + row["write_stall"] + row["buffer_flush"]
-        entry = {"key": key, **row, "overhead": overhead}
+    for key, (rs, ws, bf, n) in rows.items():
+        overhead = rs + ws + bf
+        entry = {
+            "key": key, "read_stall": rs, "write_stall": ws, "buffer_flush": bf,
+            "count": n, "overhead": overhead,
+        }
         entry["share_pct"] = (
             round(100.0 * overhead / total_overhead, 2) if total_overhead > 0 else 0.0
         )
@@ -316,77 +345,96 @@ def build_report(
 
     shm, line = collector.shm, collector._line
     phase_names = collector._phase_names
+    name_of = _block_namer(shm, line)
+    home_of = collector._home_of
     cells: list[dict] = []
+    # Dimension folds, accumulated inline as [read_stall, write_stall,
+    # buffer_flush, count] rows.  Every dimension partitions the
+    # attributed overhead: block/home absorb sync cells into a
+    # "(sync ops)" row, sync absorbs data cells into "(data)", and all
+    # three absorb stall cells into "(stall ops)".
+    data_total = [0.0, 0.0, 0.0, 0]
+    sync_total = [0.0, 0.0, 0.0, 0]
+    stall_total = [0.0, 0.0, 0.0, 0]
+    by_block: dict[str, list] = {}
+    by_sync: dict[str, list] = {}
+    by_phase: dict[str, list] = {}
+    by_home: dict[str, list] = {}
+    block_meta: dict[str, dict] = {}
     for (pid, block), (rs, ws, bf, n) in sorted(collector._data.items()):
-        name, array = block_span_name(shm, line, block)
-        home = collector._home_of(block) if collector._home_of is not None else None
+        name, array = name_of(block)
+        home = home_of(block) if home_of is not None else None
+        phase = phase_names[pid]
         cells.append(
             {
-                "phase": phase_names[pid], "kind": "data", "key": array,
+                "phase": phase, "kind": "data", "key": array,
                 "name": name, "block": block, "home": home,
                 "read_stall": rs, "write_stall": ws, "buffer_flush": bf,
                 "count": n,
             }
         )
+        home_key = f"node {home}" if home is not None else "(no home)"
+        for row in (
+            by_phase.get(phase) or by_phase.setdefault(phase, [0.0, 0.0, 0.0, 0]),
+            data_total,
+            by_block.get(name) or by_block.setdefault(name, [0.0, 0.0, 0.0, 0]),
+            by_home.get(home_key) or by_home.setdefault(home_key, [0.0, 0.0, 0.0, 0]),
+        ):
+            row[0] += rs
+            row[1] += ws
+            row[2] += bf
+            row[3] += n
+        meta = block_meta.get(name)
+        if meta is None:
+            block_meta[name] = {"array": array, "block": block, "home": home}
+        elif meta["block"] != block:
+            meta["block"] = None  # name spans several blocks across phases
     for (pid, kind, sid), (rs, ws, bf, n) in sorted(collector._sync.items()):
+        row_key = _sync_row_label(sync_names, kind, sid)
+        phase = phase_names[pid]
         cells.append(
             {
-                "phase": phase_names[pid], "kind": "sync",
-                "key": _sync_row_label(sync_names, kind, sid),
-                "name": _sync_row_label(sync_names, kind, sid),
+                "phase": phase, "kind": "sync", "key": row_key, "name": row_key,
                 "sync_kind": kind, "sync_id": sid, "home": None,
                 "read_stall": rs, "write_stall": ws, "buffer_flush": bf,
                 "count": n,
             }
         )
+        for row in (
+            by_phase.get(phase) or by_phase.setdefault(phase, [0.0, 0.0, 0.0, 0]),
+            sync_total,
+            by_sync.get(row_key) or by_sync.setdefault(row_key, [0.0, 0.0, 0.0, 0]),
+        ):
+            row[0] += rs
+            row[1] += ws
+            row[2] += bf
+            row[3] += n
     for pid, (rs, ws, bf, n) in sorted(collector._stall.items()):
+        phase = phase_names[pid]
         cells.append(
             {
-                "phase": phase_names[pid], "kind": "stall", "key": STALL_ROW,
+                "phase": phase, "kind": "stall", "key": STALL_ROW,
                 "name": STALL_ROW, "home": None,
                 "read_stall": rs, "write_stall": ws, "buffer_flush": bf,
                 "count": n,
             }
         )
-
-    # Dimension folds.  Every dimension partitions the attributed
-    # overhead: block/home absorb sync cells into a "(sync ops)" row,
-    # sync absorbs data cells into "(data)", and all three absorb stall
-    # cells into "(stall ops)".
-    data_total = _zero_row()
-    sync_total = _zero_row()
-    stall_total = _zero_row()
-    by_block: dict[str, dict] = {}
-    by_sync: dict[str, dict] = {}
-    by_phase: dict[str, dict] = {}
-    by_home: dict[str, dict] = {}
-    block_meta: dict[str, dict] = {}
-    for c in cells:
-        rs, ws, bf, n = c["read_stall"], c["write_stall"], c["buffer_flush"], c["count"]
-        _fold(by_phase.setdefault(c["phase"], _zero_row()), rs, ws, bf, n)
-        if c["kind"] == "data":
-            _fold(data_total, rs, ws, bf, n)
-            _fold(by_block.setdefault(c["name"], _zero_row()), rs, ws, bf, n)
-            meta = block_meta.setdefault(
-                c["name"], {"array": c["key"], "block": c["block"], "home": c["home"]}
-            )
-            if meta["block"] != c["block"]:
-                meta["block"] = None  # name spans several blocks across phases
-            home_key = f"node {c['home']}" if c["home"] is not None else "(no home)"
-            _fold(by_home.setdefault(home_key, _zero_row()), rs, ws, bf, n)
-        elif c["kind"] == "sync":
-            _fold(sync_total, rs, ws, bf, n)
-            _fold(by_sync.setdefault(c["name"], _zero_row()), rs, ws, bf, n)
-        else:
-            _fold(stall_total, rs, ws, bf, n)
-    if sync_total["count"]:
-        by_block[SYNC_ROW] = dict(sync_total)
-        by_home[SYNC_ROW] = dict(sync_total)
-    if data_total["count"]:
-        by_sync[DATA_ROW] = dict(data_total)
-    if stall_total["count"]:
+        for row in (
+            by_phase.get(phase) or by_phase.setdefault(phase, [0.0, 0.0, 0.0, 0]),
+            stall_total,
+        ):
+            row[0] += rs
+            row[1] += ws
+            row[2] += bf
+            row[3] += n
+    if sync_total[3]:
+        by_block[SYNC_ROW] = sync_total
+        by_home[SYNC_ROW] = sync_total
+    if data_total[3]:
+        by_sync[DATA_ROW] = data_total
+    if stall_total[3]:
         for rows in (by_block, by_sync, by_home):
-            rows[STALL_ROW] = dict(stall_total)
+            rows[STALL_ROW] = stall_total
 
     dims = {
         "block": _finish_rows(by_block, attributed_overhead),

@@ -10,7 +10,8 @@ nanoseconds go?  Components:
     the application's inputs, constructing the machine, ``setup()``.
 ``wheel``
     Event-wheel scheduling: :mod:`repro.sim.wheel` plus the lines of
-    ``Engine.run`` that inline ``EventWheel.push_pop_peek``.
+    ``Engine.run`` that pop, peek and re-insert ready-queue entries
+    inline.
 ``app``
     Application Python execution (:mod:`repro.apps`): the generator
     code that runs between two yielded ops.
@@ -142,14 +143,18 @@ def _code_kind(code: CodeType) -> str:
     return _PASS
 
 
+#: Names whose every use in ``Engine.run`` is ready-queue work.
+_WHEEL_NAMES = frozenset({"queue", "times", "tids", "bisect_right"})
+
+
 def inlined_wheel_lines() -> frozenset[int]:
     """Line numbers of ``Engine.run`` that inline the event wheel.
 
-    These are the lines that touch the wheel's private state
-    (``queue._seq``, ``queue._cur_bucket``, ...), the current-epoch
-    ``bucket`` and the C heap calls of the fused push/pop.  Read from
-    the source once per profiler; without the source (a bytecode-only
-    install) they count as dispatch.
+    These are the lines that name the ready queue or its lists
+    (``queue``, ``times``, ``tids``) or the ``bisect_right`` of a
+    switch: the loop-head pop, the horizon reads and the re-insert.
+    Read from the source once per profiler; without the source (a
+    bytecode-only install) they count as dispatch.
     """
     try:
         lines, first = inspect.getsourcelines(Engine.run)
@@ -159,13 +164,7 @@ def inlined_wheel_lines() -> frozenset[int]:
     return frozenset(
         node.lineno + first - 1
         for node in ast.walk(tree)
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr.startswith("_")
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "queue"
-        )
-        or (isinstance(node, ast.Name) and node.id in ("bucket", "heappush", "heappushpop"))
+        if isinstance(node, ast.Name) and node.id in _WHEEL_NAMES
     )
 
 

@@ -14,32 +14,34 @@ execution are the values the simulated machine would observe.
 
 Hot-path structure (see docs/architecture.md for the full design):
 
-* The ready queue is an :class:`repro.sim.wheel.EventWheel` — a calendar
-  queue with per-epoch heaps that preserves the exact ``(time, seq,
-  tid)`` lexicographic order of the original global ``heapq`` while
-  keeping each heap operation at its constant-time floor as machines and
-  event populations grow.  Stale entries (a thread re-pushed or woken)
-  are lazily discarded on pop, exactly as before.
+* The ready queue is an :class:`repro.sim.wheel.EventWheel`: two
+  parallel lists, ``times`` and ``tids``, sorted by time with equal
+  times in arrival order — the exact ``(time, seq, tid)`` order of the
+  original global ``heapq`` without storing ``seq``.  Each runnable
+  thread has at most one entry, so the lists stay at most P long.
 
 * Run-ahead fast path: once a thread is resumed, the fused scheduler
   loop in :meth:`Engine.run` executes its consecutive ops *without
   re-entering the scheduler* for as long as the thread's clock does not
-  pass the cached horizon (the earliest pending queue entry).  The
-  horizon is maintained incrementally — set on every pop, min-updated
-  on every push — so the common op costs one float compare instead of a
-  heap peek.  Run-ahead
+  pass the horizon, the earliest pending entry ``times[0]``.  It is read
+  once per segment and again after sync ops (the only ops that can wake
+  a thread), so the common op costs one float compare.  Run-ahead
   deliberately never *pre-executes* ops past the horizon: pulling the
   next op out of a generator runs real application code (e.g. the store
   that follows a ``yield Write``), so peeking early would publish
   Python-level values at the wrong simulated time.  Within-horizon
   batching is the maximal safe run-ahead for execution-driven threads.
+
+* Segment switch: a thread that passes the horizon is re-inserted with
+  one ``bisect_right`` plus two list inserts; one that blocks or
+  finishes inserts nothing.  The loop head then pops the front entry.
 """
 
 from __future__ import annotations
 
 import gc
 from collections.abc import Generator, Iterable
-from heapq import heappush, heappushpop
+from bisect import bisect_right
 from typing import Protocol
 
 from ..config import MachineConfig
@@ -95,12 +97,14 @@ class DeadlockError(RuntimeError):
 
 class _Thread:
     __slots__ = (
-        "tid", "gen", "time", "stats", "blocked", "block_time", "done", "feedback",
+        "tid", "gen", "send", "time", "stats", "blocked", "block_time", "done", "feedback",
     )
 
     def __init__(self, tid: int, gen: Generator[Op, None, None]):
         self.tid = tid
         self.gen = gen
+        #: ``gen.send``, bound once: the scheduler resumes through it.
+        self.send = gen.send
         self.time = 0.0
         self.stats = ProcStats()
         self.blocked = False
@@ -150,11 +154,6 @@ class Engine:
         self._threads: dict[int, _Thread] = {}
         self._queue = EventWheel()
         self._ops_executed = 0
-        #: Earliest pending queue entry time — the run-ahead horizon.
-        #: Maintained incrementally: run() refreshes it after each pop,
-        #: _push() min-updates it, so _run_thread's inner loop never
-        #: touches the queue to decide whether it may keep running.
-        self._horizon = _INF
         # Episode accessors are optional on the sync manager (test fakes
         # may not provide them); without them sync events are tagged with
         # episode 0, which only degrades trace attribution.
@@ -190,10 +189,7 @@ class Engine:
         return len(self._queue)
 
     def _push(self, thread: _Thread) -> None:
-        time = thread.time
-        self._queue.push(time, thread.tid)
-        if time < self._horizon:
-            self._horizon = time
+        self._queue.push(thread.time, thread.tid)
 
     def wake(self, tid: int, grant_time: float) -> None:
         """Unblock thread ``tid``; it resumes at ``grant_time``.
@@ -233,10 +229,14 @@ class Engine:
         :class:`repro.sim.reference.ReferenceEngine`, the only other
         scheduler loop: a timing change lands in both.
 
-        The run-ahead horizon lives in the local ``hz``: only sync
-        operations can wake another thread (the only way the earliest
-        pending time can move down mid-segment), so ``hz`` is refreshed
-        from ``self._horizon`` after those and nowhere else.
+        The ready queue's lists are locals too.  The loop head pops the
+        front entry; a segment ends by re-inserting the thread (clock
+        past the horizon) or by inserting nothing (blocked, finished),
+        so every switch is a handful of C list calls.  The run-ahead
+        horizon lives in the local ``hz``, read as ``times[0]``: only
+        sync operations can wake another thread (the only way the
+        earliest pending time can move down mid-segment), so ``hz`` is
+        re-read after those and nowhere else.
         """
         threads = self._threads
         # Hot-loop thread lookup is a list index (tids are dense 0..P-1).
@@ -244,7 +244,8 @@ class Engine:
         for th in threads.values():
             tlist[th.tid] = th
         queue = self._queue
-        pop_and_peek = queue.pop_and_peek
+        times = queue.times
+        tids = queue.tids
         memsys = self.memsys
         mem_read = memsys.read
         mem_write = memsys.write
@@ -279,22 +280,15 @@ class Engine:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-          # Every segment-exit site below assigns the next (entry,
-          # horizon) itself — the push-exit via the fused
-          # push_pop_peek(), the no-push exits (block, finish) via a
-          # plain pop_and_peek() — so the loop never pops twice.
-          entry, horizon = pop_and_peek()
-          while True:
-            if entry is None:
-                break
-            time, _seq, tid = entry
+          while times:
+            time = times.pop(0)
+            tid = tids.pop(0)
             thread = tlist[tid]
             if thread.done or thread.blocked or thread.time != time:
                 # stale queue entry (thread was re-pushed or woken)
-                entry, horizon = pop_and_peek()
                 continue
-            self._horizon = hz = horizon
-            send = thread.gen.send
+            hz = times[0] if times else _INF
+            send = thread.send
             stats = thread.stats
             t = thread.time
             fb = thread.feedback
@@ -305,7 +299,6 @@ class Engine:
                     thread.done = True
                     thread.time = t
                     stats.finish_time = t
-                    entry, horizon = pop_and_peek()
                     break
                 ops += 1
                 if ops > ops_limit:
@@ -425,7 +418,6 @@ class Engine:
                         thread.block_time = t
                         thread.time = t
                         thread.feedback = None
-                        entry, horizon = pop_and_peek()
                         break
                     # max()-free wait accounting: += 0.0 is an identity
                     # on the non-negative sync_wait accumulator, so the
@@ -436,7 +428,7 @@ class Engine:
                         if obs is not None:
                             obs.on_sync_wait(tid, t, wait)
                         t = grant
-                    hz = self._horizon
+                    hz = times[0] if times else _INF
                 elif cls is Release:
                     res = memsys.release(tid, now)
                     busy = self._charge(stats, now, res)
@@ -452,7 +444,7 @@ class Engine:
                         if obs is not None:
                             obs.on_sync_wait(tid, t, wait)
                         t = done
-                    hz = self._horizon
+                    hz = times[0] if times else _INF
                 elif cls is BarrierWait:
                     res = memsys.release(tid, now)
                     busy = self._charge(stats, now, res)
@@ -469,7 +461,6 @@ class Engine:
                         thread.block_time = t
                         thread.time = t
                         thread.feedback = None
-                        entry, horizon = pop_and_peek()
                         break
                     wait = depart - t
                     if wait > 0.0:
@@ -477,7 +468,7 @@ class Engine:
                         if obs is not None:
                             obs.on_sync_wait(tid, t, wait)
                         t = depart
-                    hz = self._horizon
+                    hz = times[0] if times else _INF
                 elif cls is Fence:
                     res = memsys.release(tid, now)
                     busy = self._charge(stats, now, res)
@@ -525,7 +516,7 @@ class Engine:
                         if obs is not None:
                             obs.on_busy(tid, now, busy)
                         t = done
-                    hz = self._horizon
+                    hz = times[0] if times else _INF
                 elif cls is FlagWait:
                     if obs is not None:
                         sync = SyncPoint("flag_wait", op.flag_id, op.epoch)
@@ -536,7 +527,6 @@ class Engine:
                         thread.block_time = t
                         thread.time = t
                         thread.feedback = None
-                        entry, horizon = pop_and_peek()
                         break
                     wait = depart - now
                     if wait > 0.0:
@@ -544,7 +534,7 @@ class Engine:
                         if obs is not None:
                             obs.on_sync_wait(tid, now, wait)
                         t = depart
-                    hz = self._horizon
+                    hz = times[0] if times else _INF
                 elif cls is SelfInvalidate:
                     memsys.self_invalidate(tid, op.blocks, now)
                     cost = len(op.blocks) * 1.0
@@ -578,32 +568,16 @@ class Engine:
                 # passed the earliest pending entry.  The horizon can only
                 # move *down* during this segment (a sync op above may
                 # have woken a thread at an earlier time — the branches
-                # that can refresh ``hz`` right after), so one float
-                # compare replaces the per-op heap peek.
+                # that can re-read ``hz`` right after), so one float
+                # compare replaces the per-op queue peek.
                 if t > hz:
                     thread.time = t
                     thread.feedback = fb
-                    # Fused re-queue + schedule: push this thread's entry
-                    # and pop the next runnable one in a single heap
-                    # operation.  No horizon min-update is needed on the
-                    # push side (t already exceeds the horizon).  This is
-                    # EventWheel.push_pop_peek inlined (keep in lockstep
-                    # with it): the same-epoch no-cancellation case — the
-                    # overwhelmingly common one — costs a C heappushpop;
-                    # epoch transitions fall back to the wheel's methods.
-                    seq = queue._seq + 1
-                    queue._seq = seq
-                    if queue._lo <= t < queue._hi:
-                        bucket = queue._cur_bucket
-                        if bucket and not queue._cancelled:
-                            entry = heappushpop(bucket, (t, seq, tid))
-                            horizon = bucket[0][0]
-                            break
-                        heappush(bucket, (t, seq, tid))
-                    else:
-                        queue._push_slow(t, seq, tid)
-                    queue._pending += 1
-                    entry, horizon = pop_and_peek()
+                    # Switch: re-queue this thread (EventWheel._push_slow
+                    # inlined) and let the loop head pop the next one.
+                    i = bisect_right(times, t)
+                    times.insert(i, t)
+                    tids.insert(i, tid)
                     break
         finally:
             self._ops_executed = ops

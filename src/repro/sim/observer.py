@@ -61,8 +61,28 @@ class Observer:
 
 
 def _fan(handlers: list):
+    """One callable calling every handler in order; two and three
+    subscribers (the tracer, metrics and attribution stack) get a
+    loop-free body."""
     if len(handlers) == 1:
         return handlers[0]
+    if len(handlers) == 2:
+        h0, h1 = handlers
+
+        def fan(*args) -> None:
+            h0(*args)
+            h1(*args)
+
+        return fan
+    if len(handlers) == 3:
+        h0, h1, h2 = handlers
+
+        def fan(*args) -> None:
+            h0(*args)
+            h1(*args)
+            h2(*args)
+
+        return fan
 
     def fan(*args) -> None:
         for handler in handlers:

@@ -2,8 +2,9 @@
 
 The seed engine scheduled threads with a single global ``heapq`` keyed by
 ``(time, seq, tid)``; the production :class:`repro.sim.engine.Engine`
-replaced that with an :class:`repro.sim.wheel.EventWheel`, a fused
-run-ahead op loop, and a flyweight fast path for stall-free hits — all
+replaced that with a sorted ready queue (:class:`repro.sim.wheel.EventWheel`)
+popped and re-filled inline, a fused run-ahead op loop, and a flyweight
+fast path for stall-free hits — all
 proved bit-identical against the golden fixture the seed engine recorded
 (``tests/fixtures/engine_golden.json``).
 
@@ -20,13 +21,16 @@ why the timing moved.
 
 Equivalence notes (why this simpler loop is bit-identical):
 
-* Heap order: the wheel preserves exact ``(time, seq, tid)`` order and
-  assigns ``seq`` at push; with identical scheduling decisions both
-  engines push in the same order, so sequence numbers — and therefore
-  tie-breaks — coincide.
-* Run-ahead: the production loop refreshes its cached horizon only
-  after sync ops.  Mid-segment the heap minimum can only change via a
-  push from a wake, and wakes only happen inside sync ops, so
+* Heap order: the production queue keeps ``times``/``tids`` sorted by
+  time and inserts with ``bisect_right``, so an entry lands after every
+  equal time already queued — the order ``seq`` gives here, where it
+  counts pushes.  With identical scheduling decisions both engines
+  queue in the same order, so tie-breaks coincide.  Both discard stale
+  entries on pop and read the horizon from the front entry, stale or
+  not.
+* Run-ahead: the production loop re-reads its horizon (``times[0]``)
+  only after sync ops.  Mid-segment the queue minimum can only change
+  via a push from a wake, and wakes only happen inside sync ops, so
   recomputing the horizon from ``heap[0]`` after *every* op (done here)
   selects the same thread switches.
 * Flyweight: the production fast path charges ``busy = rt - now`` when

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import nlargest
+from operator import itemgetter
 
 from .observer import Observer, subscribe
 from .stats import SyncPoint
@@ -53,6 +55,11 @@ class TraceEvent:  # lint: hot
         return self.complete - self.issue
 
 
+def _most_common(tally: dict, n: int) -> list[tuple]:
+    """``Counter.most_common(n)`` over a plain dict (same tie order)."""
+    return nlargest(n, tally.items(), key=itemgetter(1))
+
+
 class TracingMemory(Observer):
     """Engine observer recording every memory-system outcome.
 
@@ -78,8 +85,10 @@ class TracingMemory(Observer):
         self.shm = shm
         self.events: list[TraceEvent] = []
         self.dropped = 0
-        self._block_stall: Counter[int] = Counter()
-        self._block_access: Counter[int] = Counter()
+        # Plain dicts, not Counters: ``Counter.__missing__`` would run
+        # once per new block on the per-access path.
+        self._block_stall: dict[int, float] = {}
+        self._block_access: dict[int, int] = {}
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -118,10 +127,12 @@ class TracingMemory(Observer):
         else:
             self.dropped += 1
         block = target // self._line_size
-        self._block_access[block] += 1
+        access = self._block_access
+        access[block] = access.get(block, 0) + 1
         stall = res.read_stall + res.write_stall
         if stall:
-            self._block_stall[block] += stall
+            block_stall = self._block_stall
+            block_stall[block] = block_stall.get(block, 0) + stall
 
     def on_phase(self, proc: int, time: float, label: str) -> None:
         if len(self.events) < self.max_events:
@@ -161,11 +172,11 @@ class TracingMemory(Observer):
 
     def hottest_blocks(self, n: int = 10) -> list[tuple[str, float]]:
         """Blocks ranked by accumulated stall cycles, named by array."""
-        return [(self.block_name(b), v) for b, v in self._block_stall.most_common(n)]
+        return [(self.block_name(b), v) for b, v in _most_common(self._block_stall, n)]
 
     def busiest_blocks(self, n: int = 10) -> list[tuple[str, int]]:
         """Blocks ranked by access count, named by array."""
-        return [(self.block_name(b), v) for b, v in self._block_access.most_common(n)]
+        return [(self.block_name(b), v) for b, v in _most_common(self._block_access, n)]
 
     #: Export-facing alias pairing with :meth:`hottest_blocks` (the JSON
     #: sidecar keys are ``hottest_blocks`` / ``hottest_accessed``).

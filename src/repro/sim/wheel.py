@@ -1,32 +1,21 @@
-"""Indexed event wheel (calendar queue) for the simulation scheduler.
+"""Sorted ready queue for the simulation scheduler.
 
-The engine's ready queue holds ``(time, seq, tid)`` entries and must pop
-them in exact lexicographic order — ``seq`` breaks same-time ties in
-arrival order, ``tid`` is carried for the scheduler.  A single global
-``heapq`` does this in ``O(log n)`` per operation with a constant factor
-that grows with the number of stale (lazily deleted) entries sitting in
-the heap.
+The engine must resume threads in exact ``(time, arrival)`` order: the
+smallest clock first, same-time entries in the order they were queued.
+The engine queues at most one entry per runnable thread, so the queue
+never holds more than P entries, and a segment switch only ever removes
+the front entry and inserts one more.
 
-:class:`EventWheel` keeps the same *exact* order while indexing entries
-by time: simulated time is partitioned into fixed-width epochs
-(``epoch = floor(time / width)``), and because every entry of epoch
-``e`` strictly precedes every entry of epoch ``e' > e``, popping from
-the smallest non-empty epoch's heap yields the global minimum —
-cross-epoch ordering is free.  Each per-epoch heap stays tiny (at most
-the number of runnable threads plus a few stale entries), so
-``heappush``/``heappop`` run at their constant floor regardless of how
-many events are parked in far-future epochs.
-
-The smallest epoch's bucket is held directly in ``_cur_bucket`` (not in
-the dict): the overwhelmingly common push lands in the current epoch and
-costs one comparison plus a C ``heappush``, keeping the wheel at
-plain-heapq speed for small machines while the epoch index takes over at
-large P / deep event populations.
-
-Deletion is lazy: :meth:`cancel` marks a ``seq`` and the entry is
-discarded when it surfaces at :meth:`pop`.  (The engine itself never
-cancels — it re-checks thread state on pop — but the wheel supports it
-so other schedulers can use the structure directly.)
+:class:`EventWheel` (named for the calendar queue it replaced) keeps two
+parallel lists, :attr:`~EventWheel.times` and :attr:`~EventWheel.tids`,
+sorted by time.  An insert goes after every equal time already queued
+(``bisect_right``), which is exactly the arrival tie-break a heap of
+``(time, seq, tid)`` entries gives — with no ``seq`` to store.  The front
+entry is ``times[0]``/``tids[0]``, so the scheduler reads its run-ahead
+horizon as ``times[0]`` and pops with ``list.pop(0)``.  For the tens to
+hundreds of entries a machine has, these ``memmove``-backed C calls beat
+heap tuples by a wide margin, and :meth:`Engine.run
+<repro.sim.engine.Engine.run>` inlines them at every segment switch.
 
 The order contract is pinned by Hypothesis property tests against a
 plain ``heapq`` reference (``tests/test_event_wheel.py``).
@@ -34,215 +23,52 @@ plain ``heapq`` reference (``tests/test_event_wheel.py``).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heappushpop
+from bisect import bisect_right
 
 _INF = float("inf")
 
 
 class EventWheel:  # lint: hot
-    """Calendar queue over ``(time, seq, tid)`` entries, exact heap order.
+    """Ready queue of ``(time, tid)`` entries in exact ``(time, arrival)`` order."""
 
-    ``width`` is the epoch width in simulated cycles.  Any positive width
-    is correct; it only tunes how entries spread across per-epoch heaps.
-    Times must be non-negative and finite.
-    """
+    __slots__ = ("times", "tids")
 
-    __slots__ = ("_width", "_buckets", "_epochs", "_cur_epoch", "_cur_bucket",
-                 "_lo", "_hi", "_seq", "_pending", "_cancelled")
+    def __init__(self) -> None:
+        #: Entry times, ascending; equal times in arrival order.
+        self.times: list[float] = []
+        #: Thread id of each entry, parallel to :attr:`times`.
+        self.tids: list[int] = []
 
-    def __init__(self, width: float = 1024.0):
-        if not width > 0.0:
-            raise ValueError(f"epoch width must be positive, got {width}")
-        self._width = width
-        #: Smallest epoch holding entries (None when the wheel was never
-        #: pushed to / fully drained) and its heap, kept out of the dict.
-        self._cur_epoch: int | None = None
-        self._cur_bucket: list[tuple[float, int, int]] = []
-        #: Time boundaries of the current epoch, ``[_lo, _hi)``.  Kept so
-        #: the push fast path is two float compares, no division; when no
-        #: current epoch exists ``_lo = inf`` makes the test always fail.
-        self._lo = _INF
-        self._hi = -_INF
-        #: Future epochs: epoch -> heap of (time, seq, tid) entries.
-        self._buckets: dict[int, list[tuple[float, int, int]]] = {}
-        #: Heap of the epochs present in ``_buckets`` (no duplicates).
-        self._epochs: list[int] = []
-        #: Arrival counter: the wheel assigns each entry its ``seq`` so
-        #: same-time entries pop in push order.
-        self._seq = 0
-        #: Entries pushed and not yet popped/discarded (cancelled included).
-        self._pending = 0
-        self._cancelled: set[int] = set()
-
-    # ------------------------------------------------------------------
-    def push(self, time: float, tid: int) -> int:
-        """Insert an entry; returns the ``seq`` assigned to it.
-
-        Same-time entries pop in push (arrival) order.
-        """
-        seq = self._seq + 1
-        self._seq = seq
-        if self._lo <= time < self._hi:
-            heappush(self._cur_bucket, (time, seq, tid))
+    def push(self, time: float, tid: int) -> None:
+        """Queue ``tid`` at ``time``, after every entry with an equal time."""
+        times = self.times
+        if not times or time >= times[-1]:
+            times.append(time)
+            self.tids.append(tid)
         else:
-            self._push_slow(time, seq, tid)
-        self._pending += 1
-        return seq
+            self._push_slow(time, tid)
 
-    def _push_slow(self, time: float, seq: int, tid: int) -> None:
-        """Insert outside the current epoch (or with no epoch open)."""
-        width = self._width
-        epoch = int(time / width)
-        cur = self._cur_epoch
-        if cur is None:
-            self._cur_epoch = epoch
-            self._cur_bucket = [(time, seq, tid)]
-            self._lo = epoch * width
-            self._hi = self._lo + width
-        elif epoch == cur:
-            # Only reachable when ``width`` is not a power of two and the
-            # boundary compare disagrees with the division at an edge.
-            heappush(self._cur_bucket, (time, seq, tid))
-        elif epoch > cur:
-            bucket = self._buckets.get(epoch)
-            if bucket is None:
-                self._buckets[epoch] = [(time, seq, tid)]
-                heappush(self._epochs, epoch)
-            else:
-                heappush(bucket, (time, seq, tid))
-        else:
-            # Entry earlier than the current epoch (e.g. a wake for a
-            # long-blocked thread): demote the current bucket and open a
-            # fresh minimum epoch.
-            self._buckets[cur] = self._cur_bucket
-            heappush(self._epochs, cur)
-            self._cur_epoch = epoch
-            self._cur_bucket = [(time, seq, tid)]
-            self._lo = epoch * width
-            self._hi = self._lo + width
+    def _push_slow(self, time: float, tid: int) -> None:
+        """Insert before the tail (e.g. a wake for a long-blocked thread)."""
+        i = bisect_right(self.times, time)
+        self.times.insert(i, time)
+        self.tids.insert(i, tid)
 
-    def pop(self) -> tuple[float, int, int] | None:
-        """Remove and return the smallest live entry, or None when empty.
+    def pop_and_peek(self) -> tuple[tuple[float, int] | None, float]:
+        """Pop the front entry and report the next entry's time.
 
-        Cancelled entries are silently discarded as they surface.
+        Returns ``((time, tid), next_time)``; ``next_time`` is ``inf``
+        when the popped entry was the last, and ``(None, inf)`` when the
+        queue is empty.
         """
-        cancelled = self._cancelled
-        while True:  # lint: fastpath
-            bucket = self._cur_bucket
-            if bucket:
-                entry = heappop(bucket)
-                self._pending -= 1
-                if cancelled:
-                    seq = entry[1]
-                    if seq in cancelled:
-                        cancelled.discard(seq)
-                        continue
-                return entry
-            if not self._epochs:
-                self._cur_epoch = None
-                self._lo = _INF
-                self._hi = -_INF
-                return None
-            epoch = heappop(self._epochs)
-            self._cur_epoch = epoch
-            self._cur_bucket = self._buckets.pop(epoch)
-            self._lo = lo = epoch * self._width
-            self._hi = lo + self._width
+        times = self.times
+        if not times:
+            return None, _INF
+        entry = (times.pop(0), self.tids.pop(0))
+        return entry, times[0] if times else _INF
 
-    def pop_and_peek(self) -> tuple[tuple[float, int, int] | None, float]:
-        """Pop the smallest live entry and report the next entry's time.
-
-        Returns ``(entry, next_time)`` — ``(None, inf)`` when empty.
-        Fuses the scheduler's per-iteration pop + horizon peek so the
-        common case (next entry in the same epoch) touches the current
-        bucket exactly once.  The same lazy-deletion caveat as
-        :meth:`peek_time` applies to ``next_time``.
-        """
-        cancelled = self._cancelled
-        while True:  # lint: fastpath
-            bucket = self._cur_bucket
-            if bucket:
-                entry = heappop(bucket)
-                self._pending -= 1
-                if cancelled:
-                    seq = entry[1]
-                    if seq in cancelled:
-                        cancelled.discard(seq)
-                        continue
-                if bucket:
-                    return entry, bucket[0][0]
-                return entry, self.peek_time()
-            if not self._epochs:
-                self._cur_epoch = None
-                self._lo = _INF
-                self._hi = -_INF
-                return None, _INF
-            epoch = heappop(self._epochs)
-            self._cur_epoch = epoch
-            self._cur_bucket = self._buckets.pop(epoch)
-            self._lo = lo = epoch * self._width
-            self._hi = lo + self._width
-
-    def push_pop_peek(
-        self, time: float, tid: int
-    ) -> tuple[tuple[float, int, int] | None, float]:
-        """Push an entry, then pop the smallest live entry and peek the next.
-
-        Equivalent to ``push(time, tid)`` followed by :meth:`pop_and_peek`
-        (the pushed entry itself may be the one returned, when it is the
-        global minimum).  The scheduler's segment boundary is exactly this
-        pair, and when the pushed entry lands in the current epoch the two
-        heap operations fuse into one C ``heappushpop``.
-        """
-        seq = self._seq + 1
-        self._seq = seq
-        if self._lo <= time < self._hi:
-            bucket = self._cur_bucket
-            if bucket and not self._cancelled:
-                # Net heap size is unchanged, so ``_pending`` needs no
-                # update and the bucket stays non-empty for the peek.
-                entry = heappushpop(bucket, (time, seq, tid))
-                return entry, bucket[0][0]
-            heappush(bucket, (time, seq, tid))
-        else:
-            self._push_slow(time, seq, tid)
-        self._pending += 1
-        return self.pop_and_peek()
-
-    def peek_time(self) -> float:
-        """Time of the smallest pending entry; ``inf`` when empty.
-
-        Lazy deletion means a cancelled-but-not-yet-discarded entry still
-        counts here — callers using cancel() and needing an exact peek
-        should pop instead.
-        """
-        while True:
-            bucket = self._cur_bucket
-            if bucket:
-                return bucket[0][0]
-            if not self._epochs:
-                return _INF
-            epoch = heappop(self._epochs)
-            self._cur_epoch = epoch
-            self._cur_bucket = self._buckets.pop(epoch)
-            self._lo = lo = epoch * self._width
-            self._hi = lo + self._width
-
-    def cancel(self, seq: int) -> None:
-        """Lazily delete the entry carrying ``seq`` when it next surfaces."""
-        self._cancelled.add(seq)
-
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """Pending entries, *including* cancelled ones not yet discarded."""
-        return self._pending
-
-    def __bool__(self) -> bool:
-        return self._pending > 0
+        return len(self.times)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"EventWheel(width={self._width}, pending={self._pending}, "
-            f"epochs={len(self._buckets) + (self._cur_epoch is not None)}, "
-            f"cancelled={len(self._cancelled)})"
-        )
+        return f"EventWheel(pending={len(self.times)})"

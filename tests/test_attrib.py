@@ -189,6 +189,44 @@ def test_block_span_name_falls_back_without_shm():
     assert block_span_name(None, 32, 7) == ("block:7", "block:7")
 
 
+def _scan_span_name(shm, line: int, block: int) -> tuple[str, str]:
+    """Reference: intersect the block with every array in turn."""
+    lo, hi = block * line, (block + 1) * line
+    spans, names = [], []
+    for arr in shm.arrays:
+        word = arr._word
+        base, end = arr.base, arr.base + arr.n * word
+        if lo < end and hi > base:
+            e0 = max(0, (lo - base) // word)
+            e1 = min(arr.n, (hi - base + word - 1) // word)
+            name = arr.name or f"@0x{arr.base:x}"
+            spans.append(f"{name}[{e0}:{e1}]" if arr.n > 1 else name)
+            names.append(name)
+    if not spans:
+        return f"block:{block}", f"block:{block}"
+    return "+".join(spans), "+".join(names)
+
+
+def test_block_span_name_matches_a_scan_of_every_array():
+    """The bisecting resolver names every block as a scan does: blocks
+    shared by several arrays, empty arrays, unnamed arrays, padding."""
+    machine = Machine(MachineConfig(), "RCinv")
+    shm, line = machine.shm, machine.config.line_size
+    shm.array(3, name="a")
+    shm.array(0, name="empty")
+    shm.array(5, name="b")
+    shm.scalar(name="s")
+    shm.array(2)
+    shm.array(0, name="empty2")
+    shm.array(1, name="one")
+    shm.array(20, name="padded", align_line=True, pad_to_line=True)
+    shm.array(7, name="c")
+    blocks = range(shm.bytes_allocated // line + 3)
+    assert any("+" in _scan_span_name(shm, line, b)[0] for b in blocks)
+    for block in blocks:
+        assert block_span_name(shm, line, block) == _scan_span_name(shm, line, block)
+
+
 class _StubMem:
     """Minimal memory system for collector unit tests."""
 

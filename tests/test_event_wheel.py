@@ -1,16 +1,12 @@
 """Property tests pinning EventWheel to a plain-heapq reference model.
 
-The wheel's contract is *exact* lexicographic ``(time, seq, tid)`` order
-with wheel-assigned arrival ``seq`` and lazy cancellation — i.e. it must
-be observationally identical to one global ``heapq`` carrying the same
-entries.  These tests drive both structures with random interleavings of
-every public operation and compare every observable after each step.
-
-Deterministic companions pin the structural edge cases a random walk can
-miss being *on the intended path*: the ``epoch == cur`` division edge
-for non-power-of-two widths, the demote path for earlier-epoch pushes,
-the ``_lo``/``_hi`` reset when the wheel drains and refills, and the
-lazy-deletion caveat of the fused ``push_pop_peek`` fast path.
+The queue's contract is *exact* ``(time, arrival)`` order: it must be
+observationally identical to one global ``heapq`` of ``(time, seq,
+tid)`` entries with ``seq`` counting pushes.  These tests drive both
+structures with random interleavings of ``push`` and ``pop_and_peek``
+and compare every observable after each step, with operations chosen
+to hit same-time ties, pushes before the tail (the wakes that take
+``_push_slow``) and draining to empty.
 """
 
 from heapq import heappop, heappush
@@ -23,52 +19,31 @@ _INF = float("inf")
 
 
 class HeapReference:
-    """One global heap with the wheel's exact observable semantics."""
+    """One global heap with the queue's exact observable semantics."""
 
     def __init__(self):
         self._heap: list[tuple[float, int, int]] = []
         self._seq = 0
-        self._cancelled: set[int] = set()
 
-    def push(self, time: float, tid: int) -> int:
+    def push(self, time: float, tid: int) -> None:
         self._seq += 1
         heappush(self._heap, (time, self._seq, tid))
-        return self._seq
-
-    def pop(self):
-        while self._heap:
-            entry = heappop(self._heap)
-            if entry[1] in self._cancelled:
-                self._cancelled.discard(entry[1])
-                continue
-            return entry
-        return None
-
-    def peek_time(self) -> float:
-        # Mirrors the wheel's documented caveat: cancelled entries that
-        # have not yet surfaced still count.
-        return self._heap[0][0] if self._heap else _INF
 
     def pop_and_peek(self):
-        return self.pop(), self.peek_time()
+        if not self._heap:
+            return None, _INF
+        time, _seq, tid = heappop(self._heap)
+        return (time, tid), self._heap[0][0] if self._heap else _INF
 
-    def push_pop_peek(self, time: float, tid: int):
-        self.push(time, tid)
-        return self.pop_and_peek()
-
-    def cancel(self, seq: int) -> None:
-        self._cancelled.add(seq)
+    def times(self) -> list[float]:
+        return sorted(t for t, _, _ in self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
 
 
-# Widths: powers of two, non-powers-of-two (division/boundary edges),
-# tiny (many epochs per run) and huge (everything in one epoch).
-WIDTHS = st.sampled_from([0.1, 0.3, 0.7, 1.0, 3.7, 8.0, 64.0, 1024.0, 1e9])
-
 # Times: small integers collide constantly (tie-break coverage), floats
-# spread entries across many epochs for the small widths above.
+# spread entries out.
 TIMES = st.one_of(
     st.integers(0, 30).map(float),
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -77,142 +52,94 @@ TIMES = st.one_of(
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), TIMES),
-        st.tuples(st.just("ppp"), TIMES),
+        # A push strictly before the tail: ``frac`` of the tail's time.
+        st.tuples(st.just("wake"), st.floats(0.0, 1.0, exclude_max=True)),
+        # A push tying an entry already queued (mid-list when not the tail).
+        st.tuples(st.just("tie"), st.integers(0, 1000)),
         st.just(("pop",)),
-        st.just(("pop_peek",)),
-        st.just(("peek",)),
-        st.tuples(st.just("cancel"), st.integers(0, 300)),
     ),
     max_size=150,
 )
 
 
-@settings(deadline=None, max_examples=200)
-@given(width=WIDTHS, ops=OPS)
-def test_wheel_matches_heapq_reference(width, ops):
-    wheel = EventWheel(width)
-    ref = HeapReference()
-    seqs: list[int] = []
-    tid = 0
-    for op in ops:
-        kind = op[0]
-        if kind == "push":
-            got = wheel.push(op[1], tid)
-            want = ref.push(op[1], tid)
-            assert got == want  # wheel-assigned seq is the arrival counter
-            seqs.append(got)
-            tid += 1
-        elif kind == "ppp":
-            assert wheel.push_pop_peek(op[1], tid) == ref.push_pop_peek(op[1], tid)
-            tid += 1
-        elif kind == "pop":
-            assert wheel.pop() == ref.pop()
-        elif kind == "pop_peek":
-            assert wheel.pop_and_peek() == ref.pop_and_peek()
-        elif kind == "peek":
-            assert wheel.peek_time() == ref.peek_time()
-        else:  # cancel: target a previously assigned seq (incl. popped ones)
-            if seqs:
-                seq = seqs[op[1] % len(seqs)]
-                wheel.cancel(seq)
-                ref.cancel(seq)
-        assert len(wheel) == len(ref)
-        assert bool(wheel) == (len(ref) > 0)
-    # Drain: remaining live entries must come out in identical order.
+def _drain(wheel: EventWheel, ref: HeapReference) -> None:
     while True:
-        got, want = wheel.pop(), ref.pop()
+        got, want = wheel.pop_and_peek(), ref.pop_and_peek()
         assert got == want
-        if got is None:
+        if got[0] is None:
             break
+    assert got == (None, _INF)
     assert len(wheel) == 0 and not wheel
 
 
+@settings(deadline=None, max_examples=300)
+@given(ops=OPS)
+def test_wheel_matches_heapq_reference(ops):
+    wheel = EventWheel()
+    ref = HeapReference()
+    for tid, op in enumerate(ops):
+        kind = op[0]
+        if kind == "pop":
+            assert wheel.pop_and_peek() == ref.pop_and_peek()
+        else:
+            if kind == "push":
+                time = op[1]
+            elif not wheel.times:
+                time = 0.0
+            elif kind == "wake":
+                time = wheel.times[-1] * op[1]
+            else:
+                time = wheel.times[op[1] % len(wheel.times)]
+            wheel.push(time, tid)
+            ref.push(time, tid)
+        assert wheel.times == ref.times()
+        assert len(wheel.tids) == len(wheel) == len(ref)
+        assert bool(wheel) == (len(ref) > 0)
+    _drain(wheel, ref)
+
+
 @settings(deadline=None, max_examples=100)
-@given(width=WIDTHS, n=st.integers(1, 40), time=TIMES)
-def test_same_time_entries_pop_in_push_order(width, n, time):
-    wheel = EventWheel(width)
+@given(n=st.integers(1, 40), time=TIMES, earlier=st.lists(TIMES, max_size=5))
+def test_same_time_entries_pop_in_push_order(n, time, earlier):
+    """Equal times pop in push order, also when a later push lands
+    mid-list among them."""
+    wheel = EventWheel()
     for i in range(n):
         wheel.push(time, i)
-    assert [wheel.pop()[2] for _ in range(n)] == list(range(n))
-    assert wheel.pop() is None
+    for t in earlier:
+        wheel.push(min(t, time), -1)
+    got = []
+    while wheel:
+        (t, tid), _ = wheel.pop_and_peek()
+        if t == time and tid >= 0:
+            got.append(tid)
+    assert got == list(range(n))
 
 
 @settings(deadline=None, max_examples=100)
-@given(width=WIDTHS, rounds=st.lists(st.lists(TIMES, max_size=10), max_size=8))
-def test_drain_and_refill_cycles(width, rounds):
-    """Fully draining the wheel must reset the epoch fast-path bounds;
-    a refill then reopens cleanly (regression: stale ``_lo``/``_hi``)."""
-    wheel = EventWheel(width)
+@given(rounds=st.lists(st.lists(TIMES, max_size=10), max_size=8))
+def test_drain_and_refill_cycles(rounds):
+    """A drained queue reports ``(None, inf)`` and refills cleanly."""
+    wheel = EventWheel()
     ref = HeapReference()
     for times in rounds:
-        for t in times:
-            wheel.push(t, 0)
-            ref.push(t, 0)
-        while True:
-            got, want = wheel.pop(), ref.pop()
-            assert got == want
-            if got is None:
-                break
-        assert wheel.peek_time() == _INF
+        for tid, t in enumerate(times):
+            wheel.push(t, tid)
+            ref.push(t, tid)
+        _drain(wheel, ref)
+        assert wheel.pop_and_peek() == (None, _INF)
 
 
-def test_earlier_epoch_push_demotes_current_bucket():
-    wheel = EventWheel(10.0)
-    wheel.push(25.0, 1)  # opens epoch 2
+def test_push_before_tail_is_a_mid_list_insert():
+    wheel = EventWheel()
+    wheel.push(25.0, 1)
     wheel.push(27.0, 2)
-    wheel.push(3.0, 3)  # earlier epoch: demote path
-    assert wheel.pop() == (3.0, 3, 3)
-    assert wheel.pop() == (25.0, 1, 1)
-    assert wheel.pop() == (27.0, 2, 2)
-    assert wheel.pop() is None
-
-
-def test_non_power_of_two_width_boundary_edge():
-    """Width 0.1, epoch 5: ``t = 0.6`` fails the ``[lo, hi)`` compare
-    (``hi`` is exactly 0.6) but ``int(t / width)`` still says epoch 5 —
-    the ``epoch == cur`` branch of ``_push_slow`` must catch it."""
-    wheel = EventWheel(0.1)
-    wheel.push(0.55, 0)  # opens epoch 5: lo = 0.5, hi = 0.6
-    assert not (wheel._lo <= 0.6 < wheel._hi)
-    assert int(0.6 / 0.1) == 5
-    wheel.push(0.6, 1)
-    # The entry landed in the current bucket, not a future epoch.
-    assert not wheel._buckets
-    assert wheel.pop() == (0.55, 1, 0)
-    assert wheel.pop() == (0.6, 2, 1)
-    assert wheel.pop() is None
-
-
-def test_push_pop_peek_matches_push_then_pop_and_peek():
-    a, b = EventWheel(8.0), EventWheel(8.0)
-    script = [5.0, 21.0, 3.0, 21.0, 9.0, 0.0]
-    for t in script:
-        fused = a.push_pop_peek(t, 7)
-        b.push(t, 7)
-        assert fused == b.pop_and_peek()
-        assert len(a) == len(b)
-
-
-def test_push_pop_peek_cancellation_fallback():
-    """Pending cancellations disable the fused fast path; the result must
-    still match push-then-pop, and the peeked time keeps the documented
-    lazy-deletion caveat (a cancelled entry still counts until popped)."""
-    wheel = EventWheel(8.0)
-    s = wheel.push(5.0, 0)
-    wheel.push(6.0, 1)
-    wheel.cancel(s)
-    entry, nxt = wheel.push_pop_peek(3.0, 2)
-    assert entry == (3.0, 3, 2)
-    assert nxt == 5.0  # cancelled entry not yet surfaced still peeks
-    assert wheel.pop() == (6.0, 2, 1)  # the cancelled one was discarded
-    assert wheel.pop() is None
-
-
-def test_cancel_all_then_empty():
-    wheel = EventWheel(4.0)
-    seqs = [wheel.push(float(t), t) for t in (3, 1, 2)]
-    for s in seqs:
-        wheel.cancel(s)
-    assert len(wheel) == 3  # lazy: still pending until surfaced
-    assert wheel.pop() is None
-    assert len(wheel) == 0
+    wheel.push(3.0, 3)  # before the tail: _push_slow
+    wheel.push(25.0, 4)  # ties 25.0 mid-list: after tid 1
+    assert wheel.times == [3.0, 25.0, 25.0, 27.0]
+    assert wheel.tids == [3, 1, 4, 2]
+    assert wheel.pop_and_peek() == ((3.0, 3), 25.0)
+    assert wheel.pop_and_peek() == ((25.0, 1), 25.0)
+    assert wheel.pop_and_peek() == ((25.0, 4), 27.0)
+    assert wheel.pop_and_peek() == ((27.0, 2), _INF)
+    assert wheel.pop_and_peek() == (None, _INF)

@@ -214,13 +214,15 @@ def test_innermost_mapped_module_wins(funcs, component):
 
 
 def test_inlined_wheel_line_is_wheel():
-    line = _line_of(_RUN, "heappushpop(")
-    assert line in inlined_wheel_lines()
-    assert _line_of(_RUN, "op = send(fb)") not in inlined_wheel_lines()
+    wheel_lines = inlined_wheel_lines()
     prof = HostProfiler()
-    assert prof.classify(_chain(_RUN, run_line="heappushpop(")) == "wheel"
-    assert prof.classify(_chain(_RUN, run_line="queue._pending += 1")) == "wheel"
-    assert prof.classify(_chain(_RUN, run_line="op = send(fb)")) == "dispatch"
+    for run_line in ("time = times.pop(0)", "tid = tids.pop(0)",
+                     "= bisect_right(times, t)", "tids.insert("):
+        assert _line_of(_RUN, run_line) in wheel_lines
+        assert prof.classify(_chain(_RUN, run_line=run_line)) == "wheel"
+    for run_line in ("op = send(fb)", "cls = op.__class__", "if t > hz:"):
+        assert _line_of(_RUN, run_line) not in wheel_lines
+        assert prof.classify(_chain(_RUN, run_line=run_line)) == "dispatch"
 
 
 def test_no_engine_run_frame_is_setup():

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.apps.factory import AppFactory
+from repro.apps.presets import preset
 from repro.config import MachineConfig
 from repro.runtime.context import Machine
 from repro.scenarios import apply_scenario
@@ -29,6 +30,7 @@ from repro.sim.reference import (
     run_case,
     use_reference_engine,
 )
+from repro.sim.wheel import EventWheel
 from tests.golden import FIXTURE, golden_cases
 
 GOLDEN = json.loads(FIXTURE.read_text())
@@ -269,3 +271,23 @@ def test_observer_neutrality_on_reference_engine():
         seen |= {c[2] for c in streams["wheel"] if c[0] == "access"}
         seen |= {c[3].kind for c in streams["wheel"] if c[0] == "access" and c[2] == "release"}
         assert must_see <= seen, build.__name__
+
+
+@pytest.mark.parametrize("nprocs", [64, 256])
+@pytest.mark.parametrize("app,system", [("IS", "z-mc"), ("Maxflow", "RCinv")])
+def test_wheel_and_reference_agree_at_large_p(app, system, nprocs, monkeypatch):
+    """Fuzz draws P <= 16; at large P the ready queue is long, so
+    switches and wakes insert deep inside it."""
+    slow = []
+    push_slow = EventWheel._push_slow
+
+    def counted(queue, time, tid):
+        slow.append(time)
+        push_slow(queue, time, tid)
+
+    monkeypatch.setattr(EventWheel, "_push_slow", counted)
+    factory, _ = preset("smoke")[app]
+    wheel = run_case(factory, system, nprocs=nprocs, engine="wheel")
+    ref = run_case(factory, system, nprocs=nprocs, engine="reference")
+    assert json.loads(json.dumps(wheel)) == json.loads(json.dumps(ref))
+    assert slow, "no push landed before the queue's tail"
