@@ -21,13 +21,13 @@ diff     decompose the overhead delta between two saved attribution
          reports (from ``repro attribute --out``)
 bench    time serial vs parallel vs cached execution of the full study
          set and write a BENCH_parallel.json perf baseline (with
-         ``--trace``: measure observability overhead → BENCH_trace.json;
-         with ``--profile``: measure self-profiler overhead →
+         ``--profile``: measure self-profiler overhead →
          BENCH_profile.json)
-perf     bench-history ledger: ``perf record`` appends BENCH_*.json
-         snapshots into benchmarks/history.jsonl keyed by commit and
-         host; ``perf report`` prints deltas and trends against the
-         committed baselines and flags regressions
+perf     perfbench ledger and speed gate: ``perf record`` appends saved
+         perfbench/run.py output to benchmarks/history.jsonl keyed by
+         commit; ``perf report`` prints each series' trend and latest
+         delta; ``perf compare BASE_DIR`` runs interleaved perfbench
+         pairs against another checkout and fails on a regression
 check    run the correctness analyses (happens-before race detection +
          protocol invariant checking) over an apps × systems matrix;
          exits nonzero on any finding
@@ -77,22 +77,12 @@ from .apps import SCALES, default_scale, preset
 from .apps.factory import AppFactory
 from .core import perf
 from .core.bench import (
-    ATTRIB_BENCH_FILE,
     BENCH_FILE,
-    ENGINE_BENCH_FILE,
     PROFILE_BENCH_FILE,
-    TRACE_BENCH_FILE,
-    check_engine_regression,
-    format_attrib_bench,
     format_bench,
-    format_engine_bench,
     format_profile_bench,
-    format_trace_bench,
-    run_attrib_bench,
     run_bench,
-    run_engine_bench,
     run_profile_bench,
-    run_trace_bench,
 )
 from .core.parallel import ResultCache, parallel_map
 from .core.table1 import table1_with_manifest
@@ -427,43 +417,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     log = get_logger()
-    if args.engine:
-        out = args.out if args.out != BENCH_FILE else ENGINE_BENCH_FILE
-        if args.quick:
-            # Quick mode is the CI perf-smoke: one rep, never overwrites
-            # the committed baseline — it is compared against it.
-            doc = run_engine_bench(
-                scale=args.scale, nprocs=args.nprocs, reps=1, out=None
-            )
-            log.out(format_engine_bench(doc))
-            baseline_path = Path(out)
-            if not baseline_path.exists():
-                log.out(f"no committed baseline at {out}; regression check skipped")
-                return 0
-            baseline = json.loads(baseline_path.read_text())
-            ok, msg = check_engine_regression(doc, baseline)
-            log.out(msg)
-            return 0 if ok else 1
-        doc = run_engine_bench(scale=args.scale, nprocs=args.nprocs, out=out)
-        log.out(format_engine_bench(doc))
-        log.out(f"trajectory written to {out}")
-        return 0
-    if args.trace:
-        out = args.out if args.out != BENCH_FILE else TRACE_BENCH_FILE
-        doc = run_trace_bench(scale=args.scale, out=out)
-        log.out(format_trace_bench(doc))
-        log.out(f"trajectory written to {out}")
-        return 0
     if args.profile:
         out = args.out if args.out != BENCH_FILE else PROFILE_BENCH_FILE
         doc = run_profile_bench(scale=args.scale, nprocs=args.nprocs, out=out)
         log.out(format_profile_bench(doc))
-        log.out(f"trajectory written to {out}")
-        return 0
-    if args.attrib:
-        out = args.out if args.out != BENCH_FILE else ATTRIB_BENCH_FILE
-        doc = run_attrib_bench(scale=args.scale, nprocs=args.nprocs, out=out)
-        log.out(format_attrib_bench(doc))
         log.out(f"trajectory written to {out}")
         return 0
     doc = run_bench(scale=args.scale, jobs=args.jobs or None, out=args.out)
@@ -682,19 +639,17 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 
 def cmd_perf_record(args: argparse.Namespace) -> int:
     log = get_logger()
-    paths = args.paths or sorted(str(p) for p in Path(".").glob(perf.BENCH_GLOB))
-    if not paths:
-        log.out(f"no bench snapshots matched {perf.BENCH_GLOB}; nothing to record")
-        return 0
-    appended = perf.record(paths, history=args.history, commit=args.commit)
+    try:
+        appended = perf.record(args.logs, history=args.history)
+    except perf.PerfError as exc:
+        log.error(f"perf record refused: {exc}")
+        return 1
     log.out(
-        f"recorded {len(appended)} entr{'y' if len(appended) == 1 else 'ies'} "
-        f"into {args.history} (from {len(paths)} snapshot(s))"
+        f"recorded {len(appended)} point(s) into {args.history} "
+        f"(from {len(args.logs)} log(s))"
     )
     for entry in appended:
-        log.debug(
-            f"  {entry['bench']}/{entry['scale']}: {entry['metric']}={entry['value']}"
-        )
+        log.debug(f"  {entry['workload']}: {entry['metric']}={entry['value']}")
     return 0
 
 
@@ -703,16 +658,29 @@ def cmd_perf_report(args: argparse.Namespace) -> int:
     entries = perf.load_history(args.history)
     if not entries:
         log.out(f"no ledger at {args.history}; run 'repro perf record' first")
-        return 1 if args.strict else 0
-    baselines = perf.collect_baselines(args.baseline_dir)
-    report = perf.build_report(entries, baselines, tolerance=args.tolerance)
+        return 0
+    report = perf.build_report(entries, perf.metric_table())
     if args.format == "json":
         log.out(json.dumps(report, indent=2))
     else:
         log.out(perf.format_report(report))
-    if report["regressions"] and args.strict:
-        return 1
     return 0
+
+
+def cmd_perf_compare(args: argparse.Namespace) -> int:
+    log = get_logger()
+
+    def runner(tree, workload):
+        log.info(f"perfbench {workload} in {tree}")
+        return perf.run_perfbench(tree, workload)
+
+    try:
+        result = perf.compare(args.base_dir, runner=runner)
+    except perf.PerfError as exc:
+        log.error(f"perf compare: {exc}")
+        return 1
+    log.out(perf.format_compare(result))
+    return 1 if result["failed"] else 0
 
 
 def cmd_systems(args: argparse.Namespace) -> int:
@@ -957,34 +925,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--out", default=BENCH_FILE, help=f"output path (default {BENCH_FILE})")
     p_bench.add_argument(
-        "--trace",
-        action="store_true",
-        help=f"measure observability overhead instead (writes {TRACE_BENCH_FILE})",
-    )
-    p_bench.add_argument(
-        "--engine",
-        action="store_true",
-        help="measure raw engine throughput (simulated events/sec) instead "
-        f"(writes {ENGINE_BENCH_FILE})",
-    )
-    p_bench.add_argument(
         "--profile",
         action="store_true",
         help="measure self-profiler overhead instead: interleaved plain vs "
         f"stack-sampled study matrix (writes {PROFILE_BENCH_FILE})",
-    )
-    p_bench.add_argument(
-        "--attrib",
-        action="store_true",
-        help="measure overhead-attribution cost instead: interleaved plain vs "
-        f"attributed study matrix (writes {ATTRIB_BENCH_FILE})",
-    )
-    p_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="with --engine: one rep, compare against the committed "
-        f"{ENGINE_BENCH_FILE} instead of overwriting it; exit 1 on >20%% "
-        "events/sec regression (the CI perf-smoke mode)",
     )
     p_bench.set_defaults(func=cmd_bench)
 
@@ -1182,34 +1126,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_perf = sub.add_parser(
         "perf",
-        help="bench-history ledger: record BENCH snapshots, report trends/regressions",
+        help="perfbench ledger (record/report) and the interleaved A/B speed gate (compare)",
     )
     perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
 
     p_perf_rec = perf_sub.add_parser(
-        "record", help=f"append bench snapshots to the ledger ({perf.HISTORY_FILE})"
+        "record", help=f"append saved perfbench/run.py output to the ledger ({perf.HISTORY_FILE})"
     )
-    p_perf_rec.add_argument(
-        "paths",
-        nargs="*",
-        help=f"bench snapshot files (default: every {perf.BENCH_GLOB} in the cwd)",
-    )
+    p_perf_rec.add_argument("logs", nargs="+", metavar="LOG", help="saved perfbench stdout")
     p_perf_rec.add_argument(
         "--history",
         default=perf.HISTORY_FILE,
         metavar="PATH",
         help=f"ledger file (default {perf.HISTORY_FILE})",
-    )
-    p_perf_rec.add_argument(
-        "--commit",
-        default=None,
-        metavar="SHA",
-        help="commit to record entries under (default: detected via git)",
     )
     p_perf_rec.set_defaults(func=cmd_perf_record)
 
     p_perf_rep = perf_sub.add_parser(
-        "report", help="print per-series deltas and trends vs the committed baselines"
+        "report", help="print each ledger series' trend and latest delta"
     )
     p_perf_rep.add_argument(
         "--history",
@@ -1217,26 +1151,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=f"ledger file (default {perf.HISTORY_FILE})",
     )
-    p_perf_rep.add_argument(
-        "--baseline-dir",
-        default=".",
-        metavar="DIR",
-        help="directory holding the committed BENCH_*.json baselines (default .)",
-    )
-    p_perf_rep.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="relative movement in the bad direction that counts as a "
-        "regression (default 0.2)",
-    )
-    p_perf_rep.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 on any flagged regression (or a missing ledger)",
-    )
     p_perf_rep.add_argument("--format", choices=("text", "json"), default="text")
     p_perf_rep.set_defaults(func=cmd_perf_report)
+
+    p_perf_cmp = perf_sub.add_parser(
+        "compare",
+        help="interleaved perfbench pairs of BASE_DIR and this tree; "
+        "exit 1 when a metric is worse than its bound in every pair",
+    )
+    p_perf_cmp.add_argument("base_dir", metavar="BASE_DIR", help="checkout of the base commit")
+    p_perf_cmp.set_defaults(func=cmd_perf_compare)
 
     p_sys = sub.add_parser("systems", help="list systems and applications")
     p_sys.set_defaults(func=cmd_systems)

@@ -23,7 +23,6 @@ import pytest
 from repro.__main__ import main
 from repro.apps.presets import smoke_scale
 from repro.config import MachineConfig
-from repro.core.bench import run_attrib_bench
 from repro.obs.attrib import (
     DIMENSIONS,
     EXACT_TOLERANCE,
@@ -442,16 +441,6 @@ def test_cli_diff_rejects_non_report(tmp_path):
     bad.write_text('{"kind": "manifest"}\n')
     with pytest.raises(SystemExit):
         main(["diff", str(bad), str(bad)])
-
-
-def test_attrib_bench_smoke():
-    doc = run_attrib_bench(
-        scale="smoke", nprocs=8, reps=1, systems=("RCinv",), out=None
-    )
-    assert doc["bench"] == "attribution-overhead"
-    assert doc["results_identical"] is True
-    assert doc["attribution_exact"] is True
-    assert doc["overhead_ratio"] > 0
 
 
 # ---------------------------------------------------------------------------

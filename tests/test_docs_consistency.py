@@ -4,7 +4,8 @@ Guards against documentation drift:
 
 * every CLI subcommand (including nested ones, e.g. ``repro scenario
   run``) and long flag that ``repro.__main__.build_parser`` defines
-  must be mentioned in README.md;
+  must be mentioned in README.md, and every ``python -m repro …``
+  command README shows must still parse;
 * the machine-constants table in docs/cost_model.md must list every
   :class:`MachineConfig` field with its actual default;
 * every registered degradation scenario (and each of its knobs) must be
@@ -15,9 +16,12 @@ Guards against documentation drift:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
+import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -66,6 +70,32 @@ def test_every_cli_flag_documented_in_readme():
     assert flags
     missing = {flag for flag in flags if flag not in README}
     assert not missing, f"README.md never mentions these flags: {sorted(missing)}"
+
+
+def readme_cli_lines() -> list[str]:
+    """The arguments of every ``python -m repro …`` line in README's fenced
+    blocks, ``\\`` continuations joined and shell comments/redirects cut."""
+    lines = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", README, re.MULTILINE | re.DOTALL):
+        for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+            match = re.search(r"python -m repro\b(.*)", line)
+            if match:
+                lines.append(re.split(r"\s[|>]|\s&&|;", match.group(1))[0])
+    return lines
+
+
+def test_every_readme_cli_line_parses():
+    lines = readme_cli_lines()
+    assert len(lines) > 50  # the extraction really finds README's examples
+    parser = build_parser()
+    stale = []
+    for line in lines:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                parser.parse_args(shlex.split(line, comments=True))
+        except SystemExit:
+            stale.append(line.strip())
+    assert not stale, f"README.md shows commands the CLI rejects: {stale}"
 
 
 def machine_constant_rows() -> dict[str, str]:

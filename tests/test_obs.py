@@ -16,7 +16,6 @@ from types import SimpleNamespace
 from repro import MachineConfig
 from repro.apps import AppFactory
 from repro.apps.base import run_machine
-from repro.core.bench import TRACE_MODES, run_trace_bench
 from repro.obs import (
     MetricsCollector,
     build_manifest,
@@ -338,14 +337,3 @@ def test_tracing_overhead_bounded():
     base = best(False)
     traced = best(True)
     assert traced <= base * 1.3 + 0.05, f"tracing overhead {traced / base:.2f}x"
-
-
-def test_run_trace_bench_document(tmp_path):
-    out = tmp_path / "BENCH_trace.json"
-    doc = run_trace_bench(scale="smoke", repeats=1, out=out)
-    loaded = json.loads(out.read_text())
-    assert loaded["bench"] == "observability-overhead"
-    assert set(loaded["modes"]) == set(TRACE_MODES)
-    assert loaded["modes"]["plain"]["ratio"] == 1.0
-    assert doc["events"] > 0
-    assert loaded["manifest"]["kind"] == "trace-bench"

@@ -229,44 +229,3 @@ def test_run_bench_smoke(tmp_path):
     assert doc["n_runs"] == 20  # 4 apps x 5 paper systems
     assert set(doc["phases"]) == {"serial", "parallel", "cached"}
     assert doc["phases"]["cached"]["wall_s"] < doc["phases"]["serial"]["wall_s"]
-
-
-def test_run_engine_bench_smoke(tmp_path):
-    import json
-
-    from repro.core.bench import format_engine_bench, run_engine_bench
-
-    out = tmp_path / "BENCH_engine.json"
-    doc = run_engine_bench(scale="smoke", nprocs=4, reps=2, out=out)
-    assert out.is_file()
-    assert json.loads(out.read_text()) == doc
-    assert doc["bench"] == "engine-throughput"
-    assert doc["scale"] == "smoke" and doc["nprocs"] == 4
-    assert doc["events"] > 0
-    assert doc["events_per_sec"] > 0
-    assert len(doc["wall_s_all_reps"]) == 2
-    assert doc["wall_s"] == min(doc["wall_s_all_reps"])
-    assert "events/sec" in format_engine_bench(doc)
-
-
-def test_engine_regression_check():
-    from repro.core.bench import check_engine_regression
-
-    base = {"scale": "default", "nprocs": 16, "events_per_sec": 100_000.0}
-    ok, _ = check_engine_regression(
-        {"scale": "default", "nprocs": 16, "events_per_sec": 85_000.0}, base
-    )
-    assert ok  # -15% is inside the 20% tolerance
-    ok, msg = check_engine_regression(
-        {"scale": "default", "nprocs": 16, "events_per_sec": 70_000.0}, base
-    )
-    assert not ok and "REGRESSION" in msg
-    # Apples-to-oranges docs never fail the gate.
-    ok, msg = check_engine_regression(
-        {"scale": "smoke", "nprocs": 16, "events_per_sec": 1.0}, base
-    )
-    assert ok and "not comparable" in msg
-    ok, msg = check_engine_regression(
-        {"scale": "default", "nprocs": 64, "events_per_sec": 1.0}, base
-    )
-    assert ok and "not comparable" in msg

@@ -333,3 +333,14 @@ def test_to_perfetto_flame():
     assert cursor <= root[0]["dur"] * 1.001
     json.dumps(doc)  # must be serialisable
 
+
+
+def test_profile_bench_smoke():
+    from repro.core.bench import format_profile_bench, run_profile_bench
+
+    doc = run_profile_bench(scale="smoke", nprocs=4, reps=2, systems=("RCinv",), out=None)
+    assert doc["results_identical"] is True
+    assert doc["events"] > 0
+    assert len(doc["rep_ratios"]) == 2
+    assert doc["overhead_ratio"] in doc["rep_ratios"]
+    assert "profiler overhead" in format_profile_bench(doc)
