@@ -11,7 +11,7 @@ trace    run one application with the tracer attached and export a
          Perfetto/Chrome trace (and optionally interval metrics)
 profile  build and run one application under the host stack sampler and
          print the per-component wall-time attribution (setup / wheel /
-         app / mem / network / tracer / sync / observer / dispatch),
+         app / mem / network / sync / observer / dispatch),
          optionally as a Perfetto flame view
 attribute run one application under exact overhead attribution and
          print ranked stall-cycle tables by shared region / sync object /
@@ -65,13 +65,7 @@ from pathlib import Path
 
 from . import MachineConfig, figure1_scenario, run_study
 from .analysis import format_claims, format_figure, format_table1, standard_claims
-from .analysis.checkers import (
-    CHECK_BENCH_FILE,
-    check_matrix,
-    format_outcomes,
-    run_checks,
-    write_check_bench,
-)
+from .analysis.checkers import check_matrix, format_outcomes, run_checks
 from .analysis.report import studies_to_csv, studies_to_json, table1_to_csv
 from .apps import SCALES, default_scale, preset
 from .apps.factory import AppFactory
@@ -448,21 +442,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"unknown application {args.app!r}; choose from "
             f"{', '.join(scale_apps)}, RacyDemo or 'all'"
         )
-    specs = check_matrix(factories, systems, cfg, max_events=args.max_events)
-    t0 = time.perf_counter()
+    specs = check_matrix(factories, systems, cfg)
     outcomes = run_checks(specs, jobs=args.jobs, cache=_cache(args))
-    wall = time.perf_counter() - t0
     log.out(format_outcomes(outcomes))
-    if args.bench_out:
-        doc = write_check_bench(
-            outcomes,
-            wall,
-            jobs=args.jobs,
-            scale=args.scale,
-            out=args.bench_out,
-            nprocs=cfg.nprocs,
-        )
-        log.out(f"checker timing written to {args.bench_out} ({doc['wall_s']}s wall)")
     findings = sum(o.races.total + o.violation_total for o in outcomes)
     if findings:
         log.out(f"FAIL: {findings} finding(s) across {len(outcomes)} run(s)")
@@ -942,17 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--systems", nargs="*", help="memory systems (default: all six)")
     p_check.add_argument("--scale", choices=SCALES, default="smoke")
-    p_check.add_argument(
-        "--max-events",
-        type=int,
-        default=500_000,
-        help="trace ring size per run (default 500000)",
-    )
-    p_check.add_argument(
-        "--bench-out",
-        default=None,
-        help=f"write a checker timing trajectory (e.g. {CHECK_BENCH_FILE})",
-    )
     _add_parallel_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 

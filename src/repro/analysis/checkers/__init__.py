@@ -1,46 +1,41 @@
 """Correctness-analysis subsystem: race detection + protocol invariants.
 
-Two engines over one instrumented simulation (see docs/correctness.md):
+Two engine observers over one instrumented simulation (see
+docs/correctness.md):
 
-* :mod:`~repro.analysis.checkers.races` — FastTrack-style vector-clock
-  happens-before data-race detection over a
-  :class:`~repro.sim.trace.TracingMemory` event list;
+* :mod:`~repro.analysis.checkers.races` — :class:`RaceDetector`,
+  FastTrack-style vector-clock happens-before data-race detection over
+  the access stream;
 * :mod:`~repro.analysis.checkers.invariants` —
-  :class:`CheckedMemorySystem`, a memory-system decorator auditing
-  directory/cache/buffer invariants after every operation;
+  :class:`InvariantChecker`, auditing directory/cache/buffer invariants
+  after every memory-system operation;
 * :mod:`~repro.analysis.checkers.runner` — the apps × systems matrix
   behind ``repro check``, parallelised and cached through
   :mod:`repro.core.parallel`.
 """
 
-from .invariants import CheckedMemorySystem, Violation
-from .races import Race, RaceAccess, RaceReport, detect_races
+from .invariants import InvariantChecker, Violation
+from .races import Race, RaceAccess, RaceDetector, RaceReport
 from .runner import (
-    CHECK_BENCH_FILE,
-    CheckBench,
     CheckOutcome,
     CheckSpec,
     check_matrix,
     execute_check,
     format_outcomes,
     run_checks,
-    write_check_bench,
 )
 
 __all__ = [
-    "CHECK_BENCH_FILE",
-    "CheckBench",
     "CheckOutcome",
     "CheckSpec",
-    "CheckedMemorySystem",
+    "InvariantChecker",
     "Race",
     "RaceAccess",
+    "RaceDetector",
     "RaceReport",
     "Violation",
     "check_matrix",
-    "detect_races",
     "execute_check",
     "format_outcomes",
     "run_checks",
-    "write_check_bench",
 ]

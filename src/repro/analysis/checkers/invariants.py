@@ -1,10 +1,12 @@
 """Protocol invariant checking for the directory-based memory systems.
 
-:class:`CheckedMemorySystem` decorates any memory system and audits the
-directory/cache state machine after every operation, logging violations
-instead of raising so a sweep can surface every failure.  It is the only
-memory-system decorator: it inspects protocol state, which the engine
-observers of :mod:`repro.sim.observer` never see.  The rules:
+:class:`InvariantChecker` is an engine observer (see
+:mod:`repro.sim.observer`) that audits the directory/cache state machine
+after every memory-system operation, logging violations instead of
+raising so a sweep can surface every failure.  Like the attribution
+collector it holds the observed memory system and reads its protocol
+state inside ``on_access``, which the engine calls right after the
+operation returns.  The rules:
 
 * **single-owned** — at most one cache holds a block OWNED with no
   invalidation in flight, and the directory's ``owner`` field points at
@@ -21,10 +23,9 @@ observers of :mod:`repro.sim.observer` never see.  The rules:
   non-negative stall components whose sum is bounded by the elapsed
   latency, and never completes before it was issued.
 
-Checks are scoped to what the wrapped system exposes (the z-machine has
+Checks are scoped to what the observed system exposes (the z-machine has
 no caches or buffers, so only the ``AccessResult`` checks apply to it).
-The wrapper is observationally transparent: results and timing are
-returned unchanged.
+Flag sets and waits never reach the memory system and are not audited.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ...sim.stats import AccessResult
+from ...mem.cache import OWNED
+from ...sim.observer import Observer, subscribe
+from ...sim.stats import AccessResult, SyncPoint
 
 #: Float-comparison slack for cycle arithmetic.
 EPS = 1e-6
-
-try:
-    from ...mem.cache import OWNED
-except ImportError:  # pragma: no cover - cache model is a hard dependency
-    OWNED = 2
 
 
 @dataclass(frozen=True)
@@ -63,8 +61,8 @@ class Violation:
         return f"{self.rule}@t={self.time:.0f}{ctx}: {self.detail}"
 
 
-class CheckedMemorySystem:
-    """Decorates a memory system, auditing invariants after every call.
+class InvariantChecker(Observer):
+    """Engine observer auditing invariants after every memory-system call.
 
     ``full_check_interval`` controls how often (in operations) the full
     directory is scanned in addition to the per-operation check of the
@@ -72,10 +70,11 @@ class CheckedMemorySystem:
     all in-flight invalidations as delivered.
     """
 
-    def __init__(self, inner, max_violations: int = 200, full_check_interval: int = 256):
+    def __init__(self, memsys, max_violations: int = 200, full_check_interval: int = 256):
         if max_violations < 1:
             raise ValueError("max_violations must be >= 1")
-        self.inner = inner
+        #: The observed memory system, read for its protocol state.
+        self.memsys = memsys
         self.max_violations = max_violations
         self.full_check_interval = full_check_interval
         self.violations: list[Violation] = []
@@ -83,15 +82,13 @@ class CheckedMemorySystem:
         self.checks_run = 0
         self._ops = 0
         self._seen: set[tuple[str, int | None, int | None]] = set()
-        self._prev_fanout = list(getattr(inner, "fanout_done", ()))
+        self._prev_fanout = list(getattr(memsys, "fanout_done", ()))
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def attach(cls, machine, **kwargs) -> CheckedMemorySystem:
-        """Interpose a checker between a Machine's engine and memory."""
-        checked = cls(machine.engine.memsys, **kwargs)
-        machine.engine.memsys = checked
-        return checked
+    def attach(cls, machine, **kwargs) -> InvariantChecker:
+        """Subscribe a checker to a Machine's engine."""
+        return subscribe(machine.engine, cls(machine.engine.memsys, **kwargs))
 
     # -- violation log --------------------------------------------------
     def _report(
@@ -126,46 +123,26 @@ class CheckedMemorySystem:
             lines.append(f"  ... {total - limit} more")
         return "\n".join(lines)
 
-    # -- memory-system protocol -----------------------------------------
-    def read(self, proc: int, addr: int, now: float) -> AccessResult:
-        res = self.inner.read(proc, addr, now)
-        self._after_op("read", proc, addr, now, res)
-        return res
-
-    def write(self, proc: int, addr: int, now: float) -> AccessResult:
-        res = self.inner.write(proc, addr, now)
-        self._after_op("write", proc, addr, now, res)
-        return res
-
-    def acquire(self, proc: int, now: float) -> AccessResult:
-        res = self.inner.acquire(proc, now)
-        self._after_op("acquire", proc, None, now, res)
-        return res
-
-    def release(self, proc: int, now: float) -> AccessResult:
-        res = self.inner.release(proc, now)
-        self._after_op("release", proc, None, now, res)
-        self._check_release_drained(proc, res.time)
-        return res
-
-    def __getattr__(self, name: str):
-        # Delegate everything else (publish, caches, line_size, ...) inward.
-        return getattr(self.inner, name)
-
-    # -- checks ----------------------------------------------------------
-    def _after_op(
-        self, kind: str, proc: int, addr: int | None, now: float, res: AccessResult
-    ) -> None:
+    # -- engine-observer callback ------------------------------------------
+    def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
+        if kind == "flag_set" or kind == "flag_wait":
+            return
+        if kind == "read_nb":
+            kind = "read"
         self._ops += 1
         self.checks_run += 1
-        self._check_access_result(kind, proc, now, res)
-        self._check_fanout(kind, proc, res.time)
-        inner = self.inner
-        if addr is not None and getattr(inner, "caches", None) is not None:
-            self._check_block(inner.block_of(addr), res.time)
+        self._check_access_result(kind, proc, issue, res)
+        now = res.time
+        self._check_fanout(kind, proc, now)
+        memsys = self.memsys
+        if target.__class__ is not SyncPoint and getattr(memsys, "caches", None) is not None:
+            self._check_block(memsys.block_of(target), now)
         if self.full_check_interval and self._ops % self.full_check_interval == 0:
-            self.full_check(res.time)
+            self.full_check(now)
+        if kind == "release":
+            self._check_release_drained(proc, now)
 
+    # -- checks ----------------------------------------------------------
     def _check_access_result(self, kind: str, proc: int, now: float, res: AccessResult) -> None:
         elapsed = res.time - now
         if elapsed < -EPS:
@@ -196,7 +173,7 @@ class CheckedMemorySystem:
             )
 
     def _check_fanout(self, kind: str, proc: int, now: float) -> None:
-        fanout = getattr(self.inner, "fanout_done", None)
+        fanout = getattr(self.memsys, "fanout_done", None)
         if fanout is None:
             return
         prev = self._prev_fanout
@@ -218,8 +195,8 @@ class CheckedMemorySystem:
         prev[proc] = current
 
     def _check_release_drained(self, proc: int, now: float) -> None:
-        inner = self.inner
-        store = getattr(inner, "store_buffers", None)
+        memsys = self.memsys
+        store = getattr(memsys, "store_buffers", None)
         if store is not None and store[proc].occupancy(now) != 0:
             self._report(
                 "release-store-buffer",
@@ -227,7 +204,7 @@ class CheckedMemorySystem:
                 f"store buffer holds {store[proc].occupancy(now)} entrie(s) after release",
                 proc=proc,
             )
-        merge = getattr(inner, "merge_buffers", None)
+        merge = getattr(memsys, "merge_buffers", None)
         if merge is not None and len(merge[proc]) != 0:
             self._report(
                 "release-merge-buffer",
@@ -235,7 +212,7 @@ class CheckedMemorySystem:
                 f"merge buffer holds {len(merge[proc])} open line(s) after release",
                 proc=proc,
             )
-        fanout = getattr(inner, "fanout_done", None)
+        fanout = getattr(memsys, "fanout_done", None)
         if fanout is not None and fanout[proc] != 0.0:
             self._report(
                 "release-fanout",
@@ -252,9 +229,9 @@ class CheckedMemorySystem:
         flight is excused from both invariants (its presence bit is
         already gone and a new owner may already exist).
         """
-        inner = self.inner
-        entry = inner.directory.peek(block)
-        caches = inner.caches
+        memsys = self.memsys
+        entry = memsys.directory.peek(block)
+        caches = memsys.caches
         owners = []
         for p, cache in enumerate(caches):
             line = cache.peek(block)
@@ -291,16 +268,16 @@ class CheckedMemorySystem:
 
     def full_check(self, now: float) -> None:
         """Scan every directory block (periodic + final audit)."""
-        if getattr(self.inner, "caches", None) is None:
+        if getattr(self.memsys, "caches", None) is None:
             return
         self.checks_run += 1
-        for block in self.inner.directory.blocks():
+        for block in self.memsys.directory.blocks():
             self._check_block(block, now)
 
     def final_check(self, now: float = math.inf) -> None:
         """End-of-run audit: all in-flight invalidations count as done."""
         self.full_check(now)
-        fanout = getattr(self.inner, "fanout_done", None)
+        fanout = getattr(self.memsys, "fanout_done", None)
         if fanout is not None:
             for p, value in enumerate(fanout):
                 if value < -EPS:
@@ -309,4 +286,4 @@ class CheckedMemorySystem:
                     )
 
 
-__all__ = ["CheckedMemorySystem", "Violation", "EPS"]
+__all__ = ["EPS", "InvariantChecker", "Violation"]

@@ -1,10 +1,11 @@
-"""Vector-clock happens-before data-race detection over memory traces.
+"""Vector-clock happens-before data-race detection, online.
 
-The engine issues operations in global simulated-time order, so a
-:class:`~repro.sim.trace.TracingMemory` event list is a linearisation of
-the execution.  This module rebuilds the happens-before relation from
-the synchronisation events in that list (FastTrack-style) and reports
-conflicting data accesses that are unordered by it:
+The engine issues operations in global simulated-time order, so the
+stream of engine-observer callbacks (:mod:`repro.sim.observer`) is a
+linearisation of the execution.  :class:`RaceDetector` subscribes to it,
+rebuilds the happens-before relation from the synchronisation events
+(FastTrack-style) as they arrive and reports conflicting data accesses
+that are unordered by it:
 
 * **lock** — a release hands its vector clock to the lock; the next
   acquirer of the same lock joins it;
@@ -13,11 +14,12 @@ conflicting data accesses that are unordered by it:
 * **flag** — each set joins into the flag's cumulative clock and
   snapshots it per epoch; a wait for epoch *k* joins snapshot *k*.
 
-Blocked synchronisation operations are recorded at *request* time, which
-may precede the enabling release/set in the trace.  Joins are therefore
-deferred: a sync edge registered at event *i* is applied at the
-processor's *next* event, which the sync manager's network round-trip
-guarantees is issued strictly after the enabling event was traced.
+Blocked synchronisation operations are reported at *request* time, which
+may precede the enabling release/set in the stream.  Joins are therefore
+deferred: a sync edge registered at one callback is applied at the
+processor's *next* access or phase marker, which the sync manager's
+network round-trip guarantees is issued strictly after the enabling
+event was observed.
 
 Intentionally unsynchronised accesses (optimistic polling re-validated
 under a lock) are declared with ``SharedArray(relaxed="read")`` and are
@@ -26,10 +28,10 @@ excluded from race candidacy; see docs/correctness.md.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from ...sim.trace import TraceEvent
+from ...sim.observer import Observer, subscribe
+from ...sim.stats import SyncPoint
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,6 @@ class RaceReport:
     sync_events: int = 0
     #: Data accesses skipped because their array is labeled ``relaxed``.
     relaxed_skipped: int = 0
-    #: Events dropped by the tracer's ring bound — a nonzero value means
-    #: the analysis only covers a prefix of the execution.
-    trace_dropped: int = 0
 
     @property
     def clean(self) -> bool:
@@ -90,27 +89,6 @@ class RaceReport:
         return "\n".join(lines)
 
 
-class _AddressMap:
-    """addr -> (array name, element index, relaxed label) via bisection."""
-
-    def __init__(self, arrays):
-        spans = []
-        for arr in arrays:
-            end = arr.base + arr.n * arr._word
-            spans.append((arr.base, end, arr.name or f"array@{arr.base}", arr._word, arr.relaxed))
-        spans.sort()
-        self._starts = [s[0] for s in spans]
-        self._spans = spans
-
-    def resolve(self, addr: int) -> tuple[str, int | None, str]:
-        i = bisect_right(self._starts, addr) - 1
-        if i >= 0:
-            base, end, name, word, relaxed = self._spans[i]
-            if addr < end:
-                return name, (addr - base) // word, relaxed
-        return f"addr@{addr}", None, ""
-
-
 class _Shadow:
     """Per-address last-writer epoch plus per-processor read epochs."""
 
@@ -121,14 +99,18 @@ class _Shadow:
         self.reads: dict[int, tuple[int, float]] = {}  # proc -> (clock, time)
 
 
-def detect_races(
-    events: list[TraceEvent],
-    nprocs: int,
-    shm=None,
-    max_races: int = 100,
-    trace_dropped: int = 0,
-) -> RaceReport:
-    """Run the happens-before pass over ``events``.
+def _join(vc: list[int], other: list[int]) -> None:
+    for i, v in enumerate(other):
+        if v > vc[i]:
+            vc[i] = v
+
+
+class RaceDetector(Observer):
+    """Engine observer running the happens-before pass as the run goes::
+
+        detector = RaceDetector.attach(machine)
+        machine.run(worker)
+        print(detector.report.describe())
 
     ``shm`` (a :class:`~repro.runtime.sharedmem.SharedMemory`) enables
     array/element attribution and the ``relaxed`` labeled-access
@@ -136,113 +118,137 @@ def detect_races(
     address.  ``max_races`` bounds the distinct (location, kind-pair)
     entries kept in the report; the total count is always exact.
     """
-    addrmap = _AddressMap(shm.arrays) if shm is not None else None
-    clocks = [[0] * nprocs for _ in range(nprocs)]
-    for p in range(nprocs):
-        clocks[p][p] = 1
-    lock_clocks: dict[int, list[int]] = {}
-    barrier_acc: dict[tuple[int, int], list[int]] = {}
-    flag_cum: dict[int, list[int]] = {}
-    flag_snap: dict[tuple[int, int], list[int]] = {}
-    #: Deferred joins, applied at the processor's next event.
-    pending: list[list[tuple[str, object]]] = [[] for _ in range(nprocs)]
-    shadow: dict[int, _Shadow] = {}
-    report = RaceReport(trace_dropped=trace_dropped)
-    seen: set[tuple[int, str, str]] = set()
 
-    def resolve_join(kind: str, key) -> list[int] | None:
-        if kind == "lock":
-            return lock_clocks.get(key)
-        if kind == "barrier":
-            return barrier_acc.get(key)
-        # Flag: prefer the exact epoch snapshot; fall back to the
-        # cumulative clock when the set was dropped from the trace.
-        return flag_snap.get(key) or flag_cum.get(key[0])
+    def __init__(self, nprocs: int, shm=None, max_races: int = 100):
+        self.nprocs = nprocs
+        self.shm = shm
+        self.max_races = max_races
+        self.report = RaceReport()
+        #: Callbacks observed (accesses, sync ops and phase markers).
+        self.events = 0
+        self._clocks = [[0] * nprocs for _ in range(nprocs)]
+        for p in range(nprocs):
+            self._clocks[p][p] = 1
+        self._lock_clocks: dict[int, list[int]] = {}
+        self._barrier_acc: dict[tuple[int, int], list[int]] = {}
+        self._flag_cum: dict[int, list[int]] = {}
+        self._flag_snap: dict[tuple[int, int], list[int]] = {}
+        #: Deferred joins, applied at the processor's next callback.
+        self._pending: list[list[tuple[str, object]]] = [[] for _ in range(nprocs)]
+        self._shadow: dict[int, _Shadow] = {}
+        self._seen: set[tuple[int, str, str]] = set()
 
-    def join(vc: list[int], other: list[int]) -> None:
-        for i, v in enumerate(other):
-            if v > vc[i]:
-                vc[i] = v
+    @classmethod
+    def attach(cls, machine, **kwargs) -> RaceDetector:
+        """Subscribe a detector to a Machine's engine."""
+        detector = cls(machine.config.nprocs, shm=machine.shm, **kwargs)
+        return subscribe(machine.engine, detector)
 
-    def record(addr: int, first: RaceAccess, second: RaceAccess) -> None:
-        report.total += 1
-        key = (addr, first.kind, second.kind)
-        if key in seen:
+    # -- engine-observer callbacks ----------------------------------------
+    def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
+        self.events += 1
+        if proc >= self.nprocs:
             return
-        seen.add(key)
-        if len(report.races) >= max_races:
-            return
-        name, element, _ = addrmap.resolve(addr) if addrmap else (f"addr@{addr}", None, "")
-        report.races.append(Race(addr, name, element, first, second))
+        my = self._clock(proc)
+        if target.__class__ is SyncPoint:
+            self._on_sync(proc, my, kind, target)
+        else:
+            self._on_data(proc, my, "read" if kind == "read_nb" else kind, target, issue)
 
-    for e in events:
-        p = e.proc
-        if p >= nprocs:
-            continue
-        my = clocks[p]
-        if pending[p]:
-            for kind, key in pending[p]:
-                other = resolve_join(kind, key)
+    def on_phase(self, proc: int, time: float, label: str) -> None:
+        self.events += 1
+        if proc < self.nprocs:
+            self._clock(proc)
+
+    # -- happens-before ---------------------------------------------------
+    def _clock(self, p: int) -> list[int]:
+        """``p``'s vector clock, after applying its deferred joins."""
+        my = self._clocks[p]
+        pending = self._pending[p]
+        if pending:
+            for kind, key in pending:
+                if kind == "lock":
+                    other = self._lock_clocks.get(key)
+                elif kind == "barrier":
+                    other = self._barrier_acc.get(key)
+                else:
+                    # Flag: prefer the exact epoch snapshot; fall back to
+                    # the cumulative clock when no set of that epoch was seen.
+                    other = self._flag_snap.get(key) or self._flag_cum.get(key[0])
                 if other is not None:
-                    join(my, other)
-            pending[p].clear()
-        k = e.kind
-        if k == "read" or k == "write":
-            if e.addr is None:
-                continue
-            report.accesses += 1
-            relaxed = ""
-            if addrmap is not None:
-                _, _, relaxed = addrmap.resolve(e.addr)
-            if relaxed == "all" or (relaxed == "read" and k == "read"):
-                report.relaxed_skipped += 1
-                continue
-            s = shadow.get(e.addr)
-            if s is None:
-                s = shadow[e.addr] = _Shadow()
-            w = s.write
-            me = RaceAccess(k, p, e.issue)
-            if w is not None and w[0] != p and w[1] > my[w[0]]:
-                record(e.addr, RaceAccess("write", w[0], w[2]), me)
-            if k == "read":
-                s.reads[p] = (my[p], e.issue)
-            else:
-                for q, (rclock, rtime) in s.reads.items():
-                    if q != p and rclock > my[q]:
-                        record(e.addr, RaceAccess("read", q, rtime), me)
-                s.write = (p, my[p], e.issue)
-                s.reads.clear()
-        elif k == "acquire":
-            report.sync_events += 1
-            if e.sync_kind == "lock":
-                pending[p].append(("lock", e.sync_id))
-        elif k == "release":
-            report.sync_events += 1
-            if e.sync_kind == "barrier":
-                key = (e.sync_id, e.episode)
-                acc = barrier_acc.get(key)
+                    _join(my, other)
+            pending.clear()
+        return my
+
+    def _on_sync(self, p: int, my: list[int], kind: str, sync: SyncPoint) -> None:
+        report = self.report
+        report.sync_events += 1
+        if kind == "acquire":
+            if sync.kind == "lock":
+                self._pending[p].append(("lock", sync.sync_id))
+        elif kind == "release":
+            if sync.kind == "barrier":
+                key = (sync.sync_id, sync.episode)
+                acc = self._barrier_acc.get(key)
                 if acc is None:
-                    acc = barrier_acc[key] = [0] * nprocs
-                join(acc, my)
+                    acc = self._barrier_acc[key] = [0] * self.nprocs
+                _join(acc, my)
                 my[p] += 1
-                pending[p].append(("barrier", key))
-            elif e.sync_kind == "lock":
-                lock_clocks[e.sync_id] = list(my)
+                self._pending[p].append(("barrier", key))
+            elif sync.kind == "lock":
+                self._lock_clocks[sync.sync_id] = list(my)
                 my[p] += 1
             else:  # fence or untagged release: local epoch boundary only
                 my[p] += 1
-        elif k == "flag_set":
-            report.sync_events += 1
-            cum = flag_cum.get(e.sync_id)
+        elif kind == "flag_set":
+            cum = self._flag_cum.get(sync.sync_id)
             if cum is None:
-                cum = flag_cum[e.sync_id] = [0] * nprocs
-            join(cum, my)
-            flag_snap[(e.sync_id, e.episode)] = list(cum)
+                cum = self._flag_cum[sync.sync_id] = [0] * self.nprocs
+            _join(cum, my)
+            self._flag_snap[(sync.sync_id, sync.episode)] = list(cum)
             my[p] += 1
-        elif k == "flag_wait":
-            report.sync_events += 1
-            pending[p].append(("flag", (e.sync_id, e.episode)))
-    return report
+        elif kind == "flag_wait":
+            self._pending[p].append(("flag", (sync.sync_id, sync.episode)))
+
+    def _on_data(self, p: int, my: list[int], kind: str, addr: int, issue: float) -> None:
+        report = self.report
+        report.accesses += 1
+        arr = self.shm.array_at(addr) if self.shm is not None else None
+        if arr is not None:
+            relaxed = arr.relaxed
+            if relaxed == "all" or (relaxed == "read" and kind == "read"):
+                report.relaxed_skipped += 1
+                return
+        s = self._shadow.get(addr)
+        if s is None:
+            s = self._shadow[addr] = _Shadow()
+        w = s.write
+        me = RaceAccess(kind, p, issue)
+        if w is not None and w[0] != p and w[1] > my[w[0]]:
+            self._record(addr, arr, RaceAccess("write", w[0], w[2]), me)
+        if kind == "read":
+            s.reads[p] = (my[p], issue)
+        else:
+            for q, (rclock, rtime) in s.reads.items():
+                if q != p and rclock > my[q]:
+                    self._record(addr, arr, RaceAccess("read", q, rtime), me)
+            s.write = (p, my[p], issue)
+            s.reads.clear()
+
+    def _record(self, addr: int, arr, first: RaceAccess, second: RaceAccess) -> None:
+        report = self.report
+        report.total += 1
+        key = (addr, first.kind, second.kind)
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        if len(report.races) >= self.max_races:
+            return
+        if arr is None:
+            name, element = f"addr@{addr}", None
+        else:
+            name, element = arr.label, (addr - arr.base) // arr._word
+        report.races.append(Race(addr, name, element, first, second))
 
 
-__all__ = ["Race", "RaceAccess", "RaceReport", "detect_races"]
+__all__ = ["Race", "RaceAccess", "RaceDetector", "RaceReport"]

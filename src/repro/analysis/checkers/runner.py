@@ -1,11 +1,11 @@
 """Run the correctness checkers over an apps × systems matrix.
 
 One :class:`CheckSpec` is one instrumented simulation: the application
-runs with a :class:`~repro.analysis.checkers.invariants.CheckedMemorySystem`
-wrapped around the memory system (protocol invariants audited after
-every operation) and a :class:`~repro.sim.trace.TracingMemory`
-subscribed to the engine observer, then the happens-before race pass
-runs over the trace.
+runs with two engine observers subscribed, an
+:class:`~repro.analysis.checkers.invariants.InvariantChecker` (protocol
+invariants audited after every memory-system operation) and a
+:class:`~repro.analysis.checkers.races.RaceDetector` (the
+happens-before race pass, run as the accesses arrive).
 
 Specs and outcomes are picklable and carry a stable fingerprint, so the
 matrix fans out through :func:`repro.core.parallel.run_jobs` and caches
@@ -15,23 +15,16 @@ re-run with unchanged sources is near-free.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from ...apps.factory import AppFactory
 from ...config import MachineConfig
 from ...core.parallel import CACHE_SCHEMA, ResultCache, run_jobs
 from ...runtime.context import Machine
-from ...sim.trace import TracingMemory
-from .invariants import CheckedMemorySystem, Violation
-from .races import RaceReport, detect_races
-
-#: Default trajectory file for ``repro check --bench-out``.
-CHECK_BENCH_FILE = "BENCH_check.json"
+from .invariants import InvariantChecker, Violation
+from .races import RaceDetector, RaceReport
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,6 @@ class CheckSpec:
     factory: AppFactory
     system: str
     config: MachineConfig
-    max_events: int = 500_000
     max_ops: int | None = None
     verify: bool = True
 
@@ -49,8 +41,7 @@ class CheckSpec:
         """Stable identity for cache keying (see ``JobSpec``)."""
         return (
             f"task=check;schema={CACHE_SCHEMA};factory={self.factory!r};"
-            f"system={self.system};config={self.config!r};"
-            f"max_events={self.max_events};max_ops={self.max_ops};"
+            f"system={self.system};config={self.config!r};max_ops={self.max_ops};"
             f"verify={self.verify}"
         )
 
@@ -65,6 +56,7 @@ class CheckOutcome:
     violations: list[Violation]
     #: Total invariant failures including deduplicated/bounded drops.
     violation_total: int
+    #: Engine-observer callbacks of the run (accesses, sync ops, phases).
     events: int
     elapsed: float = 0.0
     cached: bool = False
@@ -93,25 +85,19 @@ def execute_check(spec: CheckSpec) -> CheckOutcome:
     app = spec.factory()
     machine = Machine(spec.config, spec.system, max_ops=spec.max_ops)
     app.setup(machine)
-    checked = CheckedMemorySystem.attach(machine)
-    tracer = TracingMemory.attach(machine, max_events=spec.max_events)
+    checker = InvariantChecker.attach(machine)
+    detector = RaceDetector.attach(machine)
     machine.run(app.worker)
     if spec.verify:
         app.verify()
-    checked.final_check()
-    report = detect_races(
-        tracer.events,
-        spec.config.nprocs,
-        shm=machine.shm,
-        trace_dropped=tracer.dropped,
-    )
+    checker.final_check()
     return CheckOutcome(
         app=app.name,
         system=spec.system,
-        races=report,
-        violations=checked.violations,
-        violation_total=len(checked.violations) + checked.dropped,
-        events=len(tracer.events) + tracer.dropped,
+        races=detector.report,
+        violations=checker.violations,
+        violation_total=len(checker.violations) + checker.dropped,
+        events=detector.events,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -120,11 +106,10 @@ def check_matrix(
     factories: dict[str, Callable[[], object]],
     systems: Sequence[str],
     config: MachineConfig,
-    max_events: int = 500_000,
 ) -> list[CheckSpec]:
     """Build the apps × systems spec matrix."""
     return [
-        CheckSpec(factory=factory, system=system, config=config, max_events=max_events)
+        CheckSpec(factory=factory, system=system, config=config)
         for factory in factories.values()
         for system in systems
     ]
@@ -160,68 +145,11 @@ def format_outcomes(outcomes: Sequence[CheckOutcome]) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class CheckBench:
-    """Wall-clock record of one checker pass (``repro bench`` style)."""
-
-    n_runs: int
-    wall_s: float
-    cached_runs: int
-    jobs: int
-    scale: str
-    simulated_events: int = 0
-    #: Machine size the pass ran at — 0 means "unrecorded" (legacy docs).
-    #: Timing trajectories at different P are not comparable.
-    nprocs: int = 0
-    extra: dict = field(default_factory=dict)
-
-    def to_doc(self) -> dict:
-        return {
-            "bench": "correctness-check",
-            "scale": self.scale,
-            "nprocs": self.nprocs,
-            "jobs": self.jobs,
-            "cpu_count": os.cpu_count(),
-            "n_runs": self.n_runs,
-            "wall_s": round(self.wall_s, 4),
-            "cached_runs": self.cached_runs,
-            "cache_hit_rate": round(self.cached_runs / self.n_runs, 4) if self.n_runs else 0.0,
-            "events_checked": self.simulated_events,
-            **self.extra,
-        }
-
-
-def write_check_bench(
-    outcomes: Sequence[CheckOutcome],
-    wall_s: float,
-    jobs: int,
-    scale: str,
-    out: str | os.PathLike = CHECK_BENCH_FILE,
-    nprocs: int = 0,
-) -> dict:
-    """Write the ``BENCH_check.json`` timing trajectory; returns the doc."""
-    bench = CheckBench(
-        n_runs=len(outcomes),
-        wall_s=wall_s,
-        cached_runs=sum(1 for o in outcomes if o.cached),
-        jobs=jobs,
-        scale=scale,
-        nprocs=nprocs,
-        simulated_events=sum(o.events for o in outcomes),
-    )
-    doc = bench.to_doc()
-    Path(out).write_text(json.dumps(doc, indent=2) + "\n")
-    return doc
-
-
 __all__ = [
-    "CHECK_BENCH_FILE",
-    "CheckBench",
     "CheckOutcome",
     "CheckSpec",
     "check_matrix",
     "execute_check",
     "format_outcomes",
     "run_checks",
-    "write_check_bench",
 ]

@@ -65,7 +65,9 @@ from ..sim.reference import capture_outcome, run_case
 ORACLES = ("reference", "decorators", "checkers")
 
 #: Observability attachments a draw may stack (attach order = draw order):
-#: the checker decorator, the engine-observer subscribers and the sampler.
+#: the engine-observer subscribers (``"checked"`` is the invariant
+#: checker) and the sampler.  The corpus and the committed repros store
+#: these names, so they must not change.
 DECORATORS = ("checked", "tracer", "metrics", "attrib", "profiler")
 
 #: Memory systems in the draw space (kept in lockstep with the golden set).
@@ -367,9 +369,9 @@ def oracle_reference(draw: FuzzDraw) -> str | None:
 
 def _attach_decorator(name: str, machine) -> None:
     if name == "checked":
-        from .checkers.invariants import CheckedMemorySystem
+        from .checkers.invariants import InvariantChecker
 
-        CheckedMemorySystem.attach(machine)
+        InvariantChecker.attach(machine)
     elif name == "tracer":
         from ..sim.trace import TracingMemory
 
@@ -387,10 +389,11 @@ def _attach_decorator(name: str, machine) -> None:
 
 
 def run_decorated(draw: FuzzDraw) -> dict:
-    """One wheel-engine run with the draw's decorator stack attached.
+    """One wheel-engine run with the draw's observability stack attached.
 
-    ``"profiler"`` is not a memory-system decorator: it arms the stack
-    sampler around the run, wherever it sits in the drawn order.
+    Every name but ``"profiler"`` subscribes an engine observer, in the
+    drawn order; ``"profiler"`` arms the stack sampler around the run,
+    wherever it sits in that order.
     """
     from ..obs.profile import HostProfiler
     from ..runtime.context import Machine
@@ -441,7 +444,6 @@ def oracle_checkers(draw: FuzzDraw) -> str | None:
         factory=draw.factory(),
         system=draw.system,
         config=draw.config(),
-        max_events=300_000,
         verify=draw.verify,
     )
     outcome = execute_check(spec)
@@ -601,7 +603,7 @@ def _scale_candidates(draw: FuzzDraw) -> Iterator[FuzzDraw]:
 
 def _shrink_candidates(draw: FuzzDraw) -> Iterator[FuzzDraw]:
     """One round of smaller variants: nprocs, then input scale, then
-    degradation knobs, then decorators — the ISSUE's shrink order."""
+    degradation knobs, then decorators."""
     for p in (1, 2, 4):
         if p < draw.nprocs:
             yield replace(draw, nprocs=p)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from ...config import MachineConfig
 from ...network.base import Network
-from ...sim.stats import AccessResult
-from ..cache import SHARED
 from ..directory import NORMAL, SPECIAL
 from .rcupd import RCUpd
 
@@ -36,40 +34,8 @@ class RCAdapt(RCUpd):
         self.directory[block].mode = SPECIAL
         return done
 
-    # ------------------------------------------------------------------
-    def read(self, proc: int, addr: int, now: float) -> AccessResult:
-        block = addr // self.line_size
-        cache = self.caches[proc]
-        # Inlined Cache.lookup (see its docstring): lazy invalidation +
-        # LRU refresh, without the per-read method call.
-        lines = cache._lines
-        line = lines.get(block)
-        if line is not None:
-            inval = line.inval_at
-            if inval is not None and now >= inval:
-                del lines[block]
-            else:
-                if cache.capacity is not None:
-                    del lines[block]
-                    lines[block] = line
-                line.updates_since_read = 0
-                res = self._hit_result
-                res.time = now + self._hit_cycles
-                return res
-        if (
-            block in self.merge_buffers[proc]._open
-            or block in self.store_buffers[proc]._pending_blocks
-        ):
-            # Forwarded from the merge or store buffer (inlined
-            # MergeBuffer.has / StoreBuffer.has_pending).
-            res = self._hit_result
-            res.time = now + self._hit_cycles
-            return res
-        arrival = self._adaptive_fetch(proc, block, now)
-        self._insert_line(proc, block, SHARED, now)
-        return self._miss(arrival + self._hit_cycles, arrival - now, 0.0, 0.0, False)
-
-    def _adaptive_fetch(self, proc: int, block: int, now: float) -> float:
+    # Reads are RCupd's; only the miss transaction differs.
+    def _fetch_line(self, proc: int, block: int, now: float) -> float:
         """Read-miss transaction with phase-change detection at the home."""
         net = self.network
         home = block % self._nprocs

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
 from math import fsum
 from pathlib import Path
 
@@ -221,51 +220,14 @@ class AttributionCollector(Observer):
 def block_span_name(shm, line_size: int, block: int) -> tuple[str, str]:
     """Resolve a block to ``(element-span name, owning array name)``.
 
-    Same byte-span intersection the tracer and race detector use; the
-    second element drops the index ranges (``excess[0:8]`` -> ``excess``)
-    and is the system-independent key :func:`diff_reports` aligns on.
+    :meth:`repro.runtime.sharedmem.SharedMemory.block_name`, with the
+    ``block:<n>`` fallback when no shared memory is attached; the second
+    element (``excess[0:8]`` -> ``excess``) is the system-independent
+    key :func:`diff_reports` aligns on.
     """
-    return _block_namer(shm, line_size)(block)
-
-
-def _block_namer(shm, line_size: int):
-    """:func:`block_span_name` bound to one run's arrays.
-
-    A block resolves by bisecting the array ends, built once, instead of
-    scanning every array: the bump allocator hands out disjoint spans in
-    ascending order (the race detector's address map relies on the same).
-    """
-    arrays = list(shm.arrays) if shm is not None else []
-    ends = [a.base + a.n * a._word for a in arrays]
-
-    def name_of(block: int) -> tuple[str, str]:
-        lo = block * line_size
-        hi = lo + line_size
-        # Arrays before i end at or below lo; from i on every array ends
-        # above lo, and the first one starting at or past hi closes the span.
-        i = j = bisect_right(ends, lo)
-        while j < len(arrays) and arrays[j].base < hi:
-            j += 1
-        if i == j:
-            return f"block:{block}", f"block:{block}"
-        if j == i + 1:
-            return _span_name(arrays[i], lo, hi)
-        pairs = [_span_name(arr, lo, hi) for arr in arrays[i:j]]
-        return "+".join(p[0] for p in pairs), "+".join(p[1] for p in pairs)
-
-    return name_of
-
-
-def _span_name(arr, lo: int, hi: int) -> tuple[str, str]:
-    """``(element span, array name)`` of ``arr``'s part of ``[lo, hi)``."""
-    base = arr.base
-    name = arr.name or f"@0x{base:x}"
-    if arr.n <= 1:
-        return name, name
-    word = arr._word
-    e0 = max(0, (lo - base) // word)
-    e1 = min(arr.n, (hi - base + word - 1) // word)
-    return f"{name}[{e0}:{e1}]", name
+    if shm is None:
+        return f"block:{block}", f"block:{block}"
+    return shm.block_name(block, line_size)
 
 
 def _sync_row_label(sync_names, kind: str, sync_id: int) -> str:
@@ -345,7 +307,6 @@ def build_report(
 
     shm, line = collector.shm, collector._line
     phase_names = collector._phase_names
-    name_of = _block_namer(shm, line)
     home_of = collector._home_of
     cells: list[dict] = []
     # Dimension folds, accumulated inline as [read_stall, write_stall,
@@ -362,7 +323,7 @@ def build_report(
     by_home: dict[str, list] = {}
     block_meta: dict[str, dict] = {}
     for (pid, block), (rs, ws, bf, n) in sorted(collector._data.items()):
-        name, array = name_of(block)
+        name, array = block_span_name(shm, line, block)
         home = home_of(block) if home_of is not None else None
         phase = phase_names[pid]
         cells.append(

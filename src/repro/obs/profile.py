@@ -20,18 +20,14 @@ nanoseconds go?  Components:
     time spent inside the network.
 ``network``
     Network routing/transfer (:mod:`repro.network`).
-``tracer``
-    The invariant-checking memory-system decorator
-    (:mod:`repro.analysis.checkers`), and code of the observer modules
-    (:mod:`repro.sim.trace`, :mod:`repro.obs`) that no engine callback
-    called.  Zero when nothing is attached.
 ``sync``
     The synchronisation manager (:mod:`repro.runtime.sync`), including
     the wakes it triggers.
 ``observer``
-    Engine-observer callbacks: the fan-out of :mod:`repro.sim.observer`
-    and the ``on_*`` methods of the modules that make up ``tracer``,
-    with the helpers they call.
+    The observer modules: the fan-out of :mod:`repro.sim.observer`, the
+    tracer (:mod:`repro.sim.trace`), :mod:`repro.obs` and the
+    correctness checkers (:mod:`repro.analysis.checkers`), callbacks
+    and reporting alike.  Zero when nothing is attached.
 ``dispatch``
     Everything else inside ``Engine.run``: op-class dispatch,
     stall-decomposition accounting, run-ahead checks.
@@ -77,7 +73,7 @@ from ..sim.engine import Engine
 
 #: Host-time components, in display order.
 COMPONENTS = (
-    "setup", "wheel", "app", "mem", "network", "tracer", "sync", "observer", "dispatch",
+    "setup", "wheel", "app", "mem", "network", "sync", "observer", "dispatch",
 )
 
 #: One-line description per component (for tables and docs).
@@ -87,9 +83,8 @@ COMPONENT_HELP = {
     "app": "application generator execution",
     "mem": "memory-system transaction handling",
     "network": "network routing/transfer",
-    "tracer": "invariant-checker decorator overhead",
     "sync": "sync manager (locks/barriers/flags)",
-    "observer": "engine-observer callbacks (tracer, metrics, attribution)",
+    "observer": "engine observers (tracer, metrics, attribution, checkers)",
     "dispatch": "engine dispatch + cycle accounting",
 }
 
@@ -119,9 +114,9 @@ _MODULE_COMPONENTS = (
     ("network/", "network"),
     ("runtime/sync.py", "sync"),
     ("sim/observer.py", "observer"),
-    ("sim/trace.py", "tracer"),
-    ("obs/", "tracer"),
-    ("analysis/checkers/", "tracer"),
+    ("sim/trace.py", "observer"),
+    ("obs/", "observer"),
+    ("analysis/checkers/", "observer"),
 )
 
 _PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
@@ -137,8 +132,6 @@ def _code_kind(code: CodeType) -> str:
     rel = filename[len(_PKG_ROOT):].replace(os.sep, "/")
     for prefix, component in _MODULE_COMPONENTS:
         if rel.startswith(prefix):
-            if component == "tracer" and code.co_name.startswith("on_"):
-                return "observer"
             return component
     return _PASS
 
@@ -221,11 +214,7 @@ class HostProfiler:
                 if component is not None:
                     return component
                 return "wheel" if frame.f_lineno in self._wheel_lines else "dispatch"
-            if component is None:
-                if kind is not _PASS:
-                    component = kind
-            elif kind == "observer" and component == "tracer":
-                # Helpers of an engine-observer callback are observer time.
+            if component is None and kind is not _PASS:
                 component = kind
             frame = frame.f_back
         return "setup"

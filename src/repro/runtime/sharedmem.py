@@ -11,10 +11,18 @@ elements occupy consecutive words, so arrays laid out carelessly exhibit
 false sharing with 32-byte lines, exactly as on the real machine.  Use
 ``align_line=True`` (or :meth:`SharedMemory.alloc_padded`) to give an
 array its own cache lines.
+
+The allocator hands out disjoint spans in ascending address order, so
+:class:`SharedMemory` also answers the reverse question — which array
+an address or a cache block belongs to — by bisection
+(:meth:`SharedMemory.array_at`, :meth:`SharedMemory.block_name`); the
+tracer, the attribution reports and the race detector all name data
+through it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Generator, Iterable, Sequence
 
 from ..config import MachineConfig
@@ -28,6 +36,9 @@ class SharedMemory:
         self.config = config
         self._next_addr = 0
         self.arrays: list[SharedArray] = []
+        #: End address of each of :attr:`arrays`, ascending like the
+        #: arrays themselves (spans are disjoint and allocated in order).
+        self._ends: list[int] = []
 
     def alloc_words(self, nwords: int, align_line: bool = False) -> int:
         """Reserve ``nwords`` words; returns the base byte address."""
@@ -58,8 +69,7 @@ class SharedMemory:
             slack = (-n) % ls_words
             if slack:
                 self.alloc_words(slack)
-        self.arrays.append(arr)
-        return arr
+        return self._register(arr)
 
     def scalar(
         self,
@@ -70,12 +80,48 @@ class SharedMemory:
     ) -> SharedScalar:
         """Allocate a single shared word on its own cache line."""
         s = SharedScalar(self, name=name, fill=fill, align_line=align_line, relaxed=relaxed)
-        self.arrays.append(s)
-        return s
+        return self._register(s)
+
+    def _register(self, arr):
+        self.arrays.append(arr)
+        self._ends.append(arr.base + arr.n * arr._word)
+        return arr
 
     @property
     def bytes_allocated(self) -> int:
         return self._next_addr
+
+    # -- address -> array ----------------------------------------------
+    def array_at(self, addr: int) -> SharedArray | None:
+        """The array holding byte ``addr``, or None (padding, unallocated)."""
+        i = bisect_right(self._ends, addr)
+        if i < len(self.arrays):
+            arr = self.arrays[i]
+            if arr.base <= addr:
+                return arr
+        return None
+
+    def block_name(self, block: int, line_size: int) -> tuple[str, str]:
+        """Name the arrays a cache block of ``line_size`` bytes covers.
+
+        Returns ``(element span, array name)``, e.g. ``("excess[0:8]",
+        "excess")``; a block shared by several arrays joins their names
+        with ``+``, and one covering no array is ``block:<n>`` in both.
+        The second element drops the index ranges, so it is the same on
+        systems with different line sizes.
+        """
+        lo = block * line_size
+        hi = lo + line_size
+        arrays = self.arrays
+        # Arrays before i end at or below lo; from i on every array ends
+        # above lo, and the first one starting at or past hi closes the span.
+        i = j = bisect_right(self._ends, lo)
+        while j < len(arrays) and arrays[j].base < hi:
+            j += 1
+        if i == j:
+            return f"block:{block}", f"block:{block}"
+        spans = [arr.span_name(lo, hi) for arr in arrays[i:j]]
+        return "+".join(spans), "+".join(arr.label for arr in arrays[i:j])
 
 
 class SharedArray:
@@ -129,6 +175,20 @@ class SharedArray:
 
     def addr(self, i: int) -> int:
         return self.base + i * self._word
+
+    @property
+    def label(self) -> str:
+        """Name in reports: :attr:`name`, or ``@0x<base>`` when unnamed."""
+        return self.name or f"@0x{self.base:x}"
+
+    def span_name(self, lo: int, hi: int) -> str:
+        """``label[e0:e1]``: the elements overlapping bytes ``[lo, hi)``."""
+        if self.n <= 1:
+            return self.label
+        base, word = self.base, self._word
+        e0 = max(0, (lo - base) // word)
+        e1 = min(self.n, (hi - base + word - 1) // word)
+        return f"{self.label}[{e0}:{e1}]"
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n:

@@ -148,27 +148,14 @@ class TracingMemory(Observer):
 
     # -- analysis ---------------------------------------------------------
     def block_name(self, block: int) -> str:
-        """Resolve a block number to the shared array(s) it covers.
-
-        Same attribution the race detector uses: the block's byte span is
-        intersected with every :class:`SharedArray` allocation.  Falls
-        back to ``"block:<n>"`` when no shared memory is attached or the
-        block covers allocator padding only.
+        """Resolve a block number to the shared array(s) it covers
+        (:meth:`repro.runtime.sharedmem.SharedMemory.block_name`).
+        Falls back to ``"block:<n>"`` when no shared memory is attached
+        or the block covers allocator padding only.
         """
         if self.shm is None:
             return f"block:{block}"
-        line = self._line_size
-        lo, hi = block * line, (block + 1) * line
-        parts = []
-        for arr in self.shm.arrays:
-            word = arr._word
-            base, end = arr.base, arr.base + arr.n * word
-            if lo < end and hi > base:
-                e0 = max(0, (lo - base) // word)
-                e1 = min(arr.n, (hi - base + word - 1) // word)
-                name = arr.name or f"@0x{arr.base:x}"
-                parts.append(f"{name}[{e0}:{e1}]" if arr.n > 1 else name)
-        return "+".join(parts) if parts else f"block:{block}"
+        return self.shm.block_name(block, self._line_size)[0]
 
     def hottest_blocks(self, n: int = 10) -> list[tuple[str, float]]:
         """Blocks ranked by accumulated stall cycles, named by array."""

@@ -14,19 +14,19 @@ PAPER_SYSTEMS = ["z-mc", "RCinv", "RCupd", "RCadapt", "RCcomp"]
 
 @pytest.fixture
 def checked_machine():
-    """Attach a :class:`CheckedMemorySystem` to machines under test.
+    """Attach an :class:`InvariantChecker` to machines under test.
 
     Yields an ``attach(machine)`` callable; at teardown every attached
     checker runs its final audit and the test fails on any protocol
     invariant violation.  Opt in from protocol/integration tests to get
     directory/cache/buffer auditing for free.
     """
-    from repro.analysis.checkers import CheckedMemorySystem
+    from repro.analysis.checkers import InvariantChecker
 
-    attached: list[CheckedMemorySystem] = []
+    attached: list[InvariantChecker] = []
 
-    def _attach(machine, **kwargs) -> CheckedMemorySystem:
-        checker = CheckedMemorySystem.attach(machine, **kwargs)
+    def _attach(machine, **kwargs) -> InvariantChecker:
+        checker = InvariantChecker.attach(machine, **kwargs)
         attached.append(checker)
         return checker
 

@@ -1,14 +1,12 @@
 """Correctness-analysis subsystem: race detector + invariant checker."""
 
-import json
-
 import pytest
 
 from repro.__main__ import main
 from repro.analysis.checkers import (
     CheckSpec,
-    CheckedMemorySystem,
-    detect_races,
+    InvariantChecker,
+    RaceDetector,
     execute_check,
     run_checks,
 )
@@ -18,17 +16,18 @@ from repro.core.parallel import ResultCache
 from repro.runtime import Barrier, Lock, Machine
 from repro.runtime.channel import DataChannel
 from repro.sim.events import Compute
-from repro.sim.stats import AccessResult
+from repro.sim.observer import subscribe
+from repro.sim.stats import AccessResult, SyncPoint
 from repro.sim.trace import TracingMemory
 
 
 def run_detected(worker, nprocs=2, system="RCinv", setup=None):
-    """Run ``worker`` traced and return the race report."""
+    """Run ``worker`` under a race detector and return its report."""
     machine = Machine(MachineConfig(nprocs=nprocs), system)
     state = setup(machine) if setup else None
-    tracer = TracingMemory.attach(machine)
+    detector = RaceDetector.attach(machine)
     machine.run(lambda ctx: worker(ctx, machine, state))
-    return detect_races(tracer.events, nprocs, shm=machine.shm)
+    return detector.report
 
 
 class TestRaceDetector:
@@ -165,42 +164,48 @@ class TestRaceDetector:
     def test_without_shm_reports_raw_addresses(self):
         machine = Machine(MachineConfig(nprocs=2), "RCinv")
         arr = machine.shm.array(4, "data", align_line=True)
-        tracer = TracingMemory.attach(machine)
+        detector = subscribe(machine.engine, RaceDetector(2, shm=None))
 
         def worker(ctx):
             yield from arr.write(0, ctx.pid)
 
         machine.run(worker)
-        report = detect_races(tracer.events, 2, shm=None)
+        report = detector.report
         assert not report.clean
         assert report.races[0].array.startswith("addr@")
 
+    def test_unnamed_array_reported_by_base_address(self):
+        machine = Machine(MachineConfig(nprocs=2), "RCinv")
+        machine.shm.array(3, "pad")
+        arr = machine.shm.array(4)
+        detector = RaceDetector.attach(machine)
+
+        def worker(ctx):
+            yield from arr.write(1, ctx.pid)
+
+        machine.run(worker)
+        race = detector.report.races[0]
+        assert (race.array, race.element) == (f"@0x{arr.base:x}", 1)
+
+    def test_phase_marker_applies_deferred_joins(self):
+        """A lock acquire's join waits for the acquirer's next callback;
+        a phase marker is one, exactly as a traced phase event was."""
+        detector = RaceDetector(2)
+        lock = SyncPoint("lock", 0, 0)
+        hit = AccessResult(0.0, hit=True)
+        detector.on_access(0, "write", 64, 0.0, hit, 0.0)
+        detector.on_access(0, "release", lock, 1.0, hit, 0.0)
+        detector.on_access(1, "acquire", lock, 2.0, hit, 0.0)
+        assert detector._clocks[1][0] == 0
+        detector.on_phase(1, 3.0, "next")
+        assert detector._clocks[1][0] == 1
+        detector.on_access(1, "read", 64, 4.0, hit, 0.0)
+        assert detector.report.clean
+        assert detector.events == 5
+
 
 class _FakeMem:
-    """Minimal memory system returning whatever results a test injects."""
-
-    line_size = 32
-
-    def __init__(self, result):
-        self.result = result
-
-    def block_of(self, addr):
-        return addr // self.line_size
-
-    def read(self, proc, addr, now):
-        return self.result
-
-    def write(self, proc, addr, now):
-        return self.result
-
-    def acquire(self, proc, now, sync=None):
-        return self.result
-
-    def release(self, proc, now, sync=None):
-        return self.result
-
-    def sync_note(self, proc, now, sync):
-        pass
+    """Memory system without protocol state: only the result checks apply."""
 
 
 class TestInvariantChecker:
@@ -208,7 +213,7 @@ class TestInvariantChecker:
         machine = Machine(MachineConfig(nprocs=nprocs), system)
         data = machine.shm.array(32, "data", align_line=True)
         lock = Lock(machine.sync)
-        checked = CheckedMemorySystem.attach(machine)
+        checked = InvariantChecker.attach(machine)
 
         def worker(ctx):
             for i in range(8):
@@ -229,7 +234,7 @@ class TestInvariantChecker:
 
     def test_mutated_presence_bits_caught(self):
         machine, checked = self.run_checked()
-        inner = checked.inner
+        inner = checked.memsys
         # Find a block some cache currently holds, then corrupt the
         # directory by clearing its presence bits behind the protocol's
         # back — the audit must notice the inconsistency.
@@ -251,7 +256,7 @@ class TestInvariantChecker:
 
     def test_mutated_directory_owner_caught(self):
         machine, checked = self.run_checked()
-        inner = checked.inner
+        inner = checked.memsys
         block = inner.directory.blocks()[0]
         entry = inner.directory.entry(block)
         # Point the owner field at a processor with no OWNED copy.
@@ -261,34 +266,52 @@ class TestInvariantChecker:
         assert not checked.clean
         assert any(v.rule == "directory-owner" for v in checked.violations)
 
+    @staticmethod
+    def audit(kind, res, now=10.0, target=0):
+        """One ``on_access`` of ``res`` issued at ``now``; the checker."""
+        checked = InvariantChecker(_FakeMem())
+        checked.on_access(0, kind, target, now, res, 0.0)
+        return checked
+
     def test_completion_before_issue_caught(self):
-        checked = CheckedMemorySystem(_FakeMem(AccessResult(time=5.0)))
-        checked.read(0, 0, now=10.0)
+        checked = self.audit("read", AccessResult(time=5.0))
         assert any(v.rule == "completion-before-issue" for v in checked.violations)
 
     def test_negative_stall_caught(self):
-        checked = CheckedMemorySystem(_FakeMem(AccessResult(time=20.0, read_stall=-3.0)))
-        checked.read(0, 0, now=10.0)
+        checked = self.audit("read", AccessResult(time=20.0, read_stall=-3.0))
         assert any(v.rule == "negative-stall" for v in checked.violations)
+        assert "read returned read_stall" in checked.violations[0].detail
 
     def test_stall_exceeding_latency_caught(self):
-        checked = CheckedMemorySystem(_FakeMem(AccessResult(time=11.0, write_stall=50.0)))
-        checked.write(0, 0, now=10.0)
+        checked = self.audit("write", AccessResult(time=11.0, write_stall=50.0))
         assert any(v.rule == "stall-exceeds-latency" for v in checked.violations)
 
     def test_duplicate_violations_deduplicated(self):
-        checked = CheckedMemorySystem(_FakeMem(AccessResult(time=20.0, read_stall=-3.0)))
+        checked = InvariantChecker(_FakeMem())
+        res = AccessResult(time=20.0, read_stall=-3.0)
         for _ in range(5):
-            checked.read(0, 0, now=10.0)
+            checked.on_access(0, "read", 0, 10.0, res, 0.0)
         assert len(checked.violations) == 1
         assert checked.dropped == 4
+
+    def test_non_blocking_read_audited_as_read(self):
+        checked = self.audit("read_nb", AccessResult(time=5.0))
+        assert "read completed at 5.0" in checked.violations[0].detail
+        assert checked.checks_run == 1
+
+    def test_flag_ops_not_audited(self):
+        """Flag sets and waits never reach the memory system."""
+        for kind in ("flag_set", "flag_wait"):
+            checked = self.audit(kind, AccessResult(time=5.0), target=SyncPoint(kind, 0, 1))
+            assert checked.clean
+            assert checked.checks_run == 0
 
     def test_transparent_timing(self):
         def run(check):
             machine = Machine(MachineConfig(nprocs=2), "RCupd")
             arr = machine.shm.array(8, "a")
             if check:
-                CheckedMemorySystem.attach(machine)
+                InvariantChecker.attach(machine)
 
             def worker(ctx):
                 yield from arr.write(ctx.pid, ctx.pid)
@@ -341,7 +364,7 @@ class TestRunner:
     def test_spec_fingerprint_distinguishes(self):
         a = CheckSpec(AppFactory("RacyDemo"), "RCinv", self.SMOKE)
         b = CheckSpec(AppFactory("RacyDemo"), "RCupd", self.SMOKE)
-        c = CheckSpec(AppFactory("RacyDemo"), "RCinv", self.SMOKE, max_events=7)
+        c = CheckSpec(AppFactory("RacyDemo"), "RCinv", self.SMOKE, max_ops=7)
         assert len({a.fingerprint(), b.fingerprint(), c.fingerprint()}) == 3
 
     def test_spec_fingerprint_distinguishes_machine_size(self):
@@ -368,17 +391,25 @@ class TestRunner:
             outcome = execute_check(spec)
             assert outcome.clean, (p, outcome.describe())
 
-    def test_check_bench_doc_records_nprocs(self, tmp_path):
-        from repro.analysis.checkers import write_check_bench
-
-        spec = CheckSpec(AppFactory("RacyDemo"), "RCinv", MachineConfig(nprocs=5))
-        outcomes = [execute_check(spec)]
-        out = tmp_path / "BENCH_check.json"
-        doc = write_check_bench(outcomes, 0.1, jobs=1, scale="paper", out=out, nprocs=5)
-        assert doc["nprocs"] == 5
-        import json
-
-        assert json.loads(out.read_text())["nprocs"] == 5
+    def test_checkers_subscribe_without_replacing_memsys(self):
+        """Both checkers are engine observers: the engine keeps calling
+        the machine's own memory system, and RacyDemo's race is found
+        with no tracer attached."""
+        app = AppFactory("RacyDemo")()
+        machine = Machine(self.SMOKE, "RCinv")
+        app.setup(machine)
+        checker = InvariantChecker.attach(machine)
+        detector = RaceDetector.attach(machine)
+        assert machine.engine.memsys is machine.memsys
+        assert machine.engine.observer.subscribers == [checker, detector]
+        machine.run(app.worker)
+        assert not any(
+            isinstance(s, TracingMemory) for s in machine.engine.observer.subscribers
+        )
+        assert any(r.array == "racy.data" for r in detector.report.races)
+        assert checker.checks_run > 0
+        checker.final_check()
+        assert checker.clean, checker.describe()
 
 
 class TestCheckCLI:
@@ -402,20 +433,6 @@ class TestCheckCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "OK" in out
-
-    def test_bench_out_written(self, tmp_path, capsys):
-        out_file = tmp_path / "BENCH_check.json"
-        code = main(
-            [
-                "--nprocs", "4", "check", "--app", "IS", "--systems", "RCinv",
-                "--scale", "smoke", "--no-cache", "--bench-out", str(out_file),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out_file.read_text())
-        assert doc["bench"] == "correctness-check"
-        assert doc["n_runs"] == 1
-        assert doc["wall_s"] >= 0
 
     def test_unknown_app_rejected(self):
         with pytest.raises(SystemExit):

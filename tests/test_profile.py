@@ -18,8 +18,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro import MachineConfig
-from repro.analysis.checkers.invariants import CheckedMemorySystem
+from repro.analysis.checkers.invariants import InvariantChecker
+from repro.analysis.checkers.races import RaceDetector
 from repro.apps.intsort import IntegerSort
+from repro.mem.cache import Cache
 from repro.mem.systems.rcinv import RCInv
 from repro.network.routed import RoutedNetwork
 from repro.obs.attrib import AttributionCollector
@@ -155,8 +157,7 @@ def test_signal_delivery_never_perturbs_sync_heavy_run(name, system):
 
 def test_metrics_collector_composes():
     """Armed over a MetricsCollector, results stay bit-identical, and
-    its ``on_*`` callbacks (with their helpers) are observer time while
-    its reporting is tracer time."""
+    its callbacks, their helpers and its reporting are observer time."""
     plain, m_plain, _ = _run("IS", "RCinv", profiled=False, metrics=True)
     prof_res, m_prof, _ = _run("IS", "RCinv", profiled=True, metrics=True)
     assert _fingerprint(plain, m_plain) == _fingerprint(prof_res, m_prof)
@@ -164,7 +165,7 @@ def test_metrics_collector_composes():
     assert prof.classify(_chain(_RUN, MetricsCollector.on_access)) == "observer"
     chain = _chain(_RUN, MetricsCollector.on_access, MetricsCollector._deposit_one)
     assert prof.classify(chain) == "observer"
-    assert prof.classify(_chain(_RUN, MetricsCollector.to_dict)) == "tracer"
+    assert prof.classify(_chain(_RUN, MetricsCollector.to_dict)) == "observer"
 
 
 # -- stack classification -----------------------------------------------------
@@ -176,25 +177,33 @@ def test_metrics_collector_composes():
         ((_RUN, IntegerSort.worker, SharedMemory.array), "app"),
         ((_RUN, RCInv.read), "mem"),
         ((_RUN, RCInv.read, RoutedNetwork.transfer), "network"),
-        # Explicit ids: the qualname chain of these two cases is too
-        # long to tell them apart in a truncated test listing.
-        pytest.param(
-            (_RUN, CheckedMemorySystem.read, RCInv.read, RoutedNetwork.transfer),
-            "network",
-            id="Engine.run/Checked.read/RCInv.read/RoutedNetwork.transfer-network",
-        ),
         ((_RUN, SyncManager.release), "sync"),
         # A wake belongs to the sync manager that issued it, its
         # re-queue to the wheel: other Engine methods pass through.
         ((_RUN, SyncManager.release, Engine.wake), "sync"),
         ((_RUN, SyncManager.release, Engine.wake, Engine._push), "sync"),
         ((_RUN, SyncManager.release, Engine.wake, Engine._push, EventWheel.push), "wheel"),
-        ((_RUN, CheckedMemorySystem.read), "tracer"),
-        ((_RUN, CheckedMemorySystem.release), "tracer"),
+        # Explicit ids: the qualname chains of the checker cases are too
+        # long to tell them apart in a truncated test listing.
         pytest.param(
-            (_RUN, CheckedMemorySystem.read, RCInv.read),
+            (_RUN, InvariantChecker.on_access), "observer",
+            id="Engine.run/Checker.on_access-observer",
+        ),
+        pytest.param(
+            (_RUN, InvariantChecker.on_access, InvariantChecker.full_check), "observer",
+            id="Engine.run/Checker.full_check-observer",
+        ),
+        # The checker reading protocol state is memory-system time.
+        pytest.param(
+            (_RUN, InvariantChecker.on_access, InvariantChecker._check_block, Cache.peek),
             "mem",
-            id="Engine.run/Checked.read/RCInv.read-mem",
+            id="Engine.run/Checker.on_access/Cache.peek-mem",
+        ),
+        # The shared-memory address map is unmapped: its caller's time.
+        pytest.param(
+            (_RUN, RaceDetector.on_access, RaceDetector._on_data, SharedMemory.array_at),
+            "observer",
+            id="Engine.run/Races.on_access/array_at-observer",
         ),
         ((_RUN, TracingMemory.on_access), "observer"),
         ((_RUN, FanOut.add), "observer"),
