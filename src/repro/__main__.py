@@ -43,9 +43,10 @@ scenario named degradation scenarios (limping nodes, slow links, bursty
 systems  list available memory systems and applications
 cache    show or clear the on-disk result cache
 
-``study``, ``table1``, ``fig1`` and ``claims`` accept ``--jobs N`` to
-fan independent runs out over N worker processes (0 = one per CPU),
-``--no-cache`` to bypass the on-disk result cache and
+``study``, ``table1``, ``claims``, ``check``, ``fuzz`` and ``scenario
+run`` accept ``--jobs N`` to fan independent runs out over N worker
+processes (0 = one per CPU), ``--no-cache`` to bypass the on-disk
+result cache and
 ``--telemetry-out PATH`` to persist per-job heartbeat records as
 replayable JSONL; see docs/performance.md.  Multi-job runs render live
 per-job progress (with ETA) on the diagnostic channel unless
@@ -78,7 +79,7 @@ from .core.bench import (
     run_bench,
     run_profile_bench,
 )
-from .core.parallel import ResultCache, parallel_map
+from .core.parallel import ResultCache
 from .core.table1 import table1_with_manifest
 from .mem.systems import PAPER_SYSTEMS, SYSTEM_REGISTRY
 from .obs import MetricsCollector, configure, get_logger, to_perfetto, write_trace
@@ -197,17 +198,12 @@ def cmd_table1(args: argparse.Namespace) -> int:
 FIG1_SYSTEMS = ("z-mc", "RCinv", "RCupd", "RCadapt", "RCcomp", "SCinv")
 
 
-def _fig1_one(arg: tuple[str, MachineConfig]):
-    system, cfg = arg
-    return figure1_scenario(system, cfg)
-
-
 def cmd_fig1(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
     log.out(f"{'system':8s} {'early stall':>12s} {'class':>10s} {'late stall':>12s} {'class':>10s}")
-    timelines = parallel_map(_fig1_one, [(s, cfg) for s in FIG1_SYSTEMS], jobs=args.jobs)
-    for t in timelines:
+    for system in FIG1_SYSTEMS:
+        t = figure1_scenario(system, cfg)
         log.out(
             f"{t.system:8s} {t.early_read.stall:12.1f} {t.early_kind:>10s} "
             f"{t.late_read.stall:12.1f} {t.late_kind:>10s}"
@@ -771,7 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1.set_defaults(func=cmd_table1)
 
     p_f1 = sub.add_parser("fig1", help="Figure 1 scenario across systems")
-    _add_parallel_flags(p_f1)
     p_f1.set_defaults(func=cmd_fig1)
 
     p_claims = sub.add_parser("claims", help="evaluate the paper's qualitative claims")

@@ -41,19 +41,8 @@ def run_on(
     verify: bool = True,
     max_ops: int | None = None,
 ) -> SimResult:
-    """Run a fresh application instance on one memory system.
-
-    ``app`` must be newly constructed (applications hold mutable shared
-    state).  Returns the :class:`SimResult`; the machine's memory system
-    and network are attached as ``result.extra`` style attributes via the
-    returned machine in :func:`run_machine` when more detail is needed.
-    """
-    machine = Machine(config, system, max_ops=max_ops)
-    app.setup(machine)
-    result = machine.run(app.worker)
-    if verify:
-        app.verify()
-    return result
+    """:func:`run_machine` without the machine: returns the :class:`SimResult`."""
+    return run_machine(app, system, config, verify=verify, max_ops=max_ops)[1]
 
 
 def run_machine(
@@ -63,7 +52,11 @@ def run_machine(
     verify: bool = True,
     max_ops: int | None = None,
 ) -> tuple[Machine, SimResult]:
-    """Like :func:`run_on` but also returns the machine for inspection."""
+    """Run a fresh application instance on one memory system.
+
+    ``app`` must be newly constructed (applications hold mutable shared
+    state).  Returns the machine, for inspection, and the result.
+    """
     machine = Machine(config, system, max_ops=max_ops)
     app.setup(machine)
     result = machine.run(app.worker)

@@ -12,10 +12,14 @@ other.  This module exploits that structure:
   z-machine counters) is itself picklable, so nothing heavyweight — in
   particular no :class:`~repro.runtime.context.Machine` — crosses the
   pool boundary;
-* :func:`run_jobs` — fans specs out over a ``ProcessPoolExecutor`` with
-  deterministic result ordering, graceful fallback to in-process
-  execution when ``jobs == 1`` or a spec cannot be pickled, and an
-  optional on-disk :class:`ResultCache`;
+* :func:`run_jobs` — submits specs to a ``ProcessPoolExecutor`` one
+  future each and lands every result as it finishes: stored in spec
+  order, written to the optional on-disk :class:`ResultCache` and
+  reported to the telemetry session by the parent.  A failing job
+  never discards its finished siblings; its error is re-raised after
+  they land.  Only what a pool cannot run (``jobs == 1``, a single
+  pending spec, an unpicklable spec, a host that cannot build the
+  pool) runs in-process;
 * :class:`ResultCache` — keyed by a stable hash of (job spec, code
   fingerprint), so repeated studies and sweeps are near-free while any
   change to the simulator's source invalidates every entry.
@@ -34,9 +38,8 @@ import os
 import pickle
 import tempfile
 import time
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Callable, Sequence
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -308,26 +311,10 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _poolable(specs: Sequence[JobSpec]) -> bool:
-    """Whether every spec survives a round-trip to a worker process."""
-    try:
-        pickle.dumps(list(specs), protocol=4)
-        return True
-    except Exception:
-        return False
-
-
-#: Worker-process telemetry queue, installed by :func:`_pool_init`.
-_WORKER_QUEUE = None
-
-
-def _pool_init(logger_state: dict, queue) -> None:
+def _pool_init(logger_state: dict) -> None:
     """Pool-worker initializer: mirror the parent's logger configuration
-    (so ``--verbose/--quiet/--json`` hold in children too) and install
-    the telemetry queue heartbeats are sent over."""
-    global _WORKER_QUEUE
+    (so ``--verbose/--quiet/--json`` hold in children too)."""
     _configure_logger(**logger_state)
-    _WORKER_QUEUE = queue
 
 
 def _spec_label(spec) -> tuple[str, str]:
@@ -341,45 +328,56 @@ def _spec_label(spec) -> tuple[str, str]:
     return str(app), str(getattr(spec, "system", "?"))
 
 
-def _emit_start(sink, index: int, spec) -> None:
-    if sink is not None:
-        app, system = _spec_label(spec)
-        sink.put(telemetry.job_started(index, app, system))
+def _open_pool(nworkers: int, pending: list, executor: Callable):
+    """A process pool for ``pending``, or ``None`` to run in-process.
 
-
-def _emit_finish(sink, index: int, spec, job) -> None:
-    if sink is not None:
-        app, system = _spec_label(spec)
-        result = getattr(job, "result", None)
-        sink.put(
-            telemetry.job_finished(
-                index,
-                app,
-                system,
-                events=getattr(result, "ops", 0) or 0,
-                elapsed_s=getattr(job, "elapsed", 0.0),
-                cached=bool(getattr(job, "cached", False)),
-            )
+    In-process is reserved for what a pool cannot run: one worker, a
+    single pending spec, an unpicklable spec or executor, or a host
+    that refuses to build the pool (logged).
+    """
+    if nworkers <= 1 or len(pending) <= 1:
+        return None
+    try:
+        pickle.dumps((executor, pending), protocol=4)
+    except Exception:
+        return None
+    try:
+        return ProcessPoolExecutor(
+            max_workers=min(nworkers, len(pending)),
+            initializer=_pool_init,
+            initargs=(get_logger().state(),),
         )
+    except OSError as exc:
+        get_logger().warn(f"process pool unavailable ({exc}); running jobs in-process")
+        return None
 
 
-class _SessionSink:
-    """Adapter giving the in-process path the queue ``put`` interface."""
+def _outcomes(pending: list[tuple[int, JobSpec]], jobs: int | None, executor: Callable, tele):
+    """Run ``pending`` and yield ``(index, job, error)`` as each finishes.
 
-    def __init__(self, session):
-        self._session = session
-
-    def put(self, record) -> None:
-        self._session.emit(record)
-
-
-def _pool_run(item):
-    """Worker-side wrapper: heartbeats around one executor call."""
-    executor, index, spec = item
-    _emit_start(_WORKER_QUEUE, index, spec)
-    job = executor(spec)
-    _emit_finish(_WORKER_QUEUE, index, spec, job)
-    return job
+    Emits each job's ``start`` record as it is started or submitted.
+    """
+    pool = _open_pool(resolve_jobs(jobs), [s for _, s in pending], executor)
+    if pool is None:
+        for i, spec in pending:
+            if tele is not None:
+                tele.emit(telemetry.job_started(i, *_spec_label(spec)))
+            try:
+                job = executor(spec)
+            except Exception as exc:
+                yield i, None, exc
+            else:
+                yield i, job, None
+        return
+    with pool:
+        futures = {}
+        for i, spec in pending:
+            if tele is not None:
+                tele.emit(telemetry.job_started(i, *_spec_label(spec)))
+            futures[pool.submit(executor, spec)] = i
+        for future in as_completed(futures):
+            error = future.exception()
+            yield futures[future], future.result() if error is None else None, error
 
 
 def run_jobs(
@@ -391,10 +389,14 @@ def run_jobs(
     """Execute ``specs`` and return their results *in spec order*.
 
     ``jobs > 1`` fans the cache misses out over a process pool of that
-    many workers (``None``/``0`` = one per CPU).  Execution falls back
-    to the in-process path when ``jobs == 1``, when a spec cannot be
-    pickled, or when the pool itself fails — results are identical
-    either way (simulations are deterministic), only wall-clock differs.
+    many workers (``None``/``0`` = one per CPU).  Every result lands
+    the same way, whether a cache hit, an in-process run or a pool
+    future: it is stored in spec order, cached and reported to the
+    telemetry session as soon as it finishes.  A job that raises does
+    not stop its siblings; once all of them have landed, the first
+    failure in spec order is re-raised.  Results are identical at any
+    worker count (simulations are deterministic), only wall-clock
+    differs.
 
     ``executor`` maps one spec to one result and defaults to
     :func:`execute_job`; any module-level callable over specs that have
@@ -408,72 +410,42 @@ def run_jobs(
     misses0 = cache.misses if cache is not None else 0
     if tele is not None:
         tele.attach_total(len(specs))
-    local_sink = _SessionSink(tele) if tele is not None else None
     results: list[JobResult | None] = [None] * len(specs)
-    pending: list[tuple[int, JobSpec]] = []
+    failures: dict[int, Exception] = {}
+
+    def land(i: int, job) -> None:
+        results[i] = job
+        if cache is not None and not job.cached:
+            cache.put(specs[i], job)
+        if tele is not None:
+            result = getattr(job, "result", None)
+            tele.emit(
+                telemetry.job_finished(
+                    i,
+                    *_spec_label(specs[i]),
+                    events=getattr(result, "ops", 0) or 0,
+                    elapsed_s=getattr(job, "elapsed", 0.0),
+                    cached=bool(job.cached),
+                )
+            )
+
+    pending = []
     for i, spec in enumerate(specs):
         hit = cache.get(spec) if cache is not None else None
         if hit is not None:
-            results[i] = hit
-            _emit_finish(local_sink, i, spec, hit)
+            land(i, hit)
         else:
             pending.append((i, spec))
-
-    nworkers = resolve_jobs(jobs)
-    if pending:
-        fresh: list[JobResult] | None = None
-        if nworkers > 1 and len(pending) > 1 and _poolable([s for _, s in pending]):
-            try:
-                queue = tele.remote_queue() if tele is not None else None
-                with ProcessPoolExecutor(
-                    max_workers=min(nworkers, len(pending)),
-                    initializer=_pool_init,
-                    initargs=(get_logger().state(), queue),
-                ) as pool:
-                    fresh = list(
-                        pool.map(_pool_run, [(executor, i, s) for i, s in pending])
-                    )
-                if tele is not None:
-                    tele.drain_pending()
-            except (BrokenProcessPool, OSError, pickle.PicklingError):
-                fresh = None
-        if fresh is None:
-            fresh = []
-            for i, spec in pending:
-                _emit_start(local_sink, i, spec)
-                job = executor(spec)
-                _emit_finish(local_sink, i, spec, job)
-                fresh.append(job)
-        for (i, spec), job in zip(pending, fresh):
-            results[i] = job
-            if cache is not None:
-                cache.put(spec, job)
+    for i, job, error in _outcomes(pending, jobs, executor, tele):
+        if error is not None:
+            failures[i] = error
+        else:
+            land(i, job)
     if cache is not None:
         cache.persist_stats(cache.hits - hits0, cache.misses - misses0)
-    return [r for r in results if r is not None]
-
-
-def parallel_map(
-    fn: Callable,
-    items: Iterable,
-    jobs: int | None = 1,
-) -> list:
-    """Order-preserving ``map(fn, items)`` over a process pool.
-
-    ``fn`` must be a module-level callable for ``jobs > 1``; falls back
-    to a plain in-process map when the pool is unavailable or anything
-    fails to pickle.
-    """
-    items = list(items)
-    nworkers = resolve_jobs(jobs)
-    if nworkers > 1 and len(items) > 1:
-        try:
-            pickle.dumps((fn, items), protocol=4)
-            with ProcessPoolExecutor(max_workers=min(nworkers, len(items))) as pool:
-                return list(pool.map(fn, items))
-        except (BrokenProcessPool, OSError, pickle.PicklingError):
-            pass
-    return [fn(item) for item in items]
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 __all__ = [
@@ -484,7 +456,6 @@ __all__ = [
     "cache_key",
     "code_fingerprint",
     "execute_job",
-    "parallel_map",
     "resolve_jobs",
     "run_jobs",
 ]

@@ -1,9 +1,10 @@
-"""Parameter sweeps: the machinery behind the ablation benches.
+"""Parameter sweeps over one machine parameter.
 
 ``sweep`` varies one machine parameter across a list of values, runs a
-fresh application instance per point, and returns an ordered series of
-results — the workhorse of the paper's Section 6 "architectural
-implications" experiments.
+fresh application instance per point through
+:func:`repro.core.parallel.run_jobs`, and returns an ordered series of
+results.  ``examples/architectural_implications.py`` uses it for the
+paper's Section 6 "architectural implications" experiments.
 """
 # lint: ok-module[wall-clock] — measurement harness: wall-clock here times the
 # host, never the simulation; simulated timing comes only from cycle counts.
@@ -14,28 +15,19 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from ..apps.base import Application, run_machine
+from ..apps.base import Application
 from ..config import MachineConfig
 from ..obs.manifest import build_manifest
-from ..runtime.context import Machine
 from ..sim.stats import SimResult
 from .parallel import JobSpec, ResultCache, run_jobs
 
 
 @dataclass
 class SweepPoint:
-    """One point of a parameter sweep.
-
-    ``machine`` is optional inspection-only state: it is populated on
-    the in-process path (``jobs=1``, cache miss) but deliberately left
-    ``None`` for results that crossed a process boundary or came from
-    the cache, so sweep points stay cheap to ship and serialize.  All
-    metrics live in ``result``.
-    """
+    """One point of a parameter sweep; all metrics live in ``result``."""
 
     value: object
     result: SimResult
-    machine: Machine | None = field(default=None, repr=False, compare=False)
 
     @property
     def total_time(self) -> float:
@@ -98,36 +90,23 @@ def sweep(
 
     Points are independent runs: ``jobs > 1`` executes them in worker
     processes and ``cache`` reuses previous identical runs (see
-    :mod:`repro.core.parallel`).  On the plain in-process path
-    (``jobs=1``, no cache) each point also carries its ``machine`` for
-    inspection; pooled or cached points ship only the picklable
-    :class:`SimResult` payload.
+    :mod:`repro.core.parallel`).
     """
     cfg = base_config if base_config is not None else MachineConfig()
     if not hasattr(cfg, parameter):
         raise ValueError(f"MachineConfig has no parameter {parameter!r}")
-    points = []
     t0 = time.perf_counter()
-    jobs_done = None
-    if jobs == 1 and cache is None:
-        for value in values:
-            machine, result = run_machine(
-                app_factory(), system, cfg.replace(**{parameter: value}), verify=verify
-            )
-            points.append(SweepPoint(value=value, result=result, machine=machine))
-    else:
-        specs = [
-            JobSpec(
-                factory=app_factory,
-                system=system,
-                config=cfg.replace(**{parameter: value}),
-                verify=verify,
-            )
-            for value in values
-        ]
-        jobs_done = run_jobs(specs, jobs=jobs, cache=cache)
-        for value, job in zip(values, jobs_done):
-            points.append(SweepPoint(value=value, result=job.result))
+    specs = [
+        JobSpec(
+            factory=app_factory,
+            system=system,
+            config=cfg.replace(**{parameter: value}),
+            verify=verify,
+        )
+        for value in values
+    ]
+    jobs_done = run_jobs(specs, jobs=jobs, cache=cache)
+    points = [SweepPoint(value=value, result=job.result) for value, job in zip(values, jobs_done)]
     manifest = build_manifest(
         "sweep",
         config=cfg,

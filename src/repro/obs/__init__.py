@@ -14,8 +14,8 @@ Four pillars (see docs/observability.md):
   ``--verbose``/``--quiet``/``--json`` modes.
 - :mod:`repro.obs.profile` — the host self-profiler: a stack sampler
   attributing wall time per simulator component (``repro profile``).
-- :mod:`repro.obs.telemetry` — per-job heartbeat records streamed from
-  ``run_jobs`` workers: live progress rendering plus the
+- :mod:`repro.obs.telemetry` — per-job heartbeat records that
+  ``run_jobs`` emits as jobs start and land: live progress rendering plus the
   ``--telemetry-out`` replayable JSONL sink.
 - :mod:`repro.obs.attrib` — exact overhead attribution: every
   read-stall/write-stall/buffer-flush cycle charged to a named shared

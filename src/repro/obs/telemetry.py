@@ -1,8 +1,8 @@
 """Live run telemetry for multi-job studies, sweeps and benches.
 
-Long ``--jobs N`` runs used to be silent for minutes.  This module
-streams per-job heartbeat records from :func:`repro.core.parallel.run_jobs`
-workers back to the parent process, where a :class:`TelemetrySession`
+Long ``--jobs N`` runs used to be silent for minutes.
+:func:`repro.core.parallel.run_jobs` reports every job it starts and
+every result it lands to a :class:`TelemetrySession`, which
 
 * renders live per-job progress lines (``[7/30] IS/RCinv ...``) on the
   logger's diagnostic channel, including a completion-based ETA, and
@@ -17,11 +17,12 @@ Records are plain dicts with a fixed schema::
      "cached": false, "eta_s": 3.1, "ts": 1754650000.0}
 
 ``job`` is the spec index within the run and ``seq`` orders a job's own
-records (0 = start, 1 = finish).  Worker processes emit records over a
-``multiprocessing.Manager`` queue; arrival order is nondeterministic, so
-the JSONL sink is sorted by ``(job, seq)`` at close — replaying a run
-twice yields the same record sequence (timing fields aside), which is
-what the determinism tests pin.
+records (0 = start, 1 = finish).  The parent process emits every record
+itself: ``start`` when it submits a job, ``finish`` when the result
+lands.  Pool jobs finish in a nondeterministic order, so the JSONL sink
+is sorted by ``(job, seq)`` at close — replaying a run twice yields the
+same record sequence (timing fields aside), which is what the
+determinism tests pin.
 
 The session is process-wide (like the logger): the CLI opens one around
 a command via :func:`session`, and ``run_jobs`` picks it up through
@@ -34,11 +35,9 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from queue import Empty
 from typing import Any, Iterator
 
 from .log import get_logger
@@ -91,9 +90,8 @@ def job_finished(
 class TelemetrySession:
     """Collects heartbeat records; renders progress; writes the sink.
 
-    Thread-safe: records arrive from the queue-drainer thread (pool
-    runs) or the caller's thread (in-process runs).  ``total`` may be
-    attached late (``run_jobs`` knows the job count, the CLI does not).
+    ``total`` may be attached late (``run_jobs`` knows the job count,
+    the CLI does not).
     """
 
     def __init__(
@@ -106,30 +104,23 @@ class TelemetrySession:
         self.render = render
         self.total = total
         self.records: list[dict[str, Any]] = []
-        self._lock = threading.Lock()
         self._started = time.time()
         self._finished = 0
-        self._manager: Any = None
-        self._queue: Any = None
-        self._drainer: threading.Thread | None = None
-        self._stop = threading.Event()
 
     # -- record intake ---------------------------------------------------
     def attach_total(self, total: int) -> None:
         """Declare how many jobs the current run fans out."""
-        with self._lock:
-            self.total = total
-            self._finished = 0
-            self._started = time.time()
+        self.total = total
+        self._finished = 0
+        self._started = time.time()
 
     def emit(self, record: dict[str, Any]) -> None:
         """Ingest one heartbeat record (enriches ETA, renders, stores)."""
-        with self._lock:
-            if record.get("event") == "finish":
-                self._finished += 1
-                record["eta_s"] = self._eta()
-            self.records.append(record)
-            line = self._progress_line(record) if self.render else None
+        if record.get("event") == "finish":
+            self._finished += 1
+            record["eta_s"] = self._eta()
+        self.records.append(record)
+        line = self._progress_line(record) if self.render else None
         if line:
             get_logger().info(line)
 
@@ -160,64 +151,9 @@ class TelemetrySession:
         suffix = f", eta {eta:.0f}s" if eta else ""
         return f"[{done}/{total}] {name}: {detail}{suffix}"
 
-    # -- worker-queue plumbing -------------------------------------------
-    def remote_queue(self) -> Any:
-        """A queue worker processes can ``put`` records on.
-
-        Lazily starts a ``multiprocessing.Manager`` and a drainer
-        thread that feeds :meth:`emit`; both are torn down by
-        :meth:`close`.
-        """
-        if self._queue is None:
-            import multiprocessing
-
-            self._manager = multiprocessing.Manager()
-            self._queue = self._manager.Queue()
-            self._stop.clear()
-            self._drainer = threading.Thread(
-                target=self._drain, name="telemetry-drain", daemon=True
-            )
-            self._drainer.start()
-        return self._queue
-
-    def _drain(self) -> None:
-        while True:
-            try:
-                record = self._queue.get(timeout=0.05)
-            except Empty:
-                if self._stop.is_set():
-                    return
-                continue
-            except (EOFError, OSError, ConnectionError):
-                return
-            self.emit(record)
-
-    def drain_pending(self) -> None:
-        """Block until every queued record has been ingested."""
-        if self._queue is None:
-            return
-        # The drainer owns get(); poll emptiness rather than racing it.
-        deadline = time.time() + 5.0
-        while time.time() < deadline:
-            try:
-                if self._queue.empty():
-                    return
-            except (EOFError, OSError, ConnectionError):
-                return
-            time.sleep(0.01)
-
     # -- teardown --------------------------------------------------------
     def close(self) -> None:
-        """Stop the drainer, shut the manager down, write the sink."""
-        self.drain_pending()
-        self._stop.set()
-        if self._drainer is not None:
-            self._drainer.join(timeout=5.0)
-            self._drainer = None
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-            self._queue = None
+        """Write the sink, sorted by ``(job, seq)``."""
         if self.out is not None:
             self.out.parent.mkdir(parents=True, exist_ok=True)
             with open(self.out, "w") as fh:

@@ -11,7 +11,6 @@ from collections.abc import Callable, Generator
 
 from ..config import MachineConfig
 from ..mem.systems import make_system
-from ..mem.systems.zmachine import ZMachine
 from ..network.base import Network
 from ..sim.engine import Engine
 from ..sim.events import Compute, Op, Phase
@@ -67,10 +66,7 @@ class Machine:
         # Sync traffic shares the data network so protocol traffic delays
         # synchronisation (and vice versa); the z-machine's ideal network
         # keeps synchronisation contention-free there.
-        if isinstance(self.memsys, ZMachine):
-            self.network: Network = self.memsys.network
-        else:
-            self.network = self.memsys.network
+        self.network: Network = self.memsys.network
         self.sync = SyncManager(config, self.network)
         self.shm = SharedMemory(config)
         self.engine = Engine(config, self.memsys, self.sync, max_ops=max_ops)
@@ -79,10 +75,6 @@ class Machine:
     @property
     def system_name(self) -> str:
         return self.memsys.name
-
-    @property
-    def is_zmachine(self) -> bool:
-        return isinstance(self.memsys, ZMachine)
 
     def run(self, worker: Callable[[AppContext], Generator[Op, None, None]]) -> SimResult:
         """Run ``worker(ctx)`` on every processor to completion."""

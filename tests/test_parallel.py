@@ -8,12 +8,13 @@ when (job spec, code fingerprint) both match.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import pytest
 
 from repro import MachineConfig, run_study, table1
-from repro.apps import AppFactory, smoke_scale
+from repro.apps import AppFactory, preset, smoke_scale
 from repro.core import parallel
 from repro.core.bench import run_bench
 from repro.core.parallel import (
@@ -26,6 +27,8 @@ from repro.core.parallel import (
     run_jobs,
 )
 from repro.core.sweep import sweep
+from repro.obs import telemetry
+from repro.sim.engine import DeadlockError
 
 CFG = MachineConfig(nprocs=4)
 
@@ -85,14 +88,17 @@ def test_every_job_payload_is_picklable():
 def test_sweep_points_are_picklable():
     res = sweep(IS_FACTORY, "store_buffer_entries", [1, 4], base_config=CFG, jobs=2)
     for point in res.points:
-        assert point.machine is None  # heavyweight machine not shipped
         clone = pickle.loads(pickle.dumps(point))
         assert clone.result == point.result
 
 
-def test_sweep_in_process_still_attaches_machine():
-    res = sweep(IS_FACTORY, "store_buffer_entries", [1, 4], base_config=CFG)
-    assert all(p.machine is not None for p in res.points)
+def test_sweep_in_process_runs_through_run_jobs(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    with telemetry.session(out=out):
+        serial = sweep(IS_FACTORY, "store_buffer_entries", [1, 4], base_config=CFG)
+    assert len(telemetry.load_records(out)) == 4  # start + finish per point
+    pooled = sweep(IS_FACTORY, "store_buffer_entries", [1, 4], base_config=CFG, jobs=2)
+    assert [p.result for p in serial.points] == [p.result for p in pooled.points]
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +141,48 @@ def test_unpicklable_factory_falls_back_in_process():
     specs = [JobSpec(factory=lambda: IS_FACTORY(), system="z-mc", config=CFG)]
     jobs = run_jobs(specs, jobs=4)
     assert jobs[0].result == baseline[0].result
+
+
+# ---------------------------------------------------------------------------
+# fault isolation: a failing job never discards or re-runs its siblings
+
+
+def smoke_is_specs() -> list[JobSpec]:
+    factory = preset("smoke")["IS"][0]
+    cfg = MachineConfig(nprocs=16)
+    return [
+        JobSpec(factory=factory, system=s, config=cfg)
+        for s in ("z-mc", "RCinv", "RCupd", "RCadapt")
+    ]
+
+
+def deadlock_on_rcupd(spec: JobSpec):
+    if spec.system == "RCupd":
+        raise DeadlockError("injected deadlock")
+    return execute_job(spec)
+
+
+def oserror_in_worker(spec: JobSpec):
+    if multiprocessing.parent_process() is not None:
+        raise OSError("injected worker fault")
+    return execute_job(spec)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_job_keeps_finished_siblings(tmp_path, jobs):
+    cache = ResultCache(tmp_path / "cache")
+    specs = smoke_is_specs()
+    out = tmp_path / "telemetry.jsonl"
+    with telemetry.session(out=out), pytest.raises(DeadlockError, match="injected"):
+        run_jobs(specs, jobs=jobs, cache=cache, executor=deadlock_on_rcupd)
+    assert [cache.get(s) is not None for s in specs] == [True, True, False, True]
+    finished = [r["system"] for r in telemetry.load_records(out) if r["event"] == "finish"]
+    assert finished == ["z-mc", "RCinv", "RCadapt"]
+
+
+def test_worker_oserror_raised_not_rerun_in_process():
+    with pytest.raises(OSError, match="injected worker fault"):
+        run_jobs(smoke_is_specs(), jobs=2, executor=oserror_in_worker)
 
 
 def test_resolve_jobs():

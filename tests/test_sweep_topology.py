@@ -44,9 +44,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(small_is, "flux_capacitor", [1])
 
-    def test_machines_retained_for_inspection(self):
+    def test_result_names_its_system(self):
         res = sweep(small_is, "nprocs", [2], system="RCupd")
-        assert res.points[0].machine.system_name == "RCupd"
+        assert res.system == "RCupd"
 
     def test_point_conveniences(self):
         res = sweep(small_is, "nprocs", [2])
