@@ -148,6 +148,10 @@ class MetricsCollector(Observer):
         #: simulated time at which the current bucket ends; deposits
         #: below it skip the _advance call entirely (the hot path).
         self._next_boundary = self.interval
+        #: Per processor, ``(index, end, busy row)`` of the bucket its last
+        #: single-bucket busy deposit landed in: the next deposit to the
+        #: same bucket skips the bucket lookup (the hot path).
+        self._busy_rows: list[tuple] = [(-1, 0.0, None)] * nprocs
         self._last_net = network.stats.snapshot() if network is not None else None
         self.latency = Histogram("access_latency_cycles")
         self.accesses = Counter("accesses")
@@ -172,16 +176,12 @@ class MetricsCollector(Observer):
         # Inlined single-bucket fast path (one deposit per Compute op).
         if start >= self._next_boundary:
             self._advance(start)
-        w = self.interval
-        b0 = int(start // w)
-        if start + cycles <= (b0 + 1) * w:
-            bucket = self._buckets.get(b0)
-            if bucket is None:
-                bucket = {cat: [0.0] * self.nprocs for cat in CATEGORIES}
-                self._buckets[b0] = bucket
-            bucket["busy"][proc] += cycles
+        b0 = int(start // self.interval)
+        index, end, row = self._busy_rows[proc]
+        if b0 == index and start + cycles <= end:
+            row[proc] += cycles
             return
-        self._deposit_one(proc, start, cycles, "busy", cycles)
+        self._deposit_busy(proc, b0, start, start + cycles, cycles, cycles)
 
     def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
         if target.__class__ is SyncPoint:
@@ -206,16 +206,12 @@ class MetricsCollector(Observer):
             # almost always within a single bucket — inlined.
             if issue >= self._next_boundary:
                 self._advance(issue)
-            w = self.interval
-            b0 = int(issue // w)
-            if complete <= (b0 + 1) * w:
-                bucket = self._buckets.get(b0)
-                if bucket is None:
-                    bucket = {cat: [0.0] * self.nprocs for cat in CATEGORIES}
-                    self._buckets[b0] = bucket
-                bucket["busy"][proc] += busy
+            b0 = int(issue // self.interval)
+            index, end, row = self._busy_rows[proc]
+            if b0 == index and complete <= end:
+                row[proc] += busy
                 return
-            self._deposit_one(proc, issue, latency, "busy", busy)
+            self._deposit_busy(proc, b0, issue, complete, latency, busy)
             return
         self._deposit(
             proc, issue, latency,
@@ -239,6 +235,20 @@ class MetricsCollector(Observer):
             bucket = {cat: [0.0] * self.nprocs for cat in CATEGORIES}
             self._buckets[index] = bucket
         return bucket
+
+    def _deposit_busy(
+        self, proc: int, b0: int, start: float, finish: float, dur: float, amount: float
+    ) -> None:
+        """Busy deposit missing the processor's cached row: into bucket
+        ``b0`` (cached from now on) when the span ends by its end, else
+        spread over the buckets the span covers."""
+        end = (b0 + 1) * self.interval
+        if finish <= end:
+            row = self._bucket(b0)["busy"]
+            self._busy_rows[proc] = (b0, end, row)
+            row[proc] += amount
+            return
+        self._deposit_one(proc, start, dur, "busy", amount)
 
     def _advance(self, t: float) -> None:
         """Sample gauges when simulated time enters a new bucket."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import nlargest
+from itertools import islice
 from operator import itemgetter
 
 from .observer import Observer, subscribe
@@ -66,6 +67,10 @@ class TracingMemory(Observer):
     ``max_events`` bounds memory use; later events are dropped (the
     counters keep full totals).  A non-blocking read is recorded as a
     ``"read"`` with the memory system's own result.
+
+    Events are stored as parallel columns of plain values, so a long
+    trace adds no objects for the garbage collector to traverse;
+    :attr:`events` builds the :class:`TraceEvent` objects when read.
     """
 
     #: Single source of truth for the event-buffer bound; ``__init__``
@@ -83,12 +88,26 @@ class TracingMemory(Observer):
         #: Optional :class:`repro.runtime.sharedmem.SharedMemory`; when
         #: set, block rankings resolve block numbers to array names.
         self.shm = shm
-        self.events: list[TraceEvent] = []
         self.dropped = 0
-        # Plain dicts, not Counters: ``Counter.__missing__`` would run
-        # once per new block on the per-access path.
+        #: One list per TraceEvent field every event has, in field
+        #: order, a row per recorded event.
+        self._columns = (
+            self._kind, self._proc, self._addr, self._issue, self._complete,
+            self._read_stall, self._write_stall, self._buffer_flush, self._hit,
+        ) = tuple([] for _ in range(9))
+        #: Row -> (sync_kind, sync_id, episode, label), for the sync ops
+        #: and phase markers that carry them.
+        self._tags: dict[int, tuple] = {}
+        #: :attr:`events` as last built (rebuilt once more rows exist).
+        self._built: list[TraceEvent] = []
+        #: Per block, stall cycles and accesses over every data access,
+        #: in arrival order: the first ``_tallied`` rows, then each
+        #: dropped access as it arrives.  Rows are folded in when a
+        #: ranking is asked for or the first access is dropped, so a
+        #: recorded access costs only its row.
         self._block_stall: dict[int, float] = {}
         self._block_access: dict[int, int] = {}
+        self._tallied = 0
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -102,68 +121,105 @@ class TracingMemory(Observer):
 
     # -- engine-observer callbacks ----------------------------------------
     def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
-        events = self.events
+        kinds = self._kind
+        row = len(kinds)
         if target.__class__ is SyncPoint:
-            if len(events) < self.max_events:
-                events.append(
-                    TraceEvent(
-                        kind, proc, None, issue, res.time,
-                        res.read_stall, res.write_stall, res.buffer_flush, res.hit,
-                        target.kind, target.sync_id, target.episode,
-                    )
-                )
-            else:
-                self.dropped += 1
-            return
-        if kind == "read_nb":
-            kind = "read"
-        if len(events) < self.max_events:
-            events.append(
-                TraceEvent(
-                    kind, proc, target, issue, res.time,
-                    res.read_stall, res.write_stall, res.buffer_flush, res.hit,
-                )
-            )
+            addr = None
+            if row < self.max_events:
+                self._tags[row] = (target.kind, target.sync_id, target.episode, None)
+        else:
+            addr = target
+            if kind == "read_nb":
+                kind = "read"
+            if row >= self.max_events:
+                if self._tallied < row:
+                    self._tally_rows()
+                self._tally(target // self._line_size, res.read_stall + res.write_stall)
+        if row < self.max_events:
+            kinds.append(kind)
+            self._proc.append(proc)
+            self._addr.append(addr)
+            self._issue.append(issue)
+            self._complete.append(res.time)
+            self._read_stall.append(res.read_stall)
+            self._write_stall.append(res.write_stall)
+            self._buffer_flush.append(res.buffer_flush)
+            self._hit.append(res.hit)
         else:
             self.dropped += 1
-        block = target // self._line_size
+
+    def on_phase(self, proc: int, time: float, label: str) -> None:
+        row = len(self._kind)
+        if row < self.max_events:
+            values = ("phase", proc, None, time, time, 0.0, 0.0, 0.0, True)
+            for column, value in zip(self._columns, values):
+                column.append(value)
+            self._tags[row] = (None, None, None, label)
+        else:
+            self.dropped += 1
+
+    # -- block tallies ----------------------------------------------------
+    def _tally(self, block: int, stall: float) -> None:
+        # Plain dicts, not Counters: ``Counter.__missing__`` would run
+        # once per new block.
         access = self._block_access
         access[block] = access.get(block, 0) + 1
-        stall = res.read_stall + res.write_stall
         if stall:
             block_stall = self._block_stall
             block_stall[block] = block_stall.get(block, 0) + stall
 
-    def on_phase(self, proc: int, time: float, label: str) -> None:
-        if len(self.events) < self.max_events:
-            self.events.append(
-                TraceEvent(
-                    kind="phase", proc=proc, addr=None, issue=time, complete=time,
-                    read_stall=0.0, write_stall=0.0, buffer_flush=0.0, hit=True,
-                    label=label,
-                )
-            )
-        else:
-            self.dropped += 1
+    def _tally_rows(self) -> None:
+        """Fold the data rows recorded since the last call into the
+        block tallies."""
+        start = self._tallied
+        line = self._line_size
+        for addr, rs, ws in zip(
+            islice(self._addr, start, None),
+            islice(self._read_stall, start, None),
+            islice(self._write_stall, start, None),
+        ):
+            if addr is not None:
+                self._tally(addr // line, rs + ws)
+        self._tallied = len(self._addr)
 
     # -- analysis ---------------------------------------------------------
-    def block_name(self, block: int) -> str:
-        """Resolve a block number to the shared array(s) it covers
-        (:meth:`repro.runtime.sharedmem.SharedMemory.block_name`).
-        Falls back to ``"block:<n>"`` when no shared memory is attached
-        or the block covers allocator padding only.
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The recorded events in arrival order, built on first read.
+
+        The list is shared between reads until more events arrive;
+        treat it as read-only.
         """
+        built = self._built
+        if len(built) != len(self._kind):
+            tags = self._tags
+            built = self._built = [
+                TraceEvent(*row, *tags[i]) if i in tags else TraceEvent(*row)
+                for i, row in enumerate(zip(*self._columns))
+            ]
+        return built
+
+    def _ranked(self, tally: dict, n: int) -> list[tuple]:
+        """The ``n`` largest tallies, each block named by the shared
+        array(s) it covers
+        (:meth:`repro.runtime.sharedmem.SharedMemory.name_blocks`), or
+        ``"block:<n>"`` when no shared memory is attached."""
+        top = _most_common(tally, n)
         if self.shm is None:
-            return f"block:{block}"
-        return self.shm.block_name(block, self._line_size)[0]
+            names = [f"block:{block}" for block, _ in top]
+        else:
+            names = [span for span, _ in self.shm.name_blocks([b for b, _ in top], self._line_size)]
+        return list(zip(names, [v for _, v in top]))
 
     def hottest_blocks(self, n: int = 10) -> list[tuple[str, float]]:
         """Blocks ranked by accumulated stall cycles, named by array."""
-        return [(self.block_name(b), v) for b, v in _most_common(self._block_stall, n)]
+        self._tally_rows()
+        return self._ranked(self._block_stall, n)
 
     def busiest_blocks(self, n: int = 10) -> list[tuple[str, int]]:
         """Blocks ranked by access count, named by array."""
-        return [(self.block_name(b), v) for b, v in _most_common(self._block_access, n)]
+        self._tally_rows()
+        return self._ranked(self._block_access, n)
 
     #: Export-facing alias pairing with :meth:`hottest_blocks` (the JSON
     #: sidecar keys are ``hottest_blocks`` / ``hottest_accessed``).
@@ -173,24 +229,28 @@ class TracingMemory(Observer):
         return [e for e in self.events if e.proc == proc]
 
     def summary(self) -> dict[str, float]:
-        kinds: Counter[str] = Counter(e.kind for e in self.events)
-        reads = [e for e in self.events if e.kind == "read"]
-        writes = [e for e in self.events if e.kind == "write"]
+        kinds = self._kind
+        hits = self._hit
+        reads = writes = read_misses = write_misses = 0
+        for kind, hit in zip(kinds, hits):
+            if kind == "read":
+                reads += 1
+                read_misses += not hit
+            elif kind == "write":
+                writes += 1
+                write_misses += not hit
         out: dict[str, float] = {
-            "events": len(self.events) + self.dropped,
-            "recorded": len(self.events),
-            "reads": len(reads),
-            "writes": len(writes),
-            "read_miss_rate": (
-                sum(1 for e in reads if not e.hit) / len(reads) if reads else 0.0
-            ),
-            "write_miss_rate": (
-                sum(1 for e in writes if not e.hit) / len(writes) if writes else 0.0
-            ),
+            "events": len(kinds) + self.dropped,
+            "recorded": len(kinds),
+            "reads": reads,
+            "writes": writes,
+            "read_miss_rate": read_misses / reads if reads else 0.0,
+            "write_miss_rate": write_misses / writes if writes else 0.0,
             "total_stall": sum(
-                e.read_stall + e.write_stall + e.buffer_flush for e in self.events
+                rs + ws + bf
+                for rs, ws, bf in zip(self._read_stall, self._write_stall, self._buffer_flush)
             ),
         }
-        for kind, count in sorted(kinds.items()):
+        for kind, count in sorted(Counter(kinds).items()):
             out[f"events_{kind}"] = count
         return out

@@ -30,6 +30,7 @@ from repro.obs.attrib import (
     STALL_ROW,
     AttributionCollector,
     block_span_name,
+    block_span_names,
     build_report,
     diff_reports,
     load_report,
@@ -207,23 +208,39 @@ def _scan_span_name(shm, line: int, block: int) -> tuple[str, str]:
 
 
 def test_block_span_name_matches_a_scan_of_every_array():
-    """The bisecting resolver names every block as a scan does: blocks
-    shared by several arrays, empty arrays, unnamed arrays, padding."""
-    machine = Machine(MachineConfig(), "RCinv")
-    shm, line = machine.shm, machine.config.line_size
-    shm.array(3, name="a")
-    shm.array(0, name="empty")
-    shm.array(5, name="b")
-    shm.scalar(name="s")
-    shm.array(2)
-    shm.array(0, name="empty2")
-    shm.array(1, name="one")
-    shm.array(20, name="padded", align_line=True, pad_to_line=True)
-    shm.array(7, name="c")
-    blocks = range(shm.bytes_allocated // line + 3)
-    assert any("+" in _scan_span_name(shm, line, b)[0] for b in blocks)
-    for block in blocks:
-        assert block_span_name(shm, line, block) == _scan_span_name(shm, line, block)
+    """Both namers name every block as a scan does: blocks shared by
+    several arrays, empty, unnamed and one-element arrays, padding.  The
+    walk is fed as build_report feeds it, one ascending run of blocks
+    per phase, on the z-machine's 4-byte lines and on 32-byte lines."""
+    for system, line in (("z-mc", 4), ("RCinv", 32)):
+        machine = Machine(MachineConfig(), system)
+        shm = machine.shm
+        assert machine.memsys.line_size == line
+        shm.array(3, name="a")
+        shm.array(0, name="empty")
+        shm.array(5, name="b")
+        shm.scalar(name="s")
+        shm.array(2)
+        shm.array(0, name="empty2")
+        shm.array(1, name="one")
+        shm.array(20, name="padded", align_line=True, pad_to_line=True)
+        shm.array(7, name="c")
+        blocks = list(range(shm.bytes_allocated // line + 3))
+        scan = [_scan_span_name(shm, line, block) for block in blocks]
+        assert any(span.startswith("block:") for span, _ in scan)
+        assert ("+" in "".join(span for span, _ in scan)) == (line == 32)
+        for block in blocks:
+            assert block_span_name(shm, line, block) == scan[block]
+        # Each run restarts the walk below where the last one ended,
+        # except the third, which starts on the block the second ended on.
+        every_third = blocks[::3]
+        runs = [
+            blocks, every_third, every_third[-1:] + blocks[-1:],
+            [b for b in blocks if b % 2], blocks[5:9], [0],
+        ]
+        fed = [block for run in runs for block in run]
+        assert list(block_span_names(shm, line, fed)) == [scan[b] for b in fed]
+        assert list(shm.name_blocks(fed, line)) == [scan[b] for b in fed]
 
 
 class _StubMem:
@@ -263,8 +280,9 @@ def test_startup_phase_and_per_proc_phase_switching():
     access("read", 0, 64, 2.0)   # proc 0, now in "work"
     access("read", 1, 0, 3.0)    # proc 1 never saw a marker
     # (phase_id, block): proc 0 and proc 1's startup reads share a cell
-    assert set(c._data) == {(0, 0), (1, 2)}
-    assert c._data[(0, 0)][3] == 2     # two startup accesses to block 0
+    cells = {(pid, block): row for pid, rows in enumerate(c._data) for block, row in rows.items()}
+    assert set(cells) == {(0, 0), (1, 2)}
+    assert c._count[cells[(0, 0)]] == 2     # two startup accesses to block 0
     assert c.phase_name(0) == "(startup)"
     assert c.phase_name(1) == "work"
     totals = c.proc_totals()

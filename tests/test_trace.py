@@ -1,9 +1,12 @@
 """Access tracing facility."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.config import MachineConfig
-from repro.runtime import Lock, Machine
+from repro.runtime import Barrier, DataChannel, Lock, Machine, interleave
 from repro.sim.trace import TracingMemory
 from repro.sim.events import Compute
 
@@ -135,3 +138,126 @@ class TestTracing:
             return machine.run(worker).total_time
 
         assert run(False) == run(True)
+
+
+#: Every field of every recorded event of :func:`run_mixed` with
+#: ``max_events=MIXED_KEPT``, as recorded when each event was stored as
+#: its own ``TraceEvent`` object on arrival.
+MIXED_EVENTS_SHA256 = "850b08561006ca48c724166c12a3e95900dcaf045df57b3221d94faa7ed1d78c"
+MIXED_TOTAL = 166
+MIXED_KEPT = MIXED_TOTAL - 25
+MIXED_SUMMARY = {
+    "events": 166, "recorded": 141, "reads": 38, "writes": 76,
+    "read_miss_rate": 0.23684210526315788, "write_miss_rate": 0.5,
+    "total_stall": 4517.600000000006,
+    "events_acquire": 4, "events_flag_set": 3, "events_flag_wait": 3,
+    "events_phase": 8, "events_read": 38, "events_release": 9, "events_write": 76,
+}
+MIXED_PER_PROC = [34, 30, 25, 52]
+
+
+def run_mixed(max_events=None):
+    """Phase markers, a lock, barriers, channel flags and, on proc 3,
+    non-blocking reads issued by two interleaved contexts."""
+    machine = Machine(MachineConfig(nprocs=4), "RCinv")
+    data = machine.shm.array(64, "data")
+    total = machine.shm.scalar(name="total")
+    lock = Lock(machine.sync)
+    barrier = Barrier(machine.sync)
+    chan = DataChannel(machine, 4, consumers=2)
+    tracer = TracingMemory.attach(machine, max_events=max_events)
+
+    def context(k):
+        for i in range(k, 64, 4):
+            v = yield from data.read(i)
+            yield Compute(2 + v % 3)
+
+    def worker(ctx):
+        pid = ctx.pid
+        yield from ctx.phase("fill")
+        for i in range(pid, 64, 4):
+            yield from data.write(i, i)
+        yield from lock.acquire()
+        v = yield from total.read(0)
+        yield from total.write(0, v + pid)
+        yield from lock.release()
+        yield from barrier.wait()
+        yield from ctx.phase("exchange")
+        if pid == 0:
+            for e in range(2):
+                yield from chan.produce([e, e + 1, e + 2, e + 3])
+        elif pid in (1, 2):
+            for e in (1, 2):
+                yield from chan.consume(e, pid - 1)
+        else:
+            yield from interleave([context(0), context(1)])
+        yield from barrier.wait()
+        yield from ctx.phase("tail")
+        yield Compute(10)
+
+    machine.run(worker)
+    return tracer
+
+
+def _rows(events):
+    return [
+        [e.kind, e.proc, e.addr, e.issue, e.complete, e.read_stall, e.write_stall,
+         e.buffer_flush, e.hit, e.sync_kind, e.sync_id, e.episode, e.label]
+        for e in events
+    ]
+
+
+def test_stored_events_read_back_field_for_field():
+    """Every field of every kept event, the drop count, the summary and
+    the per-processor views are those pinned above."""
+    assert run_mixed().dropped == 0
+    assert len(run_mixed().events) == MIXED_TOTAL
+    tracer = run_mixed(max_events=MIXED_KEPT)
+    rows = _rows(tracer.events)
+    kinds = {row[0] for row in rows}
+    assert {"phase", "read", "write", "acquire", "release", "flag_set", "flag_wait"} <= kinds
+    assert {"lock", "barrier", "flag_set", "flag_wait"} <= {row[9] for row in rows}
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MIXED_EVENTS_SHA256
+    assert tracer.dropped == MIXED_TOTAL - MIXED_KEPT
+    assert tracer.summary() == MIXED_SUMMARY
+    for proc, count in enumerate(MIXED_PER_PROC):
+        mine = tracer.events_for_proc(proc)
+        assert len(mine) == count
+        assert _rows(mine) == [row for row in rows if row[1] == proc]
+
+
+#: ``[hottest_blocks(50), busiest_blocks(50)]`` of :func:`run_mixed`, as
+#: recorded when every access updated the block tallies on arrival.
+MIXED_RANKINGS_SHA256 = "45b2749f327021411577c9dcaf05b7cafb7e720ec3d3d0db7a6b1a435c7706f3"
+
+
+@pytest.mark.parametrize("max_events", [None, MIXED_KEPT, 60, 1])
+def test_block_rankings_count_recorded_and_dropped_accesses(max_events):
+    """Rankings cover every data access however many were dropped, and
+    asking twice changes nothing."""
+    tracer = run_mixed(max_events=max_events)
+    first = [tracer.hottest_blocks(50), tracer.busiest_blocks(50)]
+    assert [tracer.hottest_blocks(50), tracer.busiest_blocks(50)] == first
+    digest = hashlib.sha256(json.dumps(first).encode()).hexdigest()
+    assert digest == MIXED_RANKINGS_SHA256
+
+
+def test_rankings_asked_mid_run_match_rankings_asked_at_the_end():
+    """A ranking asked for before, at and after the first dropped access
+    leaves the final tallies as they would have been."""
+    from repro.sim.stats import AccessResult
+
+    accesses = [(p, 4 * ((7 * i) % 11), float(i % 3)) for i, p in enumerate([0, 1, 2] * 6)]
+
+    def feed(tracer, ask_at=()):
+        for i, (proc, addr, stall) in enumerate(accesses):
+            if i in ask_at:
+                tracer.hottest_blocks(3)
+            res = AccessResult(float(i) + 1.0 + stall, read_stall=stall, hit=not stall)
+            tracer.on_access(proc, "read", addr, float(i), res, 1.0)
+        return [tracer.hottest_blocks(20), tracer.busiest_blocks(20), tracer.dropped]
+
+    quiet = feed(TracingMemory(4, max_events=7))
+    assert quiet[2] == len(accesses) - 7
+    assert feed(TracingMemory(4, max_events=7), ask_at=(2, 7, 8, 12)) == quiet
+    assert feed(TracingMemory(4, max_events=100), ask_at=(3, 9))[:2] == quiet[:2]
