@@ -17,6 +17,7 @@ reported for reference).
 from __future__ import annotations
 
 from collections.abc import Generator
+from itertools import accumulate
 from math import sqrt
 
 import numpy as np
@@ -57,26 +58,26 @@ class Cholesky(Application):
         self.a = matrix if matrix is not None else grid_laplacian(*grid)
         self.symbolic = symbolic_cholesky(self.a)
         self.n = self.a.n
-        # Column-compressed layout of L in one flat shared array.
-        self.colptr = np.zeros(self.n + 1, dtype=np.int64)
-        for j, struct in enumerate(self.symbolic.col_struct):
-            self.colptr[j + 1] = self.colptr[j] + len(struct)
+        # Column-compressed layouts of L and A in flat shared arrays
+        # (plain lists: the worker indexes them per element).
+        col_struct = self.symbolic.col_struct
+        self._colptr = list(accumulate(map(len, col_struct), initial=0))
+        self.a_colptr = list(accumulate(map(len, self.a.cols), initial=0))
         #: row index -> position within column (private metadata)
-        self.row_pos = [
-            {int(r): k for k, r in enumerate(struct)}
-            for struct in self.symbolic.col_struct
-        ]
-        self.a_colptr = np.zeros(self.n + 1, dtype=np.int64)
-        for j, rows in enumerate(self.a.cols):
-            self.a_colptr[j + 1] = self.a_colptr[j] + len(rows)
+        self.row_pos = [{r: k for k, r in enumerate(struct)} for struct in col_struct]
         self._machine: Machine | None = None
+
+    @property
+    def colptr(self) -> np.ndarray:
+        """Start of each column of L in ``lvals`` (``n + 1`` entries)."""
+        return np.array(self._colptr, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def setup(self, machine: Machine) -> None:
         self._machine = machine
         shm, sync = machine.shm, machine.sync
-        nnz_l = int(self.colptr[-1])
-        nnz_a = int(self.a_colptr[-1])
+        nnz_l = self._colptr[-1]
+        nnz_a = self.a_colptr[-1]
         self.lvals = shm.array(nnz_l, "lvals", fill=0.0, align_line=True)
         self.avals = shm.array(nnz_a, "avals", fill=0.0, align_line=True)
         flat_a: list[float] = []
@@ -85,7 +86,7 @@ class Cholesky(Application):
         self.avals.poke_many(flat_a)
         self.dep = shm.array(self.n, "dep", fill=0, align_line=True)
         counts = self.symbolic.dep_counts()
-        self.dep.poke_many([int(c) for c in counts])
+        self.dep.poke_many(counts)
         self.locks = [Lock(sync, name=f"chol.dep{k}") for k in range(self.NLOCKS)]
         self.pool = TaskPool(shm, sync, capacity=self.n + 1, name="chol.queue")
         leaves = [j for j in range(self.n) if counts[j] == 0]
@@ -94,7 +95,7 @@ class Cholesky(Application):
     # ------------------------------------------------------------------
     def worker(self, ctx: AppContext) -> Generator[Op, None, None]:
         sym = self.symbolic
-        colptr = self.colptr
+        colptr = self._colptr
         row_pos = self.row_pos
         # Zero-call access paths for the factor kernels (see
         # SharedArray.hot_access): the gather/cmod/cdiv loops are the
@@ -108,29 +109,28 @@ class Cholesky(Application):
                 break
             yield _C_DISPATCH
             struct = sym.col_struct[j]
-            base_j = int(colptr[j])
+            base_j = colptr[j]
             # Accumulator for column j, initialised from A's column.
-            acc = dict.fromkeys((int(i) for i in struct), 0.0)
-            a_base = int(self.a_colptr[j])
+            acc = dict.fromkeys(struct, 0.0)
+            a_base = self.a_colptr[j]
             for k, i in enumerate(self.a.cols[j]):
                 ard.addr = abase + (a_base + k) * aword
                 yield ard
-                acc[int(i)] = float(adata[a_base + k])
+                acc[i] = adata[a_base + k]
                 yield _C_GATHER
             # cmod(j, k) for every column k with L[j,k] != 0.
             for k in sym.row_struct[j]:
-                k = int(k)
-                base_k = int(colptr[k])
+                base_k = colptr[k]
                 pos_jk = row_pos[k][j]
                 lrd.addr = lbase + (base_k + pos_jk) * lword
                 yield lrd
-                ljk = float(ldata[base_k + pos_jk])
+                ljk = ldata[base_k + pos_jk]
                 struct_k = sym.col_struct[k]
                 for kk in range(pos_jk, len(struct_k)):
-                    i = int(struct_k[kk])
+                    i = struct_k[kk]
                     lrd.addr = lbase + (base_k + kk) * lword
                     yield lrd
-                    acc[i] -= ljk * float(ldata[base_k + kk])
+                    acc[i] -= ljk * ldata[base_k + kk]
                     yield _C_CMOD
             # cdiv(j): scale by the diagonal and publish the column.
             diag = sqrt(acc[j])
@@ -139,7 +139,7 @@ class Cholesky(Application):
             yield lwr
             ldata[base_j] = diag
             for k, i in enumerate(struct[1:], start=1):
-                val = acc[int(i)] / diag
+                val = acc[i] / diag
                 yield _C_CDIV
                 lwr.addr = lbase + (base_j + k) * lword
                 yield lwr
@@ -148,8 +148,7 @@ class Cholesky(Application):
             # column j's off-diagonal structure.  task_done comes last so
             # the outstanding count never transiently reaches zero while
             # successors are still to be enqueued.
-            for i in struct[1:]:
-                d = int(i)
+            for d in struct[1:]:
                 lock = self.locks[d % self.NLOCKS]
                 yield from lock.acquire()
                 remaining = yield from self.dep.add(d, -1)
@@ -165,9 +164,9 @@ class Cholesky(Application):
         l = np.zeros((self.n, self.n))
         flat = self.lvals.snapshot()
         for j, struct in enumerate(self.symbolic.col_struct):
-            base = int(self.colptr[j])
+            base = self._colptr[j]
             for k, i in enumerate(struct):
-                l[int(i), j] = flat[base + k]
+                l[i, j] = flat[base + k]
         return l
 
     def verify(self) -> None:

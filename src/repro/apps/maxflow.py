@@ -67,7 +67,7 @@ class Maxflow(Application):
         self.height = shm.array(n, "height", fill=0, align_line=True, relaxed="read")
         self.flow = shm.array(m, "flow", fill=0, align_line=True, relaxed="read")
         self.cap = shm.array(m, "cap", fill=0, align_line=True)
-        self.cap.poke_many([int(c) for c in net.cap])
+        self.cap.poke_many(net.cap.tolist())
         self.active = shm.array(n, "active", fill=0, align_line=True)
         self.active_count = shm.scalar("mf.active_count", fill=0, relaxed="read")
         self.count_lock = Lock(sync, name="mf.count_lock")
@@ -79,13 +79,10 @@ class Maxflow(Application):
         self.height.poke(s, n)
         initial_active: list[int] = []
         for e in net.adj[s]:
-            e = int(e)
-            if net.tail[e] != s:
-                continue
             c = int(net.cap[e])
             if c <= 0:
                 continue
-            w = int(net.head[e])
+            w = net.head[e]
             self.flow.poke(e, c)
             self.flow.poke(e ^ 1, -c)
             self.excess.poke(w, self.excess.peek(w) + c)
@@ -141,6 +138,9 @@ class Maxflow(Application):
         """
         net = self.net
         s, t = net.source, net.sink
+        # Every arc in adj[v] leaves v (see FlowNetwork), so the scan
+        # needs no tail check; adj and head are plain lists.
+        head = net.head
         # Zero-call access paths for the optimistic scan (see
         # SharedArray.hot_access); the locked re-validation paths in
         # _push/_relabel keep the generator API.
@@ -160,10 +160,7 @@ class Maxflow(Application):
             yield hrd
             hv = hdata[v]
             for e in net.adj[v]:
-                e = int(e)
-                if int(net.tail[e]) != v:
-                    continue
-                w = int(net.head[e])
+                w = head[e]
                 yield _C_ARC
                 hrd.addr = hbase + w * hword
                 yield hrd
@@ -250,15 +247,12 @@ class Maxflow(Application):
         yield from self.vlocks[v].acquire()
         best: int | None = None
         for e in net.adj[v]:
-            e = int(e)
-            if int(net.tail[e]) != v:
-                continue
             c = yield from self.cap.read(e)
             f = yield from self.flow.read(e)
             yield _C_ARC
             if c - f <= 0:
                 continue
-            hw = yield from self.height.read(int(net.head[e]))
+            hw = yield from self.height.read(net.head[e])
             if best is None or hw < best:
                 best = int(hw)
         if best is None:

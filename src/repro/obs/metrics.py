@@ -129,6 +129,8 @@ class MetricsCollector(Observer):
         #: memory system whose store/merge buffer depths are sampled at
         #: bucket crossings; None outside :meth:`attach`.
         self.memsys = memsys
+        #: its stall-free hit flyweight (a result needing no stall reads)
+        self._hit = getattr(memsys, "_hit_result", None)
         #: bucket index -> {category: [per-proc cycles]}
         self._buckets: dict[int, dict[str, list[float]]] = {}
         #: bucket index -> network counter deltas accrued while it was current
@@ -198,26 +200,27 @@ class MetricsCollector(Observer):
         hist.count += 1
         hist.sum += latency
         hist.counts[bisect_left(hist.bounds, latency)] += 1
-        read_stall = res.read_stall
-        write_stall = res.write_stall
-        buffer_flush = res.buffer_flush
-        if read_stall == 0.0 and write_stall == 0.0 and buffer_flush == 0.0:
-            # Hit path (the overwhelming majority): one category, and
-            # almost always within a single bucket — inlined.
-            if issue >= self._next_boundary:
-                self._advance(issue)
-            b0 = int(issue // self.interval)
-            index, end, row = self._busy_rows[proc]
-            if b0 == index and complete <= end:
-                row[proc] += busy
+        if res is not self._hit:
+            read_stall = res.read_stall
+            write_stall = res.write_stall
+            buffer_flush = res.buffer_flush
+            if read_stall != 0.0 or write_stall != 0.0 or buffer_flush != 0.0:
+                self._deposit(
+                    proc, issue, latency,
+                    busy=busy, read_stall=read_stall,
+                    write_stall=write_stall, buffer_flush=buffer_flush,
+                )
                 return
-            self._deposit_busy(proc, b0, issue, complete, latency, busy)
+        # Stall-free (the overwhelming majority): one category, and
+        # almost always within a single bucket — inlined.
+        if issue >= self._next_boundary:
+            self._advance(issue)
+        b0 = int(issue // self.interval)
+        index, end, row = self._busy_rows[proc]
+        if b0 == index and complete <= end:
+            row[proc] += busy
             return
-        self._deposit(
-            proc, issue, latency,
-            busy=busy, read_stall=read_stall,
-            write_stall=write_stall, buffer_flush=buffer_flush,
-        )
+        self._deposit_busy(proc, b0, issue, complete, latency, busy)
 
     def on_stall(self, proc: int, start: float, cycles: float, category: str) -> None:
         self._deposit_one(proc, start, cycles, _STALL_CATEGORY[category], cycles)

@@ -18,7 +18,8 @@ Hot-path structure (see docs/architecture.md for the full design):
   parallel lists, ``times`` and ``tids``, sorted by time with equal
   times in arrival order — the exact ``(time, seq, tid)`` order of the
   original global ``heapq`` without storing ``seq``.  Each runnable
-  thread has at most one entry, so the lists stay at most P long.
+  thread has exactly one entry and a blocked or finished one none, so
+  the lists stay at most P long and a popped entry is never stale.
 
 * Run-ahead fast path: once a thread is resumed, the fused scheduler
   loop in :meth:`Engine.run` executes its consecutive ops *without
@@ -33,8 +34,10 @@ Hot-path structure (see docs/architecture.md for the full design):
   batching is the maximal safe run-ahead for execution-driven threads.
 
 * Segment switch: a thread that passes the horizon is re-inserted with
-  one ``bisect_right`` plus two list inserts; one that blocks or
-  finishes inserts nothing.  The loop head then pops the front entry.
+  two list appends if its clock is at or past the last queued time
+  (where ``bisect_right`` would put it), else one ``bisect_right`` plus
+  two list inserts; one that blocks or finishes inserts nothing.  The
+  loop head pops the front entry and takes the thread's clock from it.
 """
 
 from __future__ import annotations
@@ -105,6 +108,8 @@ class _Thread:
         self.gen = gen
         #: ``gen.send``, bound once: the scheduler resumes through it.
         self.send = gen.send
+        #: Clock while blocked or done; a runnable thread's clock is its
+        #: ready-queue entry (the segment switch does not store it here).
         self.time = 0.0
         self.stats = ProcStats()
         self.blocked = False
@@ -230,9 +235,10 @@ class Engine:
         scheduler loop: a timing change lands in both.
 
         The ready queue's lists are locals too.  The loop head pops the
-        front entry; a segment ends by re-inserting the thread (clock
-        past the horizon) or by inserting nothing (blocked, finished),
-        so every switch is a handful of C list calls.  The run-ahead
+        front entry, whose time is the thread's clock; a segment ends by
+        re-inserting the thread (clock past the horizon) or by inserting
+        nothing (blocked, finished), so every runnable thread has exactly
+        one entry and the pop needs no staleness check.  The run-ahead
         horizon lives in the local ``hz``, read as ``times[0]``: only
         sync operations can wake another thread (the only way the
         earliest pending time can move down mid-segment), so ``hz`` is
@@ -281,16 +287,12 @@ class Engine:
         gc.disable()
         try:
           while times:
-            time = times.pop(0)
+            t = times.pop(0)
             tid = tids.pop(0)
             thread = tlist[tid]
-            if thread.done or thread.blocked or thread.time != time:
-                # stale queue entry (thread was re-pushed or woken)
-                continue
             hz = times[0] if times else _INF
             send = thread.send
             stats = thread.stats
-            t = thread.time
             fb = thread.feedback
             while True:
                 try:
@@ -571,13 +573,16 @@ class Engine:
                 # that can re-read ``hz`` right after), so one float
                 # compare replaces the per-op queue peek.
                 if t > hz:
-                    thread.time = t
                     thread.feedback = fb
-                    # Switch: re-queue this thread (EventWheel._push_slow
-                    # inlined) and let the loop head pop the next one.
-                    i = bisect_right(times, t)
-                    times.insert(i, t)
-                    tids.insert(i, tid)
+                    # Switch: re-queue (EventWheel.push inlined; ``hz``
+                    # is finite, so ``times`` is not empty).
+                    if t >= times[-1]:
+                        times.append(t)
+                        tids.append(tid)
+                    else:
+                        i = bisect_right(times, t)
+                        times.insert(i, t)
+                        tids.insert(i, tid)
                     break
         finally:
             self._ops_executed = ops

@@ -60,29 +60,41 @@ class Observer:
         pass
 
 
-def _fan(handlers: list):
-    """One callable calling every handler in order; two and three
-    subscribers (the tracer, metrics and attribution stack) get a
-    loop-free body."""
+def _fan(handlers: list, nargs: int):
+    """One callable calling every handler in order.
+
+    Two and three subscribers (the tracer, metrics and attribution
+    stack) get a loop-free body; for callbacks taking ``nargs`` 3
+    (``on_busy``, ``on_sync_wait``, ``on_phase``) or 6 (``on_access``)
+    parameters it packs no ``*args`` tuple per call."""
     if len(handlers) == 1:
         return handlers[0]
     if len(handlers) == 2:
         h0, h1 = handlers
-
-        def fan(*args) -> None:
-            h0(*args)
-            h1(*args)
-
-        return fan
+        if nargs == 3:
+            def fan2_3(a, b, c) -> None:
+                h0(a, b, c)
+                h1(a, b, c)
+            return fan2_3
+        if nargs == 6:
+            def fan2_6(a, b, c, d, e, f) -> None:
+                h0(a, b, c, d, e, f)
+                h1(a, b, c, d, e, f)
+            return fan2_6
     if len(handlers) == 3:
         h0, h1, h2 = handlers
-
-        def fan(*args) -> None:
-            h0(*args)
-            h1(*args)
-            h2(*args)
-
-        return fan
+        if nargs == 3:
+            def fan3_3(a, b, c) -> None:
+                h0(a, b, c)
+                h1(a, b, c)
+                h2(a, b, c)
+            return fan3_3
+        if nargs == 6:
+            def fan3_6(a, b, c, d, e, f) -> None:
+                h0(a, b, c, d, e, f)
+                h1(a, b, c, d, e, f)
+                h2(a, b, c, d, e, f)
+            return fan3_6
 
     def fan(*args) -> None:
         for handler in handlers:
@@ -108,7 +120,7 @@ class FanOut(Observer):
                 if getattr(type(s), name, None) is not noop
             ]
             if handlers:
-                setattr(self, name, _fan(handlers))
+                setattr(self, name, _fan(handlers, noop.__code__.co_argcount - 1))
 
 
 def subscribe(engine, subscriber: Observer) -> Observer:

@@ -25,9 +25,14 @@ Equivalence notes (why this simpler loop is bit-identical):
   time and inserts with ``bisect_right``, so an entry lands after every
   equal time already queued — the order ``seq`` gives here, where it
   counts pushes.  With identical scheduling decisions both engines
-  queue in the same order, so tie-breaks coincide.  Both discard stale
-  entries on pop and read the horizon from the front entry, stale or
-  not.
+  queue in the same order, so tie-breaks coincide.  Both read the
+  horizon from the front entry.
+* One entry per runnable thread: ``spawn``, ``wake`` (blocked threads
+  only) and a switch each push once, and a blocked or finished thread
+  pushes nothing, so no queued entry is ever stale.  The production
+  loop relies on this (it takes the clock from the popped entry and
+  checks nothing); this loop checks every pop and raises on a stale
+  entry, so every fuzz draw tests the invariant.
 * Run-ahead: the production loop re-reads its horizon (``times[0]``)
   only after sync ops.  Mid-segment the queue minimum can only change
   via a push from a wake, and wakes only happen inside sync ops, so
@@ -176,8 +181,10 @@ class ReferenceEngine:
             time, _seq, tid = heappop(heap)
             thread = threads[tid]
             if thread.done or thread.blocked or thread.time != time:
-                # stale heap entry (thread was re-pushed or woken)
-                continue
+                raise RuntimeError(
+                    f"stale ready entry ({time}, {tid}): thread done={thread.done} "
+                    f"blocked={thread.blocked} time={thread.time}"
+                )
             self._run_thread(thread)
         blocked = [th.tid for th in threads.values() if th.blocked]
         unfinished = [th.tid for th in threads.values() if not th.done]

@@ -2,7 +2,7 @@
 
 The engine must resume threads in exact ``(time, arrival)`` order: the
 smallest clock first, same-time entries in the order they were queued.
-The engine queues at most one entry per runnable thread, so the queue
+The engine queues exactly one entry per runnable thread, so the queue
 never holds more than P entries, and a segment switch only ever removes
 the front entry and inserts one more.
 

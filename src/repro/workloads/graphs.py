@@ -27,10 +27,12 @@ class FlowNetwork:
     sink: int
     #: arc endpoints, len = num_arcs (even; pairs share e//2)
     tail: np.ndarray
-    head: np.ndarray
+    #: a plain list, like ``adj``: the discharge scan indexes it per arc
+    head: list[int]
     cap: np.ndarray
-    #: adjacency: out-arcs (arc ids) per vertex, including residual arcs
-    adj: list[np.ndarray]
+    #: adjacency: out-arcs (arc ids) per vertex, including residual
+    #: arcs, so every arc ``e`` in ``adj[v]`` has ``tail[e] == v``
+    adj: list[list[int]]
 
     @property
     def num_arcs(self) -> int:
@@ -57,9 +59,9 @@ def _build(n: int, source: int, sink: int, edges: list[tuple[int, int, int, int]
         source=source,
         sink=sink,
         tail=np.array(tail, dtype=np.int64),
-        head=np.array(head, dtype=np.int64),
+        head=head,
         cap=np.array(cap, dtype=np.int64),
-        adj=[np.array(a, dtype=np.int64) for a in adj],
+        adj=adj,
     )
 
 
@@ -108,7 +110,7 @@ def reference_max_flow(net: FlowNetwork) -> int:
     for e in range(net.num_arcs):
         c = int(net.cap[e])
         if c > 0:
-            u, v = int(net.tail[e]), int(net.head[e])
+            u, v = int(net.tail[e]), net.head[e]
             if g.has_edge(u, v):
                 g[u][v]["capacity"] += c
             else:

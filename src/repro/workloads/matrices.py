@@ -20,12 +20,13 @@ class SparseSPD:
     """A sparse SPD matrix in column-compressed style (lower triangle).
 
     ``cols[j]`` holds the row indices ``i >= j`` of non-zeros in column
-    ``j`` (diagonal first); ``vals[j]`` the matching values.
+    ``j`` (diagonal first); ``vals[j]`` the matching values.  Both are
+    plain lists: the factorisation walks them one element at a time.
     """
 
     n: int
-    cols: list[np.ndarray]
-    vals: list[np.ndarray]
+    cols: list[list[int]]
+    vals: list[list[float]]
 
     @property
     def nnz_lower(self) -> int:
@@ -47,12 +48,13 @@ class SymbolicFactor:
     ``col_struct[j]`` — sorted row indices of column j of L (diagonal
     first); ``row_struct[j]`` — columns ``k < j`` with ``L[j,k] != 0``
     (the columns whose updates column j consumes); ``parent`` — the
-    elimination tree; ``dep_count[j] = len(row_struct[j])``.
+    elimination tree; ``dep_count[j] = len(row_struct[j])``.  The
+    structures are plain lists of ints, like :class:`SparseSPD`'s.
     """
 
     n: int
-    col_struct: list[np.ndarray]
-    row_struct: list[np.ndarray]
+    col_struct: list[list[int]]
+    row_struct: list[list[int]]
     parent: np.ndarray
     supernodes: list[tuple[int, int]] = field(default_factory=list)
 
@@ -60,8 +62,8 @@ class SymbolicFactor:
     def nnz(self) -> int:
         return sum(len(c) for c in self.col_struct)
 
-    def dep_counts(self) -> np.ndarray:
-        return np.array([len(r) for r in self.row_struct], dtype=np.int64)
+    def dep_counts(self) -> list[int]:
+        return [len(r) for r in self.row_struct]
 
 
 def nested_dissection_order(rows: int, cols: int) -> np.ndarray:
@@ -119,15 +121,16 @@ def grid_laplacian(rows: int, cols: int, shift: float = 0.1, ordering: str = "nd
         perm = np.arange(n, dtype=np.int64)
     else:
         raise ValueError(f"unknown ordering {ordering!r}")
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n)
+    inv = [0] * n
+    for j, cell in enumerate(perm.tolist()):
+        inv[cell] = j
 
     col_rows: list[list[int]] = [[] for _ in range(n)]
     col_vals: list[list[float]] = [[] for _ in range(n)]
     for r in range(rows):
         for c in range(cols):
             cell = r * cols + c
-            j = int(inv[cell])
+            j = inv[cell]
             degree = sum(
                 1
                 for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
@@ -137,21 +140,16 @@ def grid_laplacian(rows: int, cols: int, shift: float = 0.1, ordering: str = "nd
             col_vals[j].append(degree + shift)
             for rr, cc in ((r + 1, c), (r, c + 1), (r - 1, c), (r, c - 1)):
                 if 0 <= rr < rows and 0 <= cc < cols:
-                    i = int(inv[rr * cols + cc])
+                    i = inv[rr * cols + cc]
                     if i > j:  # lower triangle only
                         col_rows[j].append(i)
                         col_vals[j].append(-1.0)
-    spd = SparseSPD(
-        n=n,
-        cols=[np.array(r, dtype=np.int64) for r in col_rows],
-        vals=[np.array(v) for v in col_vals],
-    )
     # Keep row indices sorted within each column (diagonal first).
     for j in range(n):
-        idx = np.argsort(spd.cols[j])
-        spd.cols[j] = spd.cols[j][idx]
-        spd.vals[j] = spd.vals[j][idx]
-    return spd
+        pairs = sorted(zip(col_rows[j], col_vals[j]))  # rows are distinct
+        col_rows[j] = [i for i, _ in pairs]
+        col_vals[j] = [v for _, v in pairs]
+    return SparseSPD(n=n, cols=col_rows, vals=col_vals)
 
 
 def random_spd(n: int, density: float = 0.05, seed: int = 0) -> SparseSPD:
@@ -171,12 +169,8 @@ def random_spd(n: int, density: float = 0.05, seed: int = 0) -> SparseSPD:
                 row_sums[i] += abs(v)
                 row_sums[j] += abs(v)
     for j in range(n):
-        col_vals[j][0] = row_sums[j] + 1.0 + rng.random()
-    return SparseSPD(
-        n=n,
-        cols=[np.array(r, dtype=np.int64) for r in col_rows],
-        vals=[np.array(v) for v in col_vals],
-    )
+        col_vals[j][0] = float(row_sums[j] + 1.0 + rng.random())
+    return SparseSPD(n=n, cols=col_rows, vals=col_vals)
 
 
 def symbolic_cholesky(a: SparseSPD) -> SymbolicFactor:
@@ -188,28 +182,23 @@ def symbolic_cholesky(a: SparseSPD) -> SymbolicFactor:
     n = a.n
     parent = np.full(n, -1, dtype=np.int64)
     children: list[list[int]] = [[] for _ in range(n)]
-    col_struct: list[np.ndarray] = []
+    col_struct: list[list[int]] = []
     for j in range(n):
-        rows = set(int(i) for i in a.cols[j] if i >= j)
+        rows = {i for i in a.cols[j] if i >= j}
         rows.add(j)
         for c in children[j]:
-            rows.update(int(i) for i in col_struct[c] if i > j)
-        struct = np.array(sorted(rows), dtype=np.int64)
+            rows.update(i for i in col_struct[c] if i > j)
+        struct = sorted(rows)
         col_struct.append(struct)
         if len(struct) > 1:
-            p = int(struct[1])  # first off-diagonal row = etree parent
+            p = struct[1]  # first off-diagonal row = etree parent
             parent[j] = p
             children[p].append(j)
     row_struct: list[list[int]] = [[] for _ in range(n)]
     for k in range(n):
         for i in col_struct[k][1:]:
-            row_struct[int(i)].append(k)
-    factor = SymbolicFactor(
-        n=n,
-        col_struct=col_struct,
-        row_struct=[np.array(r, dtype=np.int64) for r in row_struct],
-        parent=parent,
-    )
+            row_struct[i].append(k)
+    factor = SymbolicFactor(n=n, col_struct=col_struct, row_struct=row_struct, parent=parent)
     factor.supernodes = find_supernodes(factor)
     return factor
 

@@ -225,7 +225,8 @@ def test_innermost_mapped_module_wins(funcs, component):
 def test_inlined_wheel_line_is_wheel():
     wheel_lines = inlined_wheel_lines()
     prof = HostProfiler()
-    for run_line in ("time = times.pop(0)", "tid = tids.pop(0)",
+    for run_line in ("t = times.pop(0)", "tid = tids.pop(0)",
+                     "times.append(t)", "tids.append(tid)",
                      "= bisect_right(times, t)", "tids.insert("):
         assert _line_of(_RUN, run_line) in wheel_lines
         assert prof.classify(_chain(_RUN, run_line=run_line)) == "wheel"
