@@ -19,10 +19,6 @@ attribute run one application under exact overhead attribution and
          against another system or scenario)
 diff     decompose the overhead delta between two saved attribution
          reports (from ``repro attribute --out``)
-bench    time serial vs parallel vs cached execution of the full study
-         set and write a BENCH_parallel.json perf baseline (with
-         ``--profile``: measure self-profiler overhead →
-         BENCH_profile.json)
 perf     perfbench ledger and speed gate: ``perf record`` appends saved
          perfbench/run.py output to benchmarks/history.jsonl keyed by
          commit; ``perf report`` prints each series' trend and latest
@@ -62,23 +58,16 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import MachineConfig, figure1_scenario, run_study
 from .analysis import format_claims, format_figure, format_table1, standard_claims
 from .analysis.checkers import check_matrix, format_outcomes, run_checks
 from .analysis.report import studies_to_csv, studies_to_json, table1_to_csv
-from .apps import SCALES, default_scale, preset
+from .apps import SCALES, default_scale, preset, run_machine
 from .apps.factory import AppFactory
 from .core import perf
-from .core.bench import (
-    BENCH_FILE,
-    PROFILE_BENCH_FILE,
-    format_bench,
-    format_profile_bench,
-    run_bench,
-    run_profile_bench,
-)
 from .core.parallel import ResultCache
 from .core.table1 import table1_with_manifest
 from .mem.systems import PAPER_SYSTEMS, SYSTEM_REGISTRY
@@ -94,7 +83,6 @@ from .obs.attrib import (
 from .obs.manifest import build_manifest, write_manifest
 from .obs.profile import HostProfiler
 from .obs.timeline import attribution_to_perfetto
-from .runtime.context import Machine
 from .scenarios import (
     SCENARIO_BENCH_FILE,
     SCENARIO_NAMES,
@@ -228,6 +216,15 @@ def cmd_claims(args: argparse.Namespace) -> int:
     return 0 if all_hold else 1
 
 
+def _check_system(system: str) -> None:
+    """Exit with the list of memory systems when ``system`` is not one."""
+    if system not in SYSTEM_REGISTRY:
+        raise SystemExit(
+            f"unknown memory system {system!r}; choose from "
+            f"{', '.join(sorted(SYSTEM_REGISTRY))}"
+        )
+
+
 def _resolve_trace_app(name: str) -> tuple[str, AppFactory]:
     """Resolve a ``repro trace`` app argument (registry name or alias)."""
     canonical = TRACE_APP_ALIASES.get(name.lower(), name)
@@ -242,22 +239,16 @@ def _resolve_trace_app(name: str) -> tuple[str, AppFactory]:
 def cmd_trace(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
-    if args.system not in SYSTEM_REGISTRY:
-        raise SystemExit(
-            f"unknown memory system {args.system!r}; choose from "
-            f"{', '.join(sorted(SYSTEM_REGISTRY))}"
-        )
+    _check_system(args.system)
     name, factory = _resolve_trace_app(args.app)
-    app = factory()
-    machine = Machine(cfg, args.system)
-    app.setup(machine)
-    tracer = TracingMemory.attach(machine, max_events=args.max_events)
-    collector = (
-        MetricsCollector.attach(machine, interval=args.interval) if args.metrics else None
-    )
+    hooks = [partial(TracingMemory.attach, max_events=args.max_events)]
+    if args.metrics:
+        hooks.append(partial(MetricsCollector.attach, interval=args.interval))
     log.debug(f"tracing {name} on {args.system}", max_events=args.max_events)
     t0 = time.perf_counter()
-    result = machine.run(app.worker)
+    machine, result, tracer, *collectors = run_machine(
+        factory(), args.system, cfg, verify=False, attach=hooks
+    )
     wall = time.perf_counter() - t0
     log.info(
         f"{name} on {args.system}: {result.ops} ops, "
@@ -270,7 +261,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         log.out(f"hottest blocks by stall cycles (top {args.top}):")
         for block_name, stall in hot:
             log.out(f"  {block_name:<36s} {stall:>12.1f}")
-    metrics = collector.to_dict() if collector is not None else None
+    metrics = collectors[0].to_dict() if collectors else None
     doc = to_perfetto(
         tracer, cfg.nprocs, total_time=result.total_time, app=name,
         system=args.system, sync_names=machine.sync.sync_names(),
@@ -302,18 +293,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
-    if args.system not in SYSTEM_REGISTRY:
-        raise SystemExit(
-            f"unknown memory system {args.system!r}; choose from "
-            f"{', '.join(sorted(SYSTEM_REGISTRY))}"
-        )
+    _check_system(args.system)
     name, factory = _resolve_trace_app(args.app)
     factory = _scaled_factory(name, factory, args.scale)
     with HostProfiler() as prof:
-        app = factory()
-        machine = Machine(cfg, args.system)
-        app.setup(machine)
-        result = machine.run(app.worker)
+        _, result = run_machine(factory(), args.system, cfg, verify=False)
     log.info(
         f"{name} on {args.system}: {result.ops} ops, "
         f"{result.total_time:.0f} simulated cycles"
@@ -344,11 +328,7 @@ def _scaled_factory(name: str, factory: AppFactory, scale: str) -> AppFactory:
 def cmd_attribute(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
-    if args.system not in SYSTEM_REGISTRY:
-        raise SystemExit(
-            f"unknown memory system {args.system!r}; choose from "
-            f"{', '.join(sorted(SYSTEM_REGISTRY))}"
-        )
+    _check_system(args.system)
     name, factory = _resolve_trace_app(args.app)
     factory = _scaled_factory(name, factory, args.scale)
     log.debug(f"attributing {name} on {args.system}", scale=args.scale)
@@ -402,20 +382,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(diff, indent=2) + "\n")
         log.out(f"diff document written to {args.out}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    log = get_logger()
-    if args.profile:
-        out = args.out if args.out != BENCH_FILE else PROFILE_BENCH_FILE
-        doc = run_profile_bench(scale=args.scale, nprocs=args.nprocs, out=out)
-        log.out(format_profile_bench(doc))
-        log.out(f"trajectory written to {out}")
-        return 0
-    doc = run_bench(scale=args.scale, jobs=args.jobs or None, out=args.out)
-    log.out(format_bench(doc))
-    log.out(f"trajectory written to {args.out}")
     return 0
 
 
@@ -892,22 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH", help="write the diff document as JSON"
     )
     p_diff.set_defaults(func=cmd_diff)
-
-    p_bench = sub.add_parser(
-        "bench", help="serial vs parallel vs cached timing of the full study set"
-    )
-    p_bench.add_argument("--scale", choices=SCALES, default="default")
-    p_bench.add_argument(
-        "--jobs", type=_jobs_count, default=0, help="worker processes (0 = one per CPU, default)"
-    )
-    p_bench.add_argument("--out", default=BENCH_FILE, help=f"output path (default {BENCH_FILE})")
-    p_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="measure self-profiler overhead instead: interleaved plain vs "
-        f"stack-sampled study matrix (writes {PROFILE_BENCH_FILE})",
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     p_check = sub.add_parser(
         "check",

@@ -19,10 +19,10 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from ...apps.base import run_machine
 from ...apps.factory import AppFactory
 from ...config import MachineConfig
 from ...core.parallel import CACHE_SCHEMA, ResultCache, run_jobs
-from ...runtime.context import Machine
 from .invariants import InvariantChecker, Violation
 from .races import RaceDetector, RaceReport
 
@@ -83,13 +83,14 @@ def execute_check(spec: CheckSpec) -> CheckOutcome:
     """Run one :class:`CheckSpec` in the current process."""
     t0 = time.perf_counter()
     app = spec.factory()
-    machine = Machine(spec.config, spec.system, max_ops=spec.max_ops)
-    app.setup(machine)
-    checker = InvariantChecker.attach(machine)
-    detector = RaceDetector.attach(machine)
-    machine.run(app.worker)
-    if spec.verify:
-        app.verify()
+    _, _, checker, detector = run_machine(
+        app,
+        spec.system,
+        spec.config,
+        verify=spec.verify,
+        max_ops=spec.max_ops,
+        attach=(InvariantChecker.attach, RaceDetector.attach),
+    )
     checker.final_check()
     return CheckOutcome(
         app=app.name,

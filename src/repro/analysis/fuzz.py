@@ -51,15 +51,22 @@ import time
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from random import Random
 
+from ..apps.base import run_machine
 from ..apps.factory import AppFactory
 from ..config import MachineConfig
 from ..core.parallel import ResultCache, resolve_jobs, run_jobs
+from ..obs.attrib import AttributionCollector
 from ..obs.log import get_logger
+from ..obs.metrics import MetricsCollector
+from ..obs.profile import HostProfiler
 from ..scenarios import SCENARIO_NAMES, apply_scenario, get_scenario
 from ..sim.reference import capture_outcome, run_case
+from ..sim.trace import TracingMemory
+from .checkers.invariants import InvariantChecker
 
 #: Oracle families, in evaluation order.
 ORACLES = ("reference", "decorators", "checkers")
@@ -367,25 +374,14 @@ def oracle_reference(draw: FuzzDraw) -> str | None:
     return diff_outcomes(wheel, ref, "wheel", "reference")
 
 
-def _attach_decorator(name: str, machine) -> None:
-    if name == "checked":
-        from .checkers.invariants import InvariantChecker
-
-        InvariantChecker.attach(machine)
-    elif name == "tracer":
-        from ..sim.trace import TracingMemory
-
-        TracingMemory.attach(machine, max_events=100_000)
-    elif name == "metrics":
-        from ..obs.metrics import MetricsCollector
-
-        MetricsCollector.attach(machine, interval=500.0)
-    elif name == "attrib":
-        from ..obs.attrib import AttributionCollector
-
-        AttributionCollector.attach(machine)
-    else:
-        raise ValueError(f"unknown decorator {name!r}; expected one of {DECORATORS}")
+#: Attach hook per observer name in :data:`DECORATORS`; ``"profiler"``
+#: has none (the stack sampler is armed around the run instead).
+ATTACH = {
+    "checked": InvariantChecker.attach,
+    "tracer": partial(TracingMemory.attach, max_events=100_000),
+    "metrics": partial(MetricsCollector.attach, interval=500.0),
+    "attrib": AttributionCollector.attach,
+}
 
 
 def run_decorated(draw: FuzzDraw) -> dict:
@@ -395,19 +391,11 @@ def run_decorated(draw: FuzzDraw) -> dict:
     drawn order; ``"profiler"`` arms the stack sampler around the run,
     wherever it sits in that order.
     """
-    from ..obs.profile import HostProfiler
-    from ..runtime.context import Machine
-
-    app = draw.factory()()
-    machine = Machine(draw.config(), draw.system)
-    app.setup(machine)
-    for name in draw.decorators:
-        if name != "profiler":
-            _attach_decorator(name, machine)
+    hooks = tuple(ATTACH[name] for name in draw.decorators if name != "profiler")
     with HostProfiler() if "profiler" in draw.decorators else nullcontext():
-        result = machine.run(app.worker)
-    if draw.verify:
-        app.verify()
+        machine, result, *_ = run_machine(
+            draw.factory()(), draw.system, draw.config(), verify=draw.verify, attach=hooks
+        )
     return capture_outcome(machine, result)
 
 
@@ -935,6 +923,7 @@ def run_fuzz(
 
 __all__ = [
     "APP_MODULES",
+    "ATTACH",
     "DECORATORS",
     "DEFAULT_LEDGER",
     "DEFAULT_REPRO_DIR",

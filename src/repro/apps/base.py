@@ -9,7 +9,7 @@ simulator runs the *real* algorithm, so every run is checkable.
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Callable, Generator, Iterable
 
 from ..config import MachineConfig
 from ..runtime.context import AppContext, Machine
@@ -51,15 +51,22 @@ def run_machine(
     config: MachineConfig,
     verify: bool = True,
     max_ops: int | None = None,
-) -> tuple[Machine, SimResult]:
+    attach: Iterable[Callable[[Machine], object]] = (),
+) -> tuple:
     """Run a fresh application instance on one memory system.
 
     ``app`` must be newly constructed (applications hold mutable shared
-    state).  Returns the machine, for inspection, and the result.
+    state).  After ``app.setup(machine)`` each ``attach`` callable is
+    called on the machine, in order, before the run: an observer's
+    ``attach`` (``TracingMemory.attach``, ``partial(MetricsCollector.attach,
+    interval=...)``, ...) or :func:`repro.sim.reference.use_reference_engine`.
+    Returns ``(machine, result, *products)``, the products being what
+    the ``attach`` callables returned, in order.
     """
     machine = Machine(config, system, max_ops=max_ops)
     app.setup(machine)
+    products = [hook(machine) for hook in attach]
     result = machine.run(app.worker)
     if verify:
         app.verify()
-    return machine, result
+    return (machine, result, *products)

@@ -1,6 +1,5 @@
 """Core: the z-machine benchmarking methodology."""
 
-from .bench import format_bench, run_bench
 from .parallel import JobResult, JobSpec, ResultCache, execute_job, run_jobs
 from .study import StudyResult, SystemResult, run_study
 from .sweep import SweepPoint, SweepResult, sweep
@@ -20,8 +19,6 @@ __all__ = [
     "TimelineResult",
     "execute_job",
     "figure1_scenario",
-    "format_bench",
-    "run_bench",
     "run_jobs",
     "run_study",
     "sweep",

@@ -25,7 +25,8 @@ other.  This module exploits that structure:
   change to the simulator's source invalidates every entry.
 
 See docs/performance.md for the architecture and cache-invalidation
-rules, and ``repro.core.bench`` for the measured speedups.
+rules; ``tests/test_parallel.py`` pins that pool, cache and serial runs
+give identical results.
 """
 # lint: ok-module[wall-clock] — measurement harness: wall-clock here times the
 # host, never the simulation; simulated timing comes only from cycle counts.

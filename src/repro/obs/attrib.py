@@ -90,9 +90,9 @@ EXACT_TOLERANCE = 1e-6
 class AttributionCollector(Observer):
     """Engine observer charging overhead cycles to cells::
 
-        machine = Machine(cfg, "RCinv"); app.setup(machine)
-        collector = AttributionCollector.attach(machine)
-        result = machine.run(app.worker)
+        machine, result, collector = run_machine(
+            app, "RCinv", cfg, attach=(AttributionCollector.attach,)
+        )
         report = build_report(collector, result, app="IS", system="RCinv")
 
     Results that *are* the memory system's stall-free flyweight skip the
@@ -795,17 +795,15 @@ def run_attribution(
 ):
     """Run ``factory()`` on ``system`` under attribution.
 
-    Returns ``(report, result)``.  Used by the CLI, the bench and the
-    tests; imports the runtime lazily so ``repro.obs`` stays importable
-    without the full machine stack.
+    Returns ``(report, result)``.  Used by the CLI and the tests;
+    imports the runtime lazily so ``repro.obs`` stays importable without
+    the full machine stack.
     """
-    from ..runtime.context import Machine
+    from ..apps.base import run_machine
 
-    application = factory()
-    machine = Machine(config, system)
-    application.setup(machine)
-    collector = AttributionCollector.attach(machine)
-    result = machine.run(application.worker)
+    machine, result, collector = run_machine(
+        factory(), system, config, verify=False, attach=(AttributionCollector.attach,)
+    )
     report = build_report(
         collector,
         result,

@@ -105,9 +105,9 @@ class Histogram:
 class MetricsCollector(Observer):
     """Per-interval cycle accounting + traffic/buffer gauges::
 
-        machine = Machine(cfg, "RCinv")
-        metrics = MetricsCollector.attach(machine, interval=1000.0)
-        result = machine.run(app.worker)
+        machine, result, metrics = run_machine(
+            app, "RCinv", cfg, attach=(partial(MetricsCollector.attach, interval=1000.0),)
+        )
         metrics.to_dict()   # JSON-ready
 
     The conservative engine issues operations in global simulated-time

@@ -50,10 +50,7 @@ profiler hook at all.
 Typical use::
 
     with HostProfiler() as prof:
-        app = factory()
-        machine = Machine(cfg, "RCinv")
-        app.setup(machine)
-        result = machine.run(app.worker)
+        machine, result = run_machine(factory(), "RCinv", cfg)
     print(prof.table())
     write_trace("flame.json", prof.to_perfetto())
 """

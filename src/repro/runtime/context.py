@@ -47,11 +47,13 @@ class AppContext:
 class Machine:
     """One simulated machine instance: config + memory system + runtime.
 
-    Typical use::
+    Built and run through :func:`repro.apps.base.run_machine`, which
+    calls ``app.setup(machine)`` (allocates shared state), then any
+    observer ``attach`` hooks, then :meth:`run` (SPMD execution)::
 
-        machine = Machine(config, "RCinv")
-        app = SomeApp(machine, workload)      # allocates shared state
-        result = machine.run(app.worker)      # SPMD execution
+        machine, result, tracer = run_machine(
+            app, "RCinv", config, attach=(TracingMemory.attach,)
+        )
     """
 
     def __init__(

@@ -463,12 +463,15 @@ ENGINES = ("wheel", "reference")
 def use_reference_engine(machine: "Machine") -> ReferenceEngine:
     """Swap ``machine``'s engine for a :class:`ReferenceEngine`.
 
-    Must run before ``app.setup(machine)`` (the engine holds the spawned
-    threads).  Construction rebinds the sync manager to the new engine,
-    so wakes route to the reference heap.
+    Must run before ``machine.run`` (the engine holds the threads it
+    spawns); before or after ``app.setup`` and the observers' ``attach``
+    alike.  Construction rebinds the sync manager to the new engine, so
+    wakes route to the reference heap, and the new engine keeps any
+    observer already attached.
     """
     old = machine.engine
     ref = ReferenceEngine(old.config, old.memsys, old.syncmgr, max_ops=old.max_ops)
+    ref.observer = old.observer
     machine.engine = ref
     return ref
 
@@ -517,18 +520,14 @@ def run_case(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    from ..runtime.context import Machine
+    from ..apps.base import run_machine
 
-    app = factory()
-    machine = Machine(
-        config if config is not None else MachineConfig(nprocs=nprocs),
+    machine, result, *_ = run_machine(
+        factory(),
         system,
+        config if config is not None else MachineConfig(nprocs=nprocs),
+        verify=verify,
         max_ops=max_ops,
+        attach=(use_reference_engine,) if engine == "reference" else (),
     )
-    if engine == "reference":
-        use_reference_engine(machine)
-    app.setup(machine)
-    result = machine.run(app.worker)
-    if verify:
-        app.verify()
     return capture_outcome(machine, result)

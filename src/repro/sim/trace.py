@@ -6,9 +6,7 @@ its timing and stall decomposition — the moral equivalent of SPASM's
 event logs.  Useful for debugging protocol models and for explaining
 where an application's overhead comes from.
 
-    machine = Machine(cfg, "RCinv")
-    trace = TracingMemory.attach(machine)
-    machine.run(worker)
+    machine, result, trace = run_machine(app, "RCinv", cfg, attach=(TracingMemory.attach,))
     hot = trace.hottest_blocks(5)
 """
 

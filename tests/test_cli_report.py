@@ -1,5 +1,6 @@
 """CLI entry point and machine-readable exports."""
 
+import contextlib
 import csv
 import io
 import json
@@ -104,3 +105,16 @@ class TestCLI:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("command", ["trace", "profile", "attribute"])
+    def test_unknown_system_lists_the_choices(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "intsort", "bogus"])
+        assert str(exc.value) == (
+            "unknown memory system 'bogus'; choose from "
+            "RCadapt, RCcomp, RCinv, RCupd, SCinv, z-mc"
+        )
+
+    def test_bench_subcommand_is_retired(self):
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])

@@ -17,8 +17,8 @@ from itertools import permutations
 
 import pytest
 
-from repro.analysis.fuzz import FuzzDraw, _attach_decorator, run_decorated
-from repro.runtime.context import Machine
+from repro.analysis.fuzz import ATTACH, FuzzDraw, run_decorated
+from repro.apps.base import run_machine
 from repro.sim.reference import run_case
 from repro.sim.trace import TracingMemory
 
@@ -98,16 +98,11 @@ WRITE_STALL_TRACE_SHA256 = "10ace99634bffa56d5e1087a44643d983f7d04de0834b50714e7
     ids="-".join,
 )
 def test_rcupd_write_stall_values_seen_by_every_stack(stack):
-    app = WRITE_STALLS.factory()()
-    machine = Machine(WRITE_STALLS.config(), WRITE_STALLS.system)
-    app.setup(machine)
-    for name in stack:
-        if name == "tracer":
-            tracer = TracingMemory.attach(machine)
-        else:
-            _attach_decorator(name, machine)
-    machine.run(app.worker)
-    app.verify()
+    hooks = [TracingMemory.attach if name == "tracer" else ATTACH[name] for name in stack]
+    _, _, *products = run_machine(
+        WRITE_STALLS.factory()(), WRITE_STALLS.system, WRITE_STALLS.config(), attach=hooks
+    )
+    tracer = products[stack.index("tracer")]
     rows = [
         [e.kind, e.proc, e.addr, e.issue, e.complete,
          e.read_stall, e.write_stall, e.buffer_flush, e.hit]

@@ -5,7 +5,7 @@ Guards against documentation drift:
 * every CLI subcommand (including nested ones, e.g. ``repro scenario
   run``) and long flag that ``repro.__main__.build_parser`` defines
   must be mentioned in README.md, and every ``python -m repro …``
-  command README shows must still parse;
+  command README, docs/*.md and EXPERIMENTS.md show must still parse;
 * the machine-constants table in docs/cost_model.md must list every
   :class:`MachineConfig` field with its actual default;
 * every registered degradation scenario (and each of its knobs) must be
@@ -34,6 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
 COST_MODEL = (ROOT / "docs" / "cost_model.md").read_text()
 SCENARIOS_DOC = (ROOT / "docs" / "scenarios.md").read_text()
+#: The handbooks whose fenced CLI examples must parse like README's.
+DOCS = {
+    path.name: path.read_text()
+    for path in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "EXPERIMENTS.md"]
+}
 
 
 def _walk_parser(
@@ -72,11 +77,11 @@ def test_every_cli_flag_documented_in_readme():
     assert not missing, f"README.md never mentions these flags: {sorted(missing)}"
 
 
-def readme_cli_lines() -> list[str]:
-    """The arguments of every ``python -m repro …`` line in README's fenced
+def cli_lines(text: str) -> list[str]:
+    """The arguments of every ``python -m repro …`` line in ``text``'s fenced
     blocks, ``\\`` continuations joined and shell comments/redirects cut."""
     lines = []
-    for block in re.findall(r"^```[^\n]*\n(.*?)^```", README, re.MULTILINE | re.DOTALL):
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
         for line in re.sub(r"\\\n\s*", " ", block).splitlines():
             match = re.search(r"python -m repro\b(.*)", line)
             if match:
@@ -85,17 +90,19 @@ def readme_cli_lines() -> list[str]:
 
 
 def test_every_readme_cli_line_parses():
-    lines = readme_cli_lines()
-    assert len(lines) > 50  # the extraction really finds README's examples
+    readme = cli_lines(README)
+    docs = [line for text in DOCS.values() for line in cli_lines(text)]
+    assert len(readme) > 50  # the extraction really finds README's examples
+    assert len(docs) > 30  # ... and the handbooks' examples
     parser = build_parser()
     stale = []
-    for line in lines:
+    for line in readme + docs:
         try:
             with contextlib.redirect_stderr(io.StringIO()):
                 parser.parse_args(shlex.split(line, comments=True))
         except SystemExit:
             stale.append(line.strip())
-    assert not stale, f"README.md shows commands the CLI rejects: {stale}"
+    assert not stale, f"README.md or the docs show commands the CLI rejects: {stale}"
 
 
 def machine_constant_rows() -> dict[str, str]:
@@ -165,7 +172,6 @@ DOCUMENTED_MODULES = [
     "repro.analysis.naming",
     "repro.analysis.static",
     "repro.apps.costs",
-    "repro.core.bench",
     "repro.core.parallel",
     "repro.core.perf",
     "repro.mem.cache",

@@ -10,6 +10,24 @@ from repro.runtime.primitives import compute, critical, fence
 from repro.sim.events import Compute, Fence
 
 
+class _Tiny(Application):
+    """One compute op per processor; records its setup/verify calls."""
+
+    name = "tiny"
+
+    def __init__(self):
+        self.calls = []
+
+    def setup(self, machine):
+        self.calls.append("setup")
+
+    def worker(self, ctx):
+        yield Compute(1)
+
+    def verify(self):
+        self.calls.append("verify")
+
+
 class TestPrimitiveHelpers:
     def test_compute_helper(self):
         gen = compute(25.0)
@@ -55,20 +73,25 @@ class TestApplicationBase:
             run_on(Broken(), "RCinv", cfg, verify=True)
 
     def test_run_machine_returns_machine(self):
-        class Tiny(Application):
-            name = "tiny"
-
-            def setup(self, machine):
-                pass
-
-            def worker(self, ctx):
-                yield Compute(1)
-
-            def verify(self):
-                pass
-
-        machine, result = run_machine(Tiny(), "RCupd", MachineConfig(nprocs=2))
+        machine, result = run_machine(_Tiny(), "RCupd", MachineConfig(nprocs=2))
         assert machine.system_name == "RCupd"
+        assert result.total_time > 0
+
+    def test_run_machine_returns_hook_products_in_order(self):
+        app = _Tiny()
+
+        def hook(tag):
+            def attach(machine):
+                # after setup, before the run spawns any thread
+                app.calls.append((tag, machine.engine.queue_depth()))
+                return tag
+            return attach
+
+        machine, result, *products = run_machine(
+            app, "RCinv", MachineConfig(nprocs=2), attach=(hook("a"), hook("b"))
+        )
+        assert products == ["a", "b"]
+        assert app.calls == ["setup", ("a", 0), ("b", 0), "verify"]
         assert result.total_time > 0
 
     def test_machine_runs_once(self):

@@ -16,7 +16,6 @@ import pytest
 from repro import MachineConfig, run_study, table1
 from repro.apps import AppFactory, preset, smoke_scale
 from repro.core import parallel
-from repro.core.bench import run_bench
 from repro.core.parallel import (
     JobSpec,
     ResultCache,
@@ -262,18 +261,3 @@ def test_sweep_with_cache_hits(tmp_path):
     warm = sweep(IS_FACTORY, "merge_buffer_lines", [1, 2], **kwargs)
     assert cache.hits == 2
     assert [p.result for p in warm.points] == [p.result for p in cold.points]
-
-
-# ---------------------------------------------------------------------------
-# bench harness
-
-
-def test_run_bench_smoke(tmp_path):
-    out = tmp_path / "BENCH_parallel.json"
-    doc = run_bench(scale="smoke", jobs=2, out=out)
-    assert out.is_file()
-    assert doc["results_identical"] is True
-    assert doc["cache_hit_rate"] == 1.0
-    assert doc["n_runs"] == 20  # 4 apps x 5 paper systems
-    assert set(doc["phases"]) == {"serial", "parallel", "cached"}
-    assert doc["phases"]["cached"]["wall_s"] < doc["phases"]["serial"]["wall_s"]

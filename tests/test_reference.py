@@ -12,9 +12,11 @@ accounting, op budget, deadlock detection).
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 
 import pytest
 
+from repro.apps.base import run_machine
 from repro.apps.factory import AppFactory
 from repro.apps.presets import preset
 from repro.config import MachineConfig
@@ -27,9 +29,11 @@ from repro.sim.reference import (
     ENGINES,
     PROC_FIELDS,
     ReferenceEngine,
+    capture_outcome,
     run_case,
     use_reference_engine,
 )
+from repro.sim.trace import TracingMemory
 from repro.sim.wheel import EventWheel
 from tests.golden import FIXTURE, golden_cases
 
@@ -108,6 +112,33 @@ def test_use_reference_engine_swaps_and_rebinds():
     assert ref.syncmgr is original.syncmgr
     # the sync manager now wakes the reference engine, not the old one
     assert machine.sync._engine is ref
+
+
+def _traced(*hooks):
+    """IS on RCinv under ``hooks``: (outcome, traced rows)."""
+    machine, result, *products = run_machine(
+        AppFactory("IS", n_keys=128, nbuckets=16)(), "RCinv", MachineConfig(nprocs=4),
+        attach=hooks,
+    )
+    (tracer,) = [p for p in products if isinstance(p, TracingMemory)]
+    return (
+        json.loads(json.dumps(capture_outcome(machine, result))),
+        [astuple(event) for event in tracer.events],
+    )
+
+
+def test_reference_swap_keeps_observers_attached_before_it():
+    """Hook order is harmless: a tracer attached before the engine swap
+    records the same columns as one attached after it, and both runs
+    match the wheel engine's."""
+    before = _traced(TracingMemory.attach, use_reference_engine)
+    after = _traced(use_reference_engine, TracingMemory.attach)
+    wheel = _traced(TracingMemory.attach)
+    assert before[1], "the tracer must record the run"
+    assert before[1] == after[1] == wheel[1]
+    assert before[0] == after[0] == wheel[0]
+    plain = run_case(AppFactory("IS", n_keys=128, nbuckets=16), "RCinv", nprocs=4)
+    assert wheel[0] == json.loads(json.dumps(plain))
 
 
 def test_run_case_rejects_unknown_engine():
