@@ -97,11 +97,13 @@ class Cholesky(Application):
         sym = self.symbolic
         colptr = self._colptr
         row_pos = self.row_pos
-        # Zero-call access paths for the factor kernels (see
-        # SharedArray.hot_access): the gather/cmod/cdiv loops are the
-        # app-side hot path and per-element sub-generators dominated it.
+        # Zero-call access paths for the factor kernels and the
+        # dependency-count update (see SharedArray.hot_access): the
+        # gather/cmod/cdiv loops are the app-side hot path and
+        # per-element sub-generators dominated it.
         ard, _, abase, aword, adata = self.avals.hot_access()
         lrd, lwr, lbase, lword, ldata = self.lvals.hot_access()
+        drd, dwr, dbase, dword, ddata = self.dep.hot_access()
         yield from ctx.phase("factor")
         while True:
             j = yield from self.pool.get_task()
@@ -151,7 +153,12 @@ class Cholesky(Application):
             for d in struct[1:]:
                 lock = self.locks[d % self.NLOCKS]
                 yield from lock.acquire()
-                remaining = yield from self.dep.add(d, -1)
+                drd.addr = dbase + d * dword
+                yield drd
+                remaining = ddata[d] - 1
+                dwr.addr = dbase + d * dword
+                yield dwr
+                ddata[d] = remaining
                 yield from lock.release()
                 if remaining == 0:
                     yield from self.pool.add_task(d)

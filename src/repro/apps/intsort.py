@@ -69,7 +69,7 @@ class IntegerSort(Application):
         p = machine.config.nprocs
         b = self.nbuckets
         self.keys = shm.array(self.n, "keys", align_line=True)
-        self.keys.poke_many([int(k) for k in self.keys_np])
+        self.keys.poke_many(self.keys_np.tolist())
         #: per-processor histograms, proc-major layout
         self.hist = shm.array(p * b, "hist", fill=0, align_line=True)
         self.gcount = shm.array(b, "gcount", fill=0, align_line=True)

@@ -99,8 +99,14 @@ class Maxflow(Application):
 
     # ------------------------------------------------------------------
     def _bump_active(self, delta: int) -> Generator[Op, None, None]:
+        nrd, nwr, nbase, _, ndata = self.active_count.hot_access()
         yield from self.count_lock.acquire()
-        yield from self.active_count.incr(delta)
+        nrd.addr = nbase
+        yield nrd
+        count = ndata[0] + delta
+        nwr.addr = nbase
+        yield nwr
+        ndata[0] = count
         yield from self.count_lock.release()
 
     def worker(self, ctx: AppContext) -> Generator[Op, None, None]:
@@ -141,13 +147,13 @@ class Maxflow(Application):
         # Every arc in adj[v] leaves v (see FlowNetwork), so the scan
         # needs no tail check; adj and head are plain lists.
         head = net.head
-        # Zero-call access paths for the optimistic scan (see
-        # SharedArray.hot_access); the locked re-validation paths in
-        # _push/_relabel keep the generator API.
+        # Zero-call access paths (see SharedArray.hot_access), here and
+        # in the locked regions of _push, _relabel and _bump_active.
         erd, _, ebase, eword, edata = self.excess.hot_access()
         hrd, _, hbase, hword, hdata = self.height.hot_access()
         crd, _, cbase, cword, cdata = self.cap.hot_access()
         frd, _, fbase, fword, fdata = self.flow.hot_access()
+        _, awr, abase, aword, adata = self.active.hot_access()
         new_active: list[int] = []
         while True:
             erd.addr = ebase + v * eword
@@ -192,15 +198,21 @@ class Maxflow(Application):
                     # No residual arc at all: trapped excess (cannot
                     # happen on connected inputs; guard against hangs).
                     break
-                hv = yield from self.height.read(v)
+                hrd.addr = hbase + v * hword
+                yield hrd
+                hv = hdata[v]
         # Deactivate v under its lock, re-checking for late pushes.
         yield from self.vlocks[v].acquire()
-        ev = yield from self.excess.read(v)
+        erd.addr = ebase + v * eword
+        yield erd
+        ev = edata[v]
         if ev > 0 and v not in (s, t):
             yield from self.vlocks[v].release()
             new_active.append(v)
             return new_active
-        yield from self.active.write(v, 0)
+        awr.addr = abase + v * aword
+        yield awr
+        adata[v] = 0
         yield from self.vlocks[v].release()
         yield from self._bump_active(-1)
         return new_active
@@ -213,27 +225,58 @@ class Maxflow(Application):
         net = self.net
         s, t = net.source, net.sink
         a, b = (v, w) if v < w else (w, v)
+        erd, ewr, ebase, eword, edata = self.excess.hot_access()
+        hrd, _, hbase, hword, hdata = self.height.hot_access()
+        crd, _, cbase, cword, cdata = self.cap.hot_access()
+        frd, fwr, fbase, fword, fdata = self.flow.hot_access()
+        ard, awr, abase, aword, adata = self.active.hot_access()
         yield from self.vlocks[a].acquire()
         yield from self.vlocks[b].acquire()
         woke: int | None = None
-        ev = yield from self.excess.read(v)
-        hv = yield from self.height.read(v)
-        hw = yield from self.height.read(w)
-        c = yield from self.cap.read(e)
-        f = yield from self.flow.read(e)
+        erd.addr = ebase + v * eword
+        yield erd
+        ev = edata[v]
+        hrd.addr = hbase + v * hword
+        yield hrd
+        hv = hdata[v]
+        hrd.addr = hbase + w * hword
+        yield hrd
+        hw = hdata[w]
+        crd.addr = cbase + e * cword
+        yield crd
+        c = cdata[e]
+        frd.addr = fbase + e * fword
+        yield frd
+        f = fdata[e]
         delta = min(ev, c - f)
         yield _C_PUSH
         if delta > 0 and hv == hw + 1:
-            yield from self.flow.write(e, f + delta)
-            fr = yield from self.flow.read(e ^ 1)
-            yield from self.flow.write(e ^ 1, fr - delta)
-            yield from self.excess.write(v, ev - delta)
-            ew = yield from self.excess.read(w)
-            yield from self.excess.write(w, ew + delta)
+            r = e ^ 1
+            fwr.addr = fbase + e * fword
+            yield fwr
+            fdata[e] = f + delta
+            frd.addr = fbase + r * fword
+            yield frd
+            fr = fdata[r]
+            fwr.addr = fbase + r * fword
+            yield fwr
+            fdata[r] = fr - delta
+            ewr.addr = ebase + v * eword
+            yield ewr
+            edata[v] = ev - delta
+            erd.addr = ebase + w * eword
+            yield erd
+            ew = edata[w]
+            ewr.addr = ebase + w * eword
+            yield ewr
+            edata[w] = ew + delta
             if w not in (s, t) and ew == 0:
-                is_active = yield from self.active.read(w)
-                if not is_active:
-                    yield from self.active.write(w, 1)
+                ard.addr = abase + w * aword
+                yield ard
+                if not adata[w]:
+                    awr.addr = abase + w * aword
+                    yield awr
+                    adata[w] = 1
                     woke = w
         yield from self.vlocks[b].release()
         yield from self.vlocks[a].release()
@@ -244,23 +287,38 @@ class Maxflow(Application):
     def _relabel(self, v: int) -> Generator[Op, None, bool]:
         """Lift ``v`` to one above its lowest residual neighbour."""
         net = self.net
+        head = net.head
+        hrd, hwr, hbase, hword, hdata = self.height.hot_access()
+        crd, _, cbase, cword, cdata = self.cap.hot_access()
+        frd, _, fbase, fword, fdata = self.flow.hot_access()
         yield from self.vlocks[v].acquire()
         best: int | None = None
         for e in net.adj[v]:
-            c = yield from self.cap.read(e)
-            f = yield from self.flow.read(e)
+            crd.addr = cbase + e * cword
+            yield crd
+            c = cdata[e]
+            frd.addr = fbase + e * fword
+            yield frd
+            f = fdata[e]
             yield _C_ARC
             if c - f <= 0:
                 continue
-            hw = yield from self.height.read(net.head[e])
+            w = head[e]
+            hrd.addr = hbase + w * hword
+            yield hrd
+            hw = hdata[w]
             if best is None or hw < best:
                 best = int(hw)
         if best is None:
             yield from self.vlocks[v].release()
             return False
-        hv = yield from self.height.read(v)
+        hrd.addr = hbase + v * hword
+        yield hrd
+        hv = hdata[v]
         if best + 1 > hv:
-            yield from self.height.write(v, best + 1)
+            hwr.addr = hbase + v * hword
+            yield hwr
+            hdata[v] = best + 1
         yield from self.vlocks[v].release()
         return True
 

@@ -123,6 +123,11 @@ class JobResult:
     #: Whether this result was served from the on-disk cache.
     cached: bool = False
 
+    @property
+    def events(self) -> int:
+        """Simulated events (engine ops) of the run."""
+        return self.result.ops
+
 
 def execute_job(spec: JobSpec) -> JobResult:
     """Run one :class:`JobSpec` in the current process."""
@@ -353,16 +358,19 @@ def _open_pool(nworkers: int, pending: list, executor: Callable):
         return None
 
 
-def _outcomes(pending: list[tuple[int, JobSpec]], jobs: int | None, executor: Callable, tele):
+def _outcomes(
+    pending: list[tuple[int, JobSpec]], jobs: int | None, executor: Callable, tele, first: int
+):
     """Run ``pending`` and yield ``(index, job, error)`` as each finishes.
 
-    Emits each job's ``start`` record as it is started or submitted.
+    Emits each job's ``start`` record as it is started or submitted,
+    numbered from ``first`` (the session number of spec 0).
     """
     pool = _open_pool(resolve_jobs(jobs), [s for _, s in pending], executor)
     if pool is None:
         for i, spec in pending:
             if tele is not None:
-                tele.emit(telemetry.job_started(i, *_spec_label(spec)))
+                tele.emit(telemetry.job_started(first + i, *_spec_label(spec)))
             try:
                 job = executor(spec)
             except Exception as exc:
@@ -374,7 +382,7 @@ def _outcomes(pending: list[tuple[int, JobSpec]], jobs: int | None, executor: Ca
         futures = {}
         for i, spec in pending:
             if tele is not None:
-                tele.emit(telemetry.job_started(i, *_spec_label(spec)))
+                tele.emit(telemetry.job_started(first + i, *_spec_label(spec)))
             futures[pool.submit(executor, spec)] = i
         for future in as_completed(futures):
             error = future.exception()
@@ -401,16 +409,17 @@ def run_jobs(
 
     ``executor`` maps one spec to one result and defaults to
     :func:`execute_job`; any module-level callable over specs that have
-    a ``fingerprint()`` and results that have a ``cached`` attribute
-    works (``repro.analysis.checkers.runner`` reuses this machinery for
-    correctness checks).
+    a ``fingerprint()`` and results that have ``cached``, ``events`` and
+    ``elapsed`` attributes works (``repro.analysis.checkers.runner`` and
+    ``repro.analysis.fuzz`` reuse this machinery).  Telemetry numbers
+    jobs across the session, so several runs under one session count
+    up instead of restarting at 1.
     """
     specs = list(specs)
     tele = telemetry.get_session()
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
-    if tele is not None:
-        tele.attach_total(len(specs))
+    first = tele.attach_total(len(specs)) if tele is not None else 0
     results: list[JobResult | None] = [None] * len(specs)
     failures: dict[int, Exception] = {}
 
@@ -419,13 +428,12 @@ def run_jobs(
         if cache is not None and not job.cached:
             cache.put(specs[i], job)
         if tele is not None:
-            result = getattr(job, "result", None)
             tele.emit(
                 telemetry.job_finished(
-                    i,
+                    first + i,
                     *_spec_label(specs[i]),
-                    events=getattr(result, "ops", 0) or 0,
-                    elapsed_s=getattr(job, "elapsed", 0.0),
+                    events=job.events,
+                    elapsed_s=job.elapsed,
                     cached=bool(job.cached),
                 )
             )
@@ -437,7 +445,7 @@ def run_jobs(
             land(i, hit)
         else:
             pending.append((i, spec))
-    for i, job, error in _outcomes(pending, jobs, executor, tele):
+    for i, job, error in _outcomes(pending, jobs, executor, tele, first):
         if error is not None:
             failures[i] = error
         else:

@@ -16,8 +16,9 @@ Records are plain dicts with a fixed schema::
      "elapsed_s": 0.05, "events_per_sec": 611820.0,
      "cached": false, "eta_s": 3.1, "ts": 1754650000.0}
 
-``job`` is the spec index within the run and ``seq`` orders a job's own
-records (0 = start, 1 = finish).  The parent process emits every record
+``job`` numbers the session's jobs in spec order, across every run
+the command fans out, and ``seq`` orders a job's own records (0 =
+start, 1 = finish).  The parent process emits every record
 itself: ``start`` when it submits a job, ``finish`` when the result
 lands.  Pool jobs finish in a nondeterministic order, so the JSONL sink
 is sorted by ``(job, seq)`` at close — replaying a run twice yields the
@@ -108,11 +109,19 @@ class TelemetrySession:
         self._finished = 0
 
     # -- record intake ---------------------------------------------------
-    def attach_total(self, total: int) -> None:
-        """Declare how many jobs the current run fans out."""
-        self.total = total
-        self._finished = 0
-        self._started = time.time()
+    def attach_total(self, total: int) -> int:
+        """Declare ``total`` more jobs; returns the session number of the first.
+
+        A command may fan out several runs (a fuzz session runs one per
+        batch of draws).  Their jobs are numbered, counted and timed
+        across the whole session, so progress lines count up instead of
+        restarting at ``[1/1]``; the clock starts with the first run.
+        """
+        first = self.total or 0
+        if not first:
+            self._started = time.time()
+        self.total = first + total
+        return first
 
     def emit(self, record: dict[str, Any]) -> None:
         """Ingest one heartbeat record (enriches ETA, renders, stores)."""

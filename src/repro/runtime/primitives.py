@@ -14,20 +14,28 @@ from .sync import SyncManager
 
 
 class Lock:
-    """A queue lock living at ``lock_id % nprocs``."""
+    """A queue lock living at ``lock_id % nprocs``.
 
-    __slots__ = ("manager", "lock_id", "name")
+    ``acquire_op`` and ``release_op`` are built once: the engine only
+    reads an op's ``lock_id``, so every acquire and release of this lock
+    yields the same two instances.  Runtime code that flattens its
+    locked regions (:mod:`repro.runtime.workqueue`) yields them directly.
+    """
+
+    __slots__ = ("manager", "lock_id", "name", "acquire_op", "release_op")
 
     def __init__(self, manager: SyncManager, name: str = ""):
         self.manager = manager
         self.lock_id = manager.new_lock(name)
         self.name = name
+        self.acquire_op = Acquire(self.lock_id)
+        self.release_op = Release(self.lock_id)
 
     def acquire(self) -> Generator[Op, None, None]:
-        yield Acquire(self.lock_id)
+        yield self.acquire_op
 
     def release(self) -> Generator[Op, None, None]:
-        yield Release(self.lock_id)
+        yield self.release_op
 
 
 class Barrier:

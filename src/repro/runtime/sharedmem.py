@@ -245,12 +245,19 @@ class SharedArray:
         :meth:`read`/:meth:`write` is measurable overhead: set
         ``read_op.addr = base + i * word``, ``yield read_op``, then index
         ``data`` directly (``data`` is the same backing list the
-        generator methods use, so writes interleaved by other processors
-        stay visible).  For writes, mutate ``data`` only *after* yielding
-        the op, mirroring :meth:`write`.  Bounds are the caller's
-        responsibility.  The ops are this array's shared reusable
-        instances — the engine consumes a yielded op before the
-        generator resumes, so reuse across yields is safe.
+        generator methods use for the array's whole life, so writes
+        interleaved by other processors stay visible).  For writes,
+        mutate ``data`` only *after* yielding the op, mirroring
+        :meth:`write`.  Bounds are the caller's responsibility.
+
+        The ops are this array's shared reusable instances — the engine
+        consumes a yielded op before the generator resumes, so reuse
+        across yields is safe.  Set each op's ``addr`` right before its
+        own ``yield``, never before yielding the array's other op: the
+        generator methods of any processor set these same ops between
+        two of your yields.  A read-modify-write sets ``read_op.addr``,
+        yields it, then sets ``write_op.addr`` and yields that, as
+        :meth:`add` does.
         """
         return self._rd_op, self._wr_op, self.base, self._word, self._data
 
@@ -331,7 +338,8 @@ class SharedArray:
             raise ValueError(
                 f"poke_many got {len(values)} values for array of size {self.n}"
             )
-        self._data = values
+        # In place: a hot_access bundle taken earlier keeps seeing the data.
+        self._data[:] = values
 
     def snapshot(self) -> list:
         return list(self._data)

@@ -29,6 +29,12 @@ class CentralQueue:
     ``head``/``tail`` are shared words; ``slots`` is a shared circular
     buffer.  All operations run inside the queue lock, so contention for
     the queue serialises exactly as on the real machine.
+
+    The operations are flat: they yield the lock's prebuilt ops and the
+    arrays' reusable access ops directly (the
+    :meth:`~repro.runtime.sharedmem.SharedArray.hot_access` pattern), so
+    no sub-generator is built per access.  The op stream is the one the
+    ``SharedArray``/``Lock`` generator methods would yield.
     """
 
     def __init__(self, shm: SharedMemory, sync: SyncManager, capacity: int, name: str = "queue"):
@@ -40,37 +46,74 @@ class CentralQueue:
         self.slots = shm.array(capacity, name=f"{name}.slots", align_line=True)
         self.head = shm.scalar(name=f"{name}.head", fill=0)
         self.tail = shm.scalar(name=f"{name}.tail", fill=0)
+        self._head = self.head.hot_access()
+        self._tail = self.tail.hot_access()
+        self._slots = self.slots.hot_access()
 
     def put(self, task: int) -> Generator[Op, None, None]:
         """Append a task id (caller must ensure the queue is not full)."""
-        yield from self.lock.acquire()
-        tail = yield from self.tail.get()
-        head = yield from self.head.get()
+        lock = self.lock
+        hrd, _, hbase, _, hdata = self._head
+        trd, twr, tbase, _, tdata = self._tail
+        _, swr, sbase, sword, sdata = self._slots
+        yield lock.acquire_op
+        trd.addr = tbase
+        yield trd
+        tail = tdata[0]
+        hrd.addr = hbase
+        yield hrd
+        head = hdata[0]
         if tail - head >= self.capacity:
-            yield from self.lock.release()
+            yield lock.release_op
             raise OverflowError(f"work queue {self.name!r} overflow (cap {self.capacity})")
-        yield from self.slots.write(int(tail) % self.capacity, task)
-        yield from self.tail.set(tail + 1)
-        yield from self.lock.release()
+        i = int(tail) % self.capacity
+        swr.addr = sbase + i * sword
+        yield swr
+        sdata[i] = task
+        twr.addr = tbase
+        yield twr
+        tdata[0] = tail + 1
+        yield lock.release_op
 
     def get(self) -> Generator[Op, None, int | None]:
         """Pop a task id, or ``EMPTY`` if no work is available."""
-        yield from self.lock.acquire()
-        head = yield from self.head.get()
-        tail = yield from self.tail.get()
-        if head == tail:
-            yield from self.lock.release()
+        lock = self.lock
+        hrd, hwr, hbase, _, hdata = self._head
+        trd, _, tbase, _, tdata = self._tail
+        srd, _, sbase, sword, sdata = self._slots
+        yield lock.acquire_op
+        hrd.addr = hbase
+        yield hrd
+        head = hdata[0]
+        trd.addr = tbase
+        yield trd
+        if head == tdata[0]:
+            yield lock.release_op
             return EMPTY
-        task = yield from self.slots.read(int(head) % self.capacity)
-        yield from self.head.set(head + 1)
-        yield from self.lock.release()
+        i = int(head) % self.capacity
+        srd.addr = sbase + i * sword
+        yield srd
+        task = sdata[i]
+        hwr.addr = hbase
+        yield hwr
+        hdata[0] = head + 1
+        yield lock.release_op
         return int(task)
 
     def put_nolock(self, task: int) -> Generator[Op, None, None]:
         """Append while the caller already holds :attr:`lock`."""
-        tail = yield from self.tail.get()
-        yield from self.slots.write(int(tail) % self.capacity, task)
-        yield from self.tail.set(tail + 1)
+        trd, twr, tbase, _, tdata = self._tail
+        _, swr, sbase, sword, sdata = self._slots
+        trd.addr = tbase
+        yield trd
+        tail = tdata[0]
+        i = int(tail) % self.capacity
+        swr.addr = sbase + i * sword
+        yield swr
+        sdata[i] = task
+        twr.addr = tbase
+        yield twr
+        tdata[0] = tail + 1
 
 
 class TaskPool:
@@ -89,6 +132,11 @@ class TaskPool:
 
     ``outstanding`` counts queued + in-flight tasks; when it reaches zero
     no task can ever appear again, so idle workers may exit.
+
+    Like :class:`CentralQueue`, every operation is flat: ``task_done``
+    is the counter bump itself, ``add_task`` the bump followed by
+    :meth:`CentralQueue.put`, and ``get_task`` runs the queue's pop
+    inline.
     """
 
     #: Busy-wait backoff between empty polls, in cycles.
@@ -104,6 +152,7 @@ class TaskPool:
         # Reusable poll op: the engine consumes .cycles before the
         # generator resumes and never mutates the op.
         self._poll_op = Compute(self.POLL_BACKOFF)
+        self._outstanding = self.outstanding.hot_access()
 
     def seed(self, tasks: list[int]) -> None:
         """Pre-load tasks before the simulation starts (setup time)."""
@@ -117,23 +166,61 @@ class TaskPool:
         self.outstanding.poke(0, self.outstanding.value() + len(tasks))
 
     def add_task(self, task: int) -> Generator[Op, None, None]:
-        yield from self.counter_lock.acquire()
-        yield from self.outstanding.incr(1)
-        yield from self.counter_lock.release()
+        # Two flat steps, one delegation each, rather than a second copy
+        # of the put logic: add_task runs once per task, while
+        # get_task's pop (inlined below) runs once per poll round.
+        yield from self._bump(1)
         yield from self.queue.put(task)
 
     def task_done(self) -> Generator[Op, None, None]:
-        yield from self.counter_lock.acquire()
-        yield from self.outstanding.incr(-1)
-        yield from self.counter_lock.release()
+        return self._bump(-1)
+
+    def _bump(self, delta: int) -> Generator[Op, None, None]:
+        """``outstanding += delta`` under the counter lock."""
+        lock = self.counter_lock
+        ord_, owr, obase, _, odata = self._outstanding
+        yield lock.acquire_op
+        ord_.addr = obase
+        yield ord_
+        value = odata[0] + delta
+        owr.addr = obase
+        yield owr
+        odata[0] = value
+        yield lock.release_op
 
     def get_task(self) -> Generator[Op, None, int | None]:
-        """Blocking pop: polls until a task arrives or all work is done."""
+        """Blocking pop: polls until a task arrives or all work is done.
+
+        Runs :meth:`CentralQueue.get` inline: an idle worker repeats
+        the pop once per poll round.
+        """
+        queue = self.queue
+        lock = queue.lock
+        capacity = queue.capacity
+        hrd, hwr, hbase, _, hdata = queue._head
+        trd, _, tbase, _, tdata = queue._tail
+        srd, _, sbase, sword, sdata = queue._slots
+        ord_, _, obase, _, odata = self._outstanding
         while True:
-            task = yield from self.queue.get()
-            if task is not None:
-                return task
-            remaining = yield from self.outstanding.get()
-            if remaining <= 0:
+            yield lock.acquire_op
+            hrd.addr = hbase
+            yield hrd
+            head = hdata[0]
+            trd.addr = tbase
+            yield trd
+            if head != tdata[0]:
+                i = int(head) % capacity
+                srd.addr = sbase + i * sword
+                yield srd
+                task = sdata[i]
+                hwr.addr = hbase
+                yield hwr
+                hdata[0] = head + 1
+                yield lock.release_op
+                return int(task)
+            yield lock.release_op
+            ord_.addr = obase
+            yield ord_
+            if odata[0] <= 0:
                 return None
             yield self._poll_op

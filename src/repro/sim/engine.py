@@ -226,10 +226,11 @@ class Engine:
         state (generator send, stats, clock, feedback) once per
         scheduling segment.  At small P a segment is only one or two ops
         long, so a per-segment function call plus prologue was as hot as
-        the per-op work itself.  The stall-decomposition arithmetic of
-        the old ``_charge`` helper is inlined with the *identical* float
-        operation order, so results are bit-for-bit those of the
-        original heap-based loop (pinned by tests/test_engine_equivalence.py).
+        the per-op work itself.  The stall decomposition (the reference
+        engine's ``_charge``) is written out inline with the *identical*
+        float operation order, once for data accesses and once for sync
+        ops, so results are bit-for-bit those of the original heap-based
+        loop (pinned by tests/test_engine_equivalence.py).
         Keep it in lockstep with
         :class:`repro.sim.reference.ReferenceEngine`, the only other
         scheduler loop: a timing change lands in both.
@@ -406,78 +407,90 @@ class Engine:
                         t = rt
                         if obs is not None:
                             obs.on_access(tid, "write", op.addr, now, res, busy)
-                elif cls is Acquire:
-                    res = memsys.acquire(tid, now)
-                    busy = self._charge(stats, now, res)
-                    t = res.time
-                    if obs is not None:
-                        sync = SyncPoint("lock", op.lock_id, self._lock_episode(op.lock_id))
-                        obs.on_access(tid, "acquire", sync, now, res, busy)
-                    stats.acquires += 1
-                    grant = syncmgr.acquire(tid, op.lock_id, t)
-                    if grant is None:
-                        thread.blocked = True
-                        thread.block_time = t
-                        thread.time = t
-                        thread.feedback = None
-                        break
-                    # max()-free wait accounting: += 0.0 is an identity
-                    # on the non-negative sync_wait accumulator, so the
-                    # no-wait case can skip the arithmetic entirely.
-                    wait = grant - t
-                    if wait > 0.0:
-                        stats.sync_wait += wait
-                        if obs is not None:
-                            obs.on_sync_wait(tid, t, wait)
-                        t = grant
-                    hz = times[0] if times else _INF
-                elif cls is Release:
-                    res = memsys.release(tid, now)
-                    busy = self._charge(stats, now, res)
-                    t = res.time
-                    if obs is not None:
-                        sync = SyncPoint("lock", op.lock_id, self._lock_episode(op.lock_id))
-                        obs.on_access(tid, "release", sync, now, res, busy)
-                    stats.releases += 1
-                    done = syncmgr.release(tid, op.lock_id, t)
-                    wait = done - t
-                    if wait > 0.0:
-                        stats.sync_wait += wait
-                        if obs is not None:
-                            obs.on_sync_wait(tid, t, wait)
-                        t = done
-                    hz = times[0] if times else _INF
-                elif cls is BarrierWait:
-                    res = memsys.release(tid, now)
-                    busy = self._charge(stats, now, res)
-                    t = res.time
-                    if obs is not None:
-                        sync = SyncPoint(
-                            "barrier", op.barrier_id, self._barrier_episode(op.barrier_id)
+                elif cls is Acquire or cls is Release or cls is BarrierWait or cls is Fence:
+                    # Sync op: the memory system's acquire/release side,
+                    # then the data path's stall decomposition (same
+                    # float operations, same order), then the sync
+                    # manager.  Barrier arrival and fences are releases.
+                    res = memsys.acquire(tid, now) if cls is Acquire else memsys.release(tid, now)
+                    rt = res.time
+                    elapsed = rt - now
+                    if elapsed < -1e-9:
+                        raise RuntimeError(
+                            f"memory system returned completion {rt} before issue {now}"
                         )
-                        obs.on_access(tid, "release", sync, now, res, busy)
-                    stats.barriers += 1
-                    depart = syncmgr.barrier_wait(tid, op.barrier_id, t)
-                    if depart is None:
-                        thread.blocked = True
-                        thread.block_time = t
-                        thread.time = t
-                        thread.feedback = None
-                        break
-                    wait = depart - t
-                    if wait > 0.0:
-                        stats.sync_wait += wait
+                    rs = res.read_stall
+                    ws = res.write_stall
+                    bf = res.buffer_flush
+                    stalls = rs + ws + bf
+                    stats.read_stall += rs
+                    stats.write_stall += ws
+                    stats.buffer_flush += bf
+                    busy = elapsed - stalls
+                    if busy <= 0.0:
+                        busy = 0.0
+                    stats.busy += busy
+                    t = rt
+                    if cls is Acquire:
                         if obs is not None:
-                            obs.on_sync_wait(tid, t, wait)
-                        t = depart
-                    hz = times[0] if times else _INF
-                elif cls is Fence:
-                    res = memsys.release(tid, now)
-                    busy = self._charge(stats, now, res)
-                    t = res.time
-                    if obs is not None:
-                        obs.on_access(tid, "release", SyncPoint("fence", -1), now, res, busy)
-                    stats.fences += 1
+                            sync = SyncPoint("lock", op.lock_id, self._lock_episode(op.lock_id))
+                            obs.on_access(tid, "acquire", sync, now, res, busy)
+                        stats.acquires += 1
+                        grant = syncmgr.acquire(tid, op.lock_id, t)
+                        if grant is None:
+                            thread.blocked = True
+                            thread.block_time = t
+                            thread.time = t
+                            thread.feedback = None
+                            break
+                        # max()-free wait accounting: += 0.0 is an identity
+                        # on the non-negative sync_wait accumulator, so the
+                        # no-wait case can skip the arithmetic entirely.
+                        wait = grant - t
+                        if wait > 0.0:
+                            stats.sync_wait += wait
+                            if obs is not None:
+                                obs.on_sync_wait(tid, t, wait)
+                            t = grant
+                        hz = times[0] if times else _INF
+                    elif cls is Release:
+                        if obs is not None:
+                            sync = SyncPoint("lock", op.lock_id, self._lock_episode(op.lock_id))
+                            obs.on_access(tid, "release", sync, now, res, busy)
+                        stats.releases += 1
+                        done = syncmgr.release(tid, op.lock_id, t)
+                        wait = done - t
+                        if wait > 0.0:
+                            stats.sync_wait += wait
+                            if obs is not None:
+                                obs.on_sync_wait(tid, t, wait)
+                            t = done
+                        hz = times[0] if times else _INF
+                    elif cls is BarrierWait:
+                        if obs is not None:
+                            sync = SyncPoint(
+                                "barrier", op.barrier_id, self._barrier_episode(op.barrier_id)
+                            )
+                            obs.on_access(tid, "release", sync, now, res, busy)
+                        stats.barriers += 1
+                        depart = syncmgr.barrier_wait(tid, op.barrier_id, t)
+                        if depart is None:
+                            thread.blocked = True
+                            thread.block_time = t
+                            thread.time = t
+                            thread.feedback = None
+                            break
+                        wait = depart - t
+                        if wait > 0.0:
+                            stats.sync_wait += wait
+                            if obs is not None:
+                                obs.on_sync_wait(tid, t, wait)
+                            t = depart
+                        hz = times[0] if times else _INF
+                    else:
+                        if obs is not None:
+                            obs.on_access(tid, "release", SyncPoint("fence", -1), now, res, busy)
+                        stats.fences += 1
                 elif cls is ReadNB:
                     res = mem_read(tid, op.addr, now)
                     stats.reads += 1
@@ -598,24 +611,3 @@ class Engine:
         total = max((th.stats.finish_time for th in threads.values()), default=0.0)
         procs = [threads[tid].stats for tid in sorted(threads)]
         return SimResult(total_time=total, procs=procs, ops=ops)
-
-    def _charge(self, stats: ProcStats, now: float, res: AccessResult) -> float:
-        """Bucket the elapsed cycles of a sync-op access; return the busy part.
-
-        Data reads/writes inline this arithmetic in :meth:`run`'s op
-        loop; keep the two in lockstep (same operations, same order).
-        """
-        elapsed = res.time - now
-        if elapsed < -1e-9:
-            raise RuntimeError(
-                f"memory system returned completion {res.time} before issue {now}"
-            )
-        stalls = res.read_stall + res.write_stall + res.buffer_flush
-        stats.read_stall += res.read_stall
-        stats.write_stall += res.write_stall
-        stats.buffer_flush += res.buffer_flush
-        # Whatever the stall categories do not claim is pipeline/busy time
-        # (e.g. the one-cycle cache-hit cost).
-        busy = max(0.0, elapsed - stalls)
-        stats.busy += busy
-        return busy

@@ -427,9 +427,9 @@ class ReferenceEngine:
     def _charge(self, stats: ProcStats, now: float, res: AccessResult) -> float:
         """Bucket the elapsed cycles of an access; return the busy part.
 
-        Identical float operations in identical order to
-        ``Engine._charge`` (and to the inlined data-access arithmetic of
-        ``Engine.run`` — with a stall-free result ``x - 0.0 == x`` and
+        Identical float operations in identical order to the stall
+        decomposition ``Engine.run`` writes out inline for data and sync
+        ops (with a stall-free result ``x - 0.0 == x``, and
         ``max(0.0, x)`` matches the inline ``if busy <= 0.0`` clamp)."""
         elapsed = res.time - now
         if elapsed < -1e-9:

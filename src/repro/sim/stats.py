@@ -9,6 +9,7 @@ process-coordination cost, not a memory-system overhead).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(slots=True)
@@ -133,8 +134,7 @@ class SimResult:
         }
 
 
-@dataclass(frozen=True)
-class SyncPoint:
+class SyncPoint(NamedTuple):
     """Identity of the synchronisation operation behind a memory-system call.
 
     When an observer is attached, the engine passes one of these to
@@ -146,6 +146,11 @@ class SyncPoint:
     completed grants/episodes/epochs of that object at the time of the
     operation (see :mod:`repro.analysis.checkers.races` for how the
     happens-before relation is rebuilt from these tags).
+
+    An immutable named tuple rather than a frozen dataclass: an observed
+    run builds one per sync op, and the tuple is about half the
+    construction cost.  Subscribers tell it from a data address by
+    ``target.__class__ is SyncPoint``.
     """
 
     kind: str

@@ -396,3 +396,22 @@ def test_cli_fuzz_flags_exist(flag, capsys):
     with pytest.raises(SystemExit):
         main(["fuzz", "--help"])
     assert flag in capsys.readouterr().out
+
+
+def test_run_fuzz_progress_counts_events_across_the_session(tmp_path, capsys):
+    """Each draw is its own run_jobs batch; its progress line shows the
+    events its oracles simulated, numbered across the session."""
+    from repro.obs import telemetry
+
+    with telemetry.session(render=True) as sess:
+        report = run_fuzz(
+            seed=0, max_draws=3, jobs=1, ledger=tmp_path / "corpus.jsonl",
+            repro_dir=tmp_path / "repros", resume=False,
+        )
+    assert report.evaluated == 3
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("[")]
+    assert [line.split()[0] for line in lines] == ["[1/1]", "[2/2]", "[3/3]"]
+    assert not any(": 0 ev" in line for line in lines)
+    finishes = [r for r in sess.records if r["event"] == "finish"]
+    assert [r["job"] for r in finishes] == [0, 1, 2]
+    assert all(r["events"] > 0 for r in finishes)

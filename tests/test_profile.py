@@ -210,7 +210,6 @@ def test_metrics_collector_composes():
         ((_RUN, AttributionCollector.on_stall), "observer"),
         ((_RUN, RCInv.read, AccessResult.__init__), "mem"),
         ((_RUN, AccessResult.__init__), "dispatch"),
-        ((_RUN, Engine._charge), "dispatch"),
         ((_RUN, RCInv.read, HostProfiler._on_sample), "mem"),
         ((_RUN,), "dispatch"),
         ((IntegerSort.worker,), "setup"),
@@ -232,6 +231,14 @@ def test_inlined_wheel_line_is_wheel():
         assert prof.classify(_chain(_RUN, run_line=run_line)) == "wheel"
     for run_line in ("op = send(fb)", "cls = op.__class__", "if t > hz:"):
         assert _line_of(_RUN, run_line) not in wheel_lines
+        assert prof.classify(_chain(_RUN, run_line=run_line)) == "dispatch"
+
+
+def test_inlined_sync_charge_is_dispatch():
+    """Sync ops' stall decomposition is written out in Engine.run: dispatch."""
+    prof = HostProfiler()
+    for run_line in ("res = memsys.acquire(tid, now) if cls is Acquire", "stats.acquires += 1"):
+        assert _line_of(_RUN, run_line) not in inlined_wheel_lines()
         assert prof.classify(_chain(_RUN, run_line=run_line)) == "dispatch"
 
 
