@@ -3,11 +3,12 @@ home nodes every stall cycle is paid for.
 
 The paper's headline numbers decompose execution time into read-stall /
 write-stall / buffer-flush totals per processor; this module explains
-them.  :class:`AttributionCollector` is an engine observer (see
-:mod:`repro.sim.observer`) that charges every overhead cycle to a
-*cell* — the cross product of the current application phase and either
-an address block (data accesses), a sync object (acquire / release /
-barrier / fence) or the ``Stall`` ops of latency-tolerant code — while
+them.  :class:`AttributionCollector` is a view of the engine's event
+log (see :class:`repro.sim.trace.EventLog`) that charges every overhead
+cycle to a *cell* — the cross product of the current application phase
+and either an address block (data accesses), a sync object (acquire /
+release / barrier / fence) or the ``Stall`` ops of latency-tolerant
+code — while
 maintaining per-processor per-category accumulators with the **same
 addends in the same order** as the engine's ``ProcStats``, so the
 attributed totals equal the :class:`repro.sim.stats.SimResult` totals
@@ -53,8 +54,8 @@ from operator import add, itemgetter
 from pathlib import Path
 
 from ..analysis.naming import sync_label
-from ..sim.observer import Observer, subscribe
 from ..sim.stats import SyncPoint
+from ..sim.trace import BUSY, PHASE, STALL, WAIT, LogView
 
 #: JSON schema version of attribution reports.
 SCHEMA = 1
@@ -87,36 +88,36 @@ STARTUP_PHASE = "(startup)"
 EXACT_TOLERANCE = 1e-6
 
 
-class AttributionCollector(Observer):
-    """Engine observer charging overhead cycles to cells::
+class AttributionCollector(LogView):
+    """Event-log view charging overhead cycles to cells::
 
         machine, result, collector = run_machine(
             app, "RCinv", cfg, attach=(AttributionCollector.attach,)
         )
         report = build_report(collector, result, app="IS", system="RCinv")
 
-    Results that *are* the memory system's stall-free flyweight skip the
-    stall reads, so the common case costs one dict lookup and a count.
+    A fold over the engine's :class:`~repro.sim.trace.EventLog`: each
+    row's cycles land in its cell and in the per-processor accumulators
+    in arrival order, so the sums are the live ones.
     """
 
     def __init__(self, memsys, nprocs: int, shm=None):
-        #: The observed memory system, read for its line size, hit
-        #: flyweight and addr→home map, and at report time for its
-        #: directory and configuration.
+        #: The observed memory system, read for its line size and
+        #: addr→home map, and at report time for its directory and
+        #: configuration.
         self.memsys = memsys
         self.nprocs = nprocs
         #: Optional :class:`repro.runtime.sharedmem.SharedMemory`; when
         #: set, block cells resolve to array names in reports.
         self.shm = shm
         self._line = memsys.line_size
-        self._hit = getattr(memsys, "_hit_result", None)
         self._home_of = getattr(memsys, "home_of", None)
         # Phase interning: labels -> small ints, one current id per proc.
         self._phase_names: list[str] = [STARTUP_PHASE]
         self._phase_ids: dict[str, int] = {STARTUP_PHASE: 0}
         self._cur = [0] * nprocs
         #: (time, proc, label) for every phase marker, in issue order.
-        self.phase_marks: list[tuple[float, int, str]] = []
+        self._phase_marks: list[tuple[float, int, str]] = []
         #: Every cell as a row of four columns: read_stall, write_stall,
         #: buffer_flush and events (accesses, sync ops or Stall ops).
         self._columns = (
@@ -141,21 +142,22 @@ class AttributionCollector(Observer):
         #: addends are skipped (``x + 0.0 == x`` for these non-negative
         #: accumulators), so each entry is bit-identical to ProcStats.
         self._acc = [[0.0, 0.0, 0.0] for _ in range(nprocs)]
-        self.accesses = 0
-        self.sync_events = 0
+        self._accesses = 0
+        self._sync_events = 0
+        super().__init__()
 
     # -- construction ---------------------------------------------------
     @classmethod
     def attach(cls, machine) -> AttributionCollector:
-        """Subscribe a collector to a Machine's engine."""
+        """Fold a collector from a Machine's engine event log."""
         collector = cls(
             machine.engine.memsys,
             machine.config.nprocs,
             shm=getattr(machine, "shm", None),
         )
-        return subscribe(machine.engine, collector)
+        return collector._share(machine.engine)
 
-    # -- engine-observer callbacks ----------------------------------------
+    # -- fold -------------------------------------------------------------
     def _new_row(self) -> int:
         """Append an empty cell; returns its row."""
         self._read_stall.append(0.0)
@@ -164,79 +166,124 @@ class AttributionCollector(Observer):
         self._count.append(0)
         return len(self._count) - 1
 
-    def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
-        if target.__class__ is SyncPoint:
-            # Barriers and fences arrive as releases; the SyncPoint's
-            # kind keeps them apart.
-            self.sync_events += 1
-            key = (self._cur[proc], target.kind, target.sync_id)
-            row = self._sync.get(key)
-            if row is None:
-                row = self._sync[key] = self._new_row()
-            block = None
-        else:
-            self.accesses += 1
-            block = target // self._line
-            rows = self._rows[proc]
-            row = rows.get(block)
-            if row is None:
-                row = rows[block] = self._new_row()
-        self._count[row] += 1
-        # A non-blocking read's latency is hidden: the engine charges
-        # none of its result.
-        if res is self._hit or kind == "read_nb":
-            return
-        rs = res.read_stall
-        ws = res.write_stall
-        bf = res.buffer_flush
-        if rs == 0.0 and ws == 0.0 and bf == 0.0:
-            return
-        self._read_stall[row] += rs
-        self._write_stall[row] += ws
-        self._buffer_flush[row] += bf
-        acc = self._acc[proc]
-        acc[0] += rs
-        acc[1] += ws
-        acc[2] += bf
-        if block is not None and self._home_of is not None:
-            home = self._homes.get(block)
-            if home is None:
-                home = self._homes[block] = self._home_of(block)
-            pair = (proc, home)
-            self._pairs[pair] = self._pairs.get(pair, 0.0) + rs + ws + bf
+    def _fold(self, rows: list[tuple]) -> None:
+        """Charge ``rows`` to their cells, in order.
 
-    def on_stall(self, proc: int, start: float, cycles: float, category: str) -> None:
-        i = _STALL_INDEX.get(category)
-        if i is None:
-            return
-        pid = self._cur[proc]
-        row = self._stall.get(pid)
-        if row is None:
-            row = self._stall[pid] = self._new_row()
-        self._columns[i][row] += cycles
-        self._count[row] += 1
-        self._acc[proc][i] += cycles
-
-    def on_phase(self, proc: int, time: float, label: str) -> None:
-        """Switch ``proc``'s attribution target to phase ``label``."""
-        pid = self._phase_ids.get(label)
-        if pid is None:
-            pid = self._phase_ids[label] = len(self._phase_names)
-            self._phase_names.append(label)
-            self._data.append({})
-        self._cur[proc] = pid
-        self._rows[proc] = self._data[pid]
-        self.phase_marks.append((time, proc, label))
+        A row switches its processor's phase (a marker), charges a
+        ``Stall`` op, or counts an access in its data or sync cell and
+        charges it the stalls the engine charged (none for a
+        non-blocking read).
+        """
+        line = self._line
+        home_of = self._home_of
+        homes = self._homes
+        pairs = self._pairs
+        cur = self._cur
+        data_rows = self._rows
+        sync = self._sync
+        count = self._count
+        read_stall = self._read_stall
+        write_stall = self._write_stall
+        buffer_flush = self._buffer_flush
+        acc = self._acc
+        new_row = self._new_row
+        accesses = self._accesses
+        sync_events = self._sync_events
+        for row in rows:
+            kind = row[0]
+            if kind is BUSY or kind is WAIT:
+                continue
+            if kind is STALL:
+                i = _STALL_INDEX.get(row[4])
+                if i is None:
+                    continue
+                proc, cycles = row[1], row[3]
+                pid = cur[proc]
+                cell = self._stall.get(pid)
+                if cell is None:
+                    cell = self._stall[pid] = new_row()
+                self._columns[i][cell] += cycles
+                count[cell] += 1
+                acc[proc][i] += cycles
+                continue
+            if kind is PHASE:
+                proc, label, time = row[1], row[2], row[3]
+                pid = self._phase_ids.get(label)
+                if pid is None:
+                    pid = self._phase_ids[label] = len(self._phase_names)
+                    self._phase_names.append(label)
+                    self._data.append({})
+                cur[proc] = pid
+                data_rows[proc] = self._data[pid]
+                self._phase_marks.append((time, proc, label))
+                continue
+            _, proc, target, _, _, rs, ws, bf, _, _ = row
+            if target.__class__ is SyncPoint:
+                # Barriers and fences arrive as releases; the SyncPoint's
+                # kind keeps them apart.
+                sync_events += 1
+                key = (cur[proc], target.kind, target.sync_id)
+                cell = sync.get(key)
+                if cell is None:
+                    cell = sync[key] = new_row()
+                block = None
+            else:
+                accesses += 1
+                block = target // line
+                cells = data_rows[proc]
+                cell = cells.get(block)
+                if cell is None:
+                    cell = cells[block] = new_row()
+            count[cell] += 1
+            # A non-blocking read's latency is hidden: the engine charges
+            # none of its result.
+            if (rs == 0.0 and ws == 0.0 and bf == 0.0) or kind == "read_nb":
+                continue
+            read_stall[cell] += rs
+            write_stall[cell] += ws
+            buffer_flush[cell] += bf
+            stalls = acc[proc]
+            stalls[0] += rs
+            stalls[1] += ws
+            stalls[2] += bf
+            if block is not None and home_of is not None:
+                home = homes.get(block)
+                if home is None:
+                    home = homes[block] = home_of(block)
+                pair = (proc, home)
+                pairs[pair] = pairs.get(pair, 0.0) + rs + ws + bf
+        self._accesses = accesses
+        self._sync_events = sync_events
 
     # -- accessors --------------------------------------------------------
+    @property
+    def accesses(self) -> int:
+        """Data accesses folded."""
+        self._log.flush()
+        return self._accesses
+
+    @property
+    def sync_events(self) -> int:
+        """Sync ops folded."""
+        self._log.flush()
+        return self._sync_events
+
+    @property
+    def phase_marks(self) -> list[tuple[float, int, str]]:
+        """``(time, proc, label)`` for every phase marker, in issue order."""
+        self._log.flush()
+        return self._phase_marks
+
     def proc_totals(self) -> dict[str, list[float]]:
         """Per-processor attributed totals, bit-identical to ProcStats."""
+        self._log.flush()
         return {
             cat: [self._acc[p][i] for p in range(self.nprocs)]
             for i, cat in enumerate(OVERHEAD_CATEGORIES)
         }
 
     def phase_name(self, phase_id: int) -> str:
+        self._log.flush()
         return self._phase_names[phase_id]
 
 
@@ -369,6 +416,7 @@ def build_report(
     cells failed to attribute per category (zero for every standard
     application — asserted by tests/test_attrib.py).
     """
+    collector._log.flush()
     nprocs = collector.nprocs
     totals = {
         "busy": fsum(p.busy for p in result.procs),
@@ -509,7 +557,7 @@ def build_report(
 
     phases = [{"label": STARTUP_PHASE, "first_mark": 0.0}]
     seen = {STARTUP_PHASE}
-    for t, _proc, mark_label in sorted(collector.phase_marks):
+    for t, _proc, mark_label in sorted(collector._phase_marks):
         if mark_label not in seen:
             seen.add(mark_label)
             phases.append({"label": mark_label, "first_mark": t})
@@ -530,8 +578,8 @@ def build_report(
         "residual": residual,
         "exact": exact,
         "counts": {
-            "accesses": collector.accesses,
-            "sync_events": collector.sync_events,
+            "accesses": collector._accesses,
+            "sync_events": collector._sync_events,
             "data_cells": sum(map(len, collector._data)),
             "sync_cells": len(collector._sync),
         },

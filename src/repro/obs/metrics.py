@@ -1,12 +1,12 @@
 """Interval metrics: cycle accounting in fixed-width time buckets.
 
-:class:`MetricsCollector` is an engine observer (see
-:mod:`repro.sim.observer`): it receives the engine's exact per-category
-cycle accounting — including :class:`repro.sim.events.Stall` ops that
-never reach the memory system — so that summing any category over all
-buckets reproduces the corresponding :class:`SimResult` total to
-floating-point accuracy, and it feeds the latency histogram and the
-access/sync counters from the same callbacks.
+:class:`MetricsCollector` is a view of the engine's event log (see
+:class:`repro.sim.trace.EventLog`): it folds the engine's exact
+per-category cycle accounting — including :class:`repro.sim.events.Stall`
+ops that never reach the memory system — so that summing any category
+over all buckets reproduces the corresponding :class:`SimResult` total
+to floating-point accuracy, and it feeds the latency histogram and the
+access/sync counters from the same rows.
 
 Bucketing rule: cycles of a span ``[start, start + dur)`` are spread
 uniformly over the span and integrated per bucket; the final bucket
@@ -17,9 +17,10 @@ one rounding per span.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 
-from ..sim.observer import Observer, subscribe
 from ..sim.stats import SyncPoint
+from ..sim.trace import BUSY, PHASE, STALL, WAIT, LogView
 
 #: Cycle categories tracked per processor per bucket (the paper's stall
 #: decomposition plus sync wait).
@@ -102,7 +103,7 @@ class Histogram:
         }
 
 
-class MetricsCollector(Observer):
+class MetricsCollector(LogView):
     """Per-interval cycle accounting + traffic/buffer gauges::
 
         machine, result, metrics = run_machine(
@@ -110,13 +111,19 @@ class MetricsCollector(Observer):
         )
         metrics.to_dict()   # JSON-ready
 
+    A fold over the engine's :class:`~repro.sim.trace.EventLog`: cycles,
+    the latency histogram and the counters are added up from its rows.
     The conservative engine issues operations in global simulated-time
-    order, so bucket boundaries are crossed (approximately) monotonically
-    and traffic deltas / buffer depths are sampled at each crossing.
+    order, so bucket boundaries are crossed (approximately) monotonically;
+    traffic deltas, buffer depths and the wheel depth are sampled live,
+    at the callback whose deposit first crosses a boundary
+    (:meth:`_cross`).
     """
 
     #: JSON export schema version.
     SCHEMA = 1
+
+    _folds_spans = True
 
     def __init__(self, nprocs: int, interval: float, network=None, memsys=None, engine=None):
         if interval <= 0:
@@ -129,8 +136,6 @@ class MetricsCollector(Observer):
         #: memory system whose store/merge buffer depths are sampled at
         #: bucket crossings; None outside :meth:`attach`.
         self.memsys = memsys
-        #: its stall-free hit flyweight (a result needing no stall reads)
-        self._hit = getattr(memsys, "_hit_result", None)
         #: bucket index -> {category: [per-proc cycles]}
         self._buckets: dict[int, dict[str, list[float]]] = {}
         #: bucket index -> network counter deltas accrued while it was current
@@ -147,23 +152,23 @@ class MetricsCollector(Observer):
         #: bucket index -> wheel depth at entry to the bucket
         self._wheel_depth: dict[int, int] = {}
         self._cursor = 0
-        #: simulated time at which the current bucket ends; deposits
-        #: below it skip the _advance call entirely (the hot path).
+        #: simulated time at which the current bucket ends: the next
+        #: deposit at or past it crosses into a new bucket.
         self._next_boundary = self.interval
-        #: Per processor, ``(index, end, busy row)`` of the bucket its last
-        #: single-bucket busy deposit landed in: the next deposit to the
-        #: same bucket skips the bucket lookup (the hot path).
-        self._busy_rows: list[tuple] = [(-1, 0.0, None)] * nprocs
+        #: ``(row, bucket)`` per crossing in the log's pending rows: the
+        #: accesses of rows before ``row`` accrue to ``bucket``.
+        self._crossings: list[tuple[int, int]] = []
         self._last_net = network.stats.snapshot() if network is not None else None
-        self.latency = Histogram("access_latency_cycles")
-        self.accesses = Counter("accesses")
-        self.sync_events = Counter("sync_events")
-        self.phases: list[tuple[float, int, str]] = []
+        self._latency = Histogram("access_latency_cycles")
+        self._accesses = Counter("accesses")
+        self._sync_events = Counter("sync_events")
+        self._phases: list[tuple[float, int, str]] = []
+        super().__init__()
 
     # -- construction ----------------------------------------------------
     @classmethod
     def attach(cls, machine, interval: float = 1000.0) -> MetricsCollector:
-        """Subscribe a collector to a Machine's engine."""
+        """Fold a collector from a Machine's engine event log."""
         collector = cls(
             machine.config.nprocs,
             interval,
@@ -171,65 +176,30 @@ class MetricsCollector(Observer):
             memsys=machine.engine.memsys,
             engine=machine.engine,
         )
-        return subscribe(machine.engine, collector)
+        return collector._share(machine.engine)
 
-    # -- engine-observer surface -----------------------------------------
-    def on_busy(self, proc: int, start: float, cycles: float) -> None:
-        # Inlined single-bucket fast path (one deposit per Compute op).
-        if start >= self._next_boundary:
-            self._advance(start)
-        b0 = int(start // self.interval)
-        index, end, row = self._busy_rows[proc]
-        if b0 == index and start + cycles <= end:
-            row[proc] += cycles
-            return
-        self._deposit_busy(proc, b0, start, start + cycles, cycles, cycles)
+    # -- folded state -------------------------------------------------------
+    @property
+    def latency(self) -> Histogram:
+        """Access latency histogram (accesses the engine charged time for)."""
+        self._log.flush()
+        return self._latency
 
-    def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
-        if target.__class__ is SyncPoint:
-            self.sync_events.value += 1
-        elif kind == "read_nb":
-            return  # the engine charges only its issue cycles (on_busy)
-        complete = res.time
-        if complete <= issue:
-            return  # nothing charged
-        latency = complete - issue
-        self.accesses.value += 1
-        # Histogram.observe, inlined (same updates, same order).
-        hist = self.latency
-        hist.count += 1
-        hist.sum += latency
-        hist.counts[bisect_left(hist.bounds, latency)] += 1
-        if res is not self._hit:
-            read_stall = res.read_stall
-            write_stall = res.write_stall
-            buffer_flush = res.buffer_flush
-            if read_stall != 0.0 or write_stall != 0.0 or buffer_flush != 0.0:
-                self._deposit(
-                    proc, issue, latency,
-                    busy=busy, read_stall=read_stall,
-                    write_stall=write_stall, buffer_flush=buffer_flush,
-                )
-                return
-        # Stall-free (the overwhelming majority): one category, and
-        # almost always within a single bucket — inlined.
-        if issue >= self._next_boundary:
-            self._advance(issue)
-        b0 = int(issue // self.interval)
-        index, end, row = self._busy_rows[proc]
-        if b0 == index and complete <= end:
-            row[proc] += busy
-            return
-        self._deposit_busy(proc, b0, issue, complete, latency, busy)
+    @property
+    def accesses(self) -> Counter:
+        self._log.flush()
+        return self._accesses
 
-    def on_stall(self, proc: int, start: float, cycles: float, category: str) -> None:
-        self._deposit_one(proc, start, cycles, _STALL_CATEGORY[category], cycles)
+    @property
+    def sync_events(self) -> Counter:
+        self._log.flush()
+        return self._sync_events
 
-    def on_sync_wait(self, proc: int, start: float, cycles: float) -> None:
-        self._deposit_one(proc, start, cycles, "sync_wait", cycles)
-
-    def on_phase(self, proc: int, time: float, label: str) -> None:
-        self.phases.append((time, proc, label))
+    @property
+    def phases(self) -> list[tuple[float, int, str]]:
+        """``(time, proc, label)`` per phase marker, in arrival order."""
+        self._log.flush()
+        return self._phases
 
     # -- bucketing --------------------------------------------------------
     def _bucket(self, index: int) -> dict[str, list[float]]:
@@ -239,21 +209,7 @@ class MetricsCollector(Observer):
             self._buckets[index] = bucket
         return bucket
 
-    def _deposit_busy(
-        self, proc: int, b0: int, start: float, finish: float, dur: float, amount: float
-    ) -> None:
-        """Busy deposit missing the processor's cached row: into bucket
-        ``b0`` (cached from now on) when the span ends by its end, else
-        spread over the buckets the span covers."""
-        end = (b0 + 1) * self.interval
-        if finish <= end:
-            row = self._bucket(b0)["busy"]
-            self._busy_rows[proc] = (b0, end, row)
-            row[proc] += amount
-            return
-        self._deposit_one(proc, start, dur, "busy", amount)
-
-    def _advance(self, t: float) -> None:
+    def _cross(self, t: float, row: int) -> None:
         """Sample gauges when simulated time enters a new bucket."""
         b = int(t // self.interval)
         if b <= self._cursor:
@@ -268,11 +224,8 @@ class MetricsCollector(Observer):
             else:
                 self._net_delta[self._cursor] = delta
             self._last_net = snap
-        acc = self.accesses.value
-        if acc != self._last_accesses:
-            cur = self._access_delta.get(self._cursor, 0)
-            self._access_delta[self._cursor] = cur + acc - self._last_accesses
-            self._last_accesses = acc
+        # The access count is a fold: note where its delta is due.
+        self._crossings.append((row, self._cursor))
         if self._engine is not None:
             self._wheel_depth[b] = self._engine.queue_depth()
         depths = self._sample_depths()
@@ -291,17 +244,25 @@ class MetricsCollector(Observer):
             out["merge_buffer"] = [len(mb) for mb in merge]
         return out
 
-    def _deposit_one(self, proc: int, start: float, dur: float, cat: str, amount: float) -> None:
-        """Single-category deposit: the specialised hot path."""
-        if start >= self._next_boundary:
-            self._advance(start)
+    def _accrue_accesses(self, bucket: int) -> None:
+        """Credit the accesses counted since the last credit to ``bucket``."""
+        acc = self._accesses.value
+        if acc != self._last_accesses:
+            cur = self._access_delta.get(bucket, 0)
+            self._access_delta[bucket] = cur + acc - self._last_accesses
+            self._last_accesses = acc
+
+    def _spread(self, proc: int, start: float, dur: float, cat: str, amount: float) -> None:
+        """Deposit ``amount`` of ``cat`` spread uniformly over
+        ``[start, start + dur)``; the last bucket takes the exact
+        remainder."""
         w = self.interval
         b0 = int(start // w)
         if dur > 0.0:
             end = start + dur
             b1 = int(end // w)
             if b1 * w == end:
-                b1 -= 1
+                b1 -= 1  # span ends exactly on a boundary: last bucket is b1 - 1
             if b1 != b0:
                 rate = amount / dur
                 assigned = 0.0
@@ -310,44 +271,116 @@ class MetricsCollector(Observer):
                     share = rate * ((b + 1) * w - lo)
                     self._bucket(b)[cat][proc] += share
                     assigned += share
-                # Exact remainder into the final bucket.
                 self._bucket(b1)[cat][proc] += amount - assigned
                 return
         self._bucket(b0)[cat][proc] += amount
 
-    def _deposit(self, proc: int, start: float, dur: float, **amounts: float) -> None:
-        if start >= self._next_boundary:
-            self._advance(start)
+    def _fold(self, rows: list[tuple]) -> None:
+        """Deposit ``rows`` in order, crediting accesses at each crossing.
+
+        A span lying within one bucket is one addition to that bucket's
+        cell; a longer one is spread (:meth:`_spread`).  A stall-free
+        access picks between the two by its completion time, and spreads
+        over ``issue + latency``, as the engine reported them.
+        """
         w = self.interval
-        if dur <= 0.0:
-            cells = self._bucket(int(start // w))
-            for cat, amount in amounts.items():
-                if amount > 0.0:
-                    cells[cat][proc] += amount
-            return
-        end = start + dur
-        b0 = int(start // w)
-        b1 = int(end // w)
-        if b1 * w == end:
-            b1 -= 1  # span ends exactly on a boundary: last bucket is b1 - 1
-        if b0 == b1:
-            cells = self._bucket(b0)
-            for cat, amount in amounts.items():
-                if amount > 0.0:
-                    cells[cat][proc] += amount
-            return
-        for cat, amount in amounts.items():
-            if amount <= 0.0:
-                continue
-            rate = amount / dur
-            assigned = 0.0
-            for b in range(b0, b1):
-                lo = start if b == b0 else b * w
-                share = rate * ((b + 1) * w - lo)
-                self._bucket(b)[cat][proc] += share
-                assigned += share
-            # Exact remainder into the final bucket: totals are preserved.
-            self._bucket(b1)[cat][proc] += amount - assigned
+        bucket = self._bucket
+        spread = self._spread
+        hist = self._latency
+        bounds = hist.bounds
+        counts = hist.counts
+        hist_count = hist.count
+        hist_sum = hist.sum
+        accesses = self._accesses.value
+        sync_events = self._sync_events.value
+        phases = self._phases
+        cells_at = -1
+        cells: dict[str, list[float]] = {}
+        marks = self._crossings
+        marks.append((len(rows), -1))
+        it = iter(rows)
+        done = 0
+        for row_end, due in marks:
+            for row in islice(it, row_end - done):
+                kind = row[0]
+                if kind is BUSY:
+                    _, proc, start, cycles = row
+                    b0 = int(start // w)
+                    if start + cycles <= (b0 + 1) * w:
+                        if b0 != cells_at:
+                            cells_at, cells = b0, bucket(b0)
+                        cells["busy"][proc] += cycles
+                    else:
+                        spread(proc, start, cycles, "busy", cycles)
+                elif kind is WAIT or kind is STALL:
+                    proc, start, cycles = row[1], row[2], row[3]
+                    cat = "sync_wait" if kind is WAIT else _STALL_CATEGORY[row[4]]
+                    b0 = int(start // w)
+                    if cycles > 0.0:
+                        end = start + cycles
+                        b1 = int(end // w)
+                        if b1 * w == end:
+                            b1 -= 1
+                        if b1 != b0:
+                            spread(proc, start, cycles, cat, cycles)
+                            continue
+                    if b0 != cells_at:
+                        cells_at, cells = b0, bucket(b0)
+                    cells[cat][proc] += cycles
+                elif kind is PHASE:
+                    phases.append((row[3], row[1], row[2]))
+                else:
+                    _, proc, target, issue, complete, rs, ws, bf, _, busy = row
+                    if target.__class__ is SyncPoint:
+                        sync_events += 1
+                    elif kind == "read_nb":
+                        continue  # the engine charges only its issue cycles (busy rows)
+                    if complete <= issue:
+                        continue  # nothing charged
+                    latency = complete - issue
+                    accesses += 1
+                    hist_count += 1
+                    hist_sum += latency
+                    counts[bisect_left(bounds, latency)] += 1
+                    b0 = int(issue // w)
+                    if rs != 0.0 or ws != 0.0 or bf != 0.0:
+                        end = issue + latency
+                        b1 = int(end // w)
+                        if b1 * w == end:
+                            b1 -= 1
+                        if b0 == b1:
+                            if b0 != cells_at:
+                                cells_at, cells = b0, bucket(b0)
+                            if busy > 0.0:
+                                cells["busy"][proc] += busy
+                            if rs > 0.0:
+                                cells["read_stall"][proc] += rs
+                            if ws > 0.0:
+                                cells["write_stall"][proc] += ws
+                            if bf > 0.0:
+                                cells["buffer_flush"][proc] += bf
+                        else:
+                            for cat, amount in (
+                                ("busy", busy), ("read_stall", rs),
+                                ("write_stall", ws), ("buffer_flush", bf),
+                            ):
+                                if amount > 0.0:
+                                    spread(proc, issue, latency, cat, amount)
+                    elif complete <= (b0 + 1) * w:
+                        if b0 != cells_at:
+                            cells_at, cells = b0, bucket(b0)
+                        cells["busy"][proc] += busy
+                    else:
+                        spread(proc, issue, latency, "busy", busy)
+            done = row_end
+            if due >= 0:
+                self._accesses.value = accesses
+                self._accrue_accesses(due)
+        marks.clear()
+        hist.count = hist_count
+        hist.sum = hist_sum
+        self._accesses.value = accesses
+        self._sync_events.value = sync_events
 
     # -- reporting --------------------------------------------------------
     def totals(self) -> dict[str, float]:
@@ -356,6 +389,7 @@ class MetricsCollector(Observer):
         Matches the corresponding :class:`repro.sim.stats.SimResult`
         sums (the acceptance invariant for interval metrics).
         """
+        self._log.flush()
         out = dict.fromkeys(CATEGORIES, 0.0)
         for bucket in self._buckets.values():
             for cat in CATEGORIES:
@@ -363,6 +397,7 @@ class MetricsCollector(Observer):
         return out
 
     def per_proc_totals(self) -> dict[str, list[float]]:
+        self._log.flush()
         out = {cat: [0.0] * self.nprocs for cat in CATEGORIES}
         for bucket in self._buckets.values():
             for cat in CATEGORIES:
@@ -374,13 +409,10 @@ class MetricsCollector(Observer):
 
     def to_dict(self) -> dict:
         """JSON-ready export (see docs/observability.md for the schema)."""
-        # Flush accesses accrued since the last bucket crossing into the
+        self._log.flush()
+        # Credit accesses accrued since the last bucket crossing to the
         # current bucket (idempotent: the counter delta is consumed).
-        acc = self.accesses.value
-        if acc != self._last_accesses:
-            cur = self._access_delta.get(self._cursor, 0)
-            self._access_delta[self._cursor] = cur + acc - self._last_accesses
-            self._last_accesses = acc
+        self._accrue_accesses(self._cursor)
         buckets = []
         for index in sorted(self._buckets):
             cells = self._buckets[index]
@@ -412,11 +444,11 @@ class MetricsCollector(Observer):
             "buckets": buckets,
             "totals": self.totals(),
             "counters": {
-                "accesses": self.accesses.value,
-                "sync_events": self.sync_events.value,
+                "accesses": self._accesses.value,
+                "sync_events": self._sync_events.value,
             },
-            "latency_histogram": self.latency.to_dict(),
+            "latency_histogram": self._latency.to_dict(),
             "phases": [
-                {"time": t, "proc": p, "label": label} for t, p, label in self.phases
+                {"time": t, "proc": p, "label": label} for t, p, label in self._phases
             ],
         }

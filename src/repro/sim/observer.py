@@ -33,9 +33,14 @@ memory-system outcome is.  With no observer attached the engine pays
 one ``None`` check per op.  :func:`subscribe` attaches a subscriber;
 with more than one, ``engine.observer`` is a :class:`FanOut` whose
 callbacks are settable attributes, like a single subscriber's.
+:func:`shared` finds or attaches the one subscriber of a class that
+several attaches share: the tracer, interval metrics and attribution
+all fold the rows of one :class:`repro.sim.trace.EventLog`.
 """
 
 from __future__ import annotations
+
+from typing import TypeVar
 
 #: The engine-observer callback names.
 CALLBACKS = ("on_busy", "on_access", "on_stall", "on_sync_wait", "on_phase")
@@ -60,41 +65,10 @@ class Observer:
         pass
 
 
-def _fan(handlers: list, nargs: int):
-    """One callable calling every handler in order.
-
-    Two and three subscribers (the tracer, metrics and attribution
-    stack) get a loop-free body; for callbacks taking ``nargs`` 3
-    (``on_busy``, ``on_sync_wait``, ``on_phase``) or 6 (``on_access``)
-    parameters it packs no ``*args`` tuple per call."""
+def _fan(handlers: list):
+    """One callable calling every handler in order."""
     if len(handlers) == 1:
         return handlers[0]
-    if len(handlers) == 2:
-        h0, h1 = handlers
-        if nargs == 3:
-            def fan2_3(a, b, c) -> None:
-                h0(a, b, c)
-                h1(a, b, c)
-            return fan2_3
-        if nargs == 6:
-            def fan2_6(a, b, c, d, e, f) -> None:
-                h0(a, b, c, d, e, f)
-                h1(a, b, c, d, e, f)
-            return fan2_6
-    if len(handlers) == 3:
-        h0, h1, h2 = handlers
-        if nargs == 3:
-            def fan3_3(a, b, c) -> None:
-                h0(a, b, c)
-                h1(a, b, c)
-                h2(a, b, c)
-            return fan3_3
-        if nargs == 6:
-            def fan3_6(a, b, c, d, e, f) -> None:
-                h0(a, b, c, d, e, f)
-                h1(a, b, c, d, e, f)
-                h2(a, b, c, d, e, f)
-            return fan3_6
 
     def fan(*args) -> None:
         for handler in handlers:
@@ -120,7 +94,7 @@ class FanOut(Observer):
                 if getattr(type(s), name, None) is not noop
             ]
             if handlers:
-                setattr(self, name, _fan(handlers, noop.__code__.co_argcount - 1))
+                setattr(self, name, _fan(handlers))
 
 
 def subscribe(engine, subscriber: Observer) -> Observer:
@@ -133,3 +107,18 @@ def subscribe(engine, subscriber: Observer) -> Observer:
     else:
         engine.observer = FanOut(current, subscriber)
     return subscriber
+
+
+S = TypeVar("S", bound=Observer)
+
+
+def shared(engine, cls: type[S]) -> S:
+    """The subscriber of class ``cls`` attached to ``engine``, subscribing
+    a new one when there is none."""
+    current = engine.observer
+    for subscriber in current.subscribers if isinstance(current, FanOut) else (current,):
+        if isinstance(subscriber, cls):
+            return subscriber
+    made = cls()
+    subscribe(engine, made)
+    return made

@@ -1,10 +1,14 @@
-"""Optional access tracing.
+"""Optional access tracing, and the event log behind every built-in view.
 
-:class:`TracingMemory` is an engine observer (see
-:mod:`repro.sim.observer`) that records every memory-system outcome with
-its timing and stall decomposition — the moral equivalent of SPASM's
-event logs.  Useful for debugging protocol models and for explaining
-where an application's overhead comes from.
+:class:`EventLog` is the engine observer (see :mod:`repro.sim.observer`)
+that the tracer, interval metrics (:mod:`repro.obs.metrics`) and
+attribution (:mod:`repro.obs.attrib`) share: it stores each callback as
+a row and, every :data:`_CHUNK` rows, folds the new rows into each of
+its views, then drops them.  :class:`TracingMemory` is the view that
+keeps the first ``max_events`` rows themselves, with their timing and
+stall decomposition — the moral equivalent of SPASM's event logs.
+Useful for debugging protocol models and for explaining where an
+application's overhead comes from.
 
     machine, result, trace = run_machine(app, "RCinv", cfg, attach=(TracingMemory.attach,))
     hot = trace.hottest_blocks(5)
@@ -16,11 +20,33 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import nlargest
 from itertools import islice
+from math import inf
 from operator import itemgetter
 
-from .observer import Observer, subscribe
+from .observer import Observer, shared
 from .stats import SyncPoint
 
+#: Rows an :class:`EventLog` holds before folding them into its views:
+#: bounds the log's memory, and keeps the fold work inside the run.
+_CHUNK = 4096
+
+#: Row tags of the callbacks that are not memory-system outcomes (an
+#: access row carries its access kind instead).  Rows are tuples:
+#:
+#: * access: ``(kind, proc, target, issue, complete, read_stall,
+#:   write_stall, buffer_flush, hit, busy)``, the :meth:`EventLog.on_access`
+#:   arguments with ``res`` read out;
+#: * phase marker: ``(PHASE, proc, label, time, time, 0.0, 0.0, 0.0, True,
+#:   0.0)``, shaped like an access so that the tracer keeps both alike;
+#: * spans: ``(BUSY, proc, start, cycles)``, ``(WAIT, proc, start, cycles)``
+#:   and ``(STALL, proc, start, cycles, category)``.
+#:
+#: The log builds every tagged row with these very objects, so a fold
+#: may test tags with ``is``.
+BUSY, STALL, WAIT, PHASE = "busy", "stall", "sync_wait", "phase"
+
+#: Tags of the span rows, which the tracer skips.
+_SPANS = frozenset((BUSY, STALL, WAIT))
 
 @dataclass(slots=True)
 class TraceEvent:  # lint: hot
@@ -54,19 +80,171 @@ class TraceEvent:  # lint: hot
         return self.complete - self.issue
 
 
+def _event(kind, proc, target, *rest) -> TraceEvent:
+    """The :class:`TraceEvent` of a recorded row."""
+    if kind is PHASE:
+        return TraceEvent(kind, proc, None, *rest, label=target)
+    if target.__class__ is SyncPoint:
+        return TraceEvent(kind, proc, None, *rest, target.kind, target.sync_id, target.episode)
+    return TraceEvent("read" if kind == "read_nb" else kind, proc, target, *rest)
+
+
 def _most_common(tally: dict, n: int) -> list[tuple]:
     """``Counter.most_common(n)`` over a plain dict (same tie order)."""
     return nlargest(n, tally.items(), key=itemgetter(1))
 
 
-class TracingMemory(Observer):
-    """Engine observer recording every memory-system outcome.
+class EventLog(Observer):
+    """Records every engine callback as a row for its views to fold.
+
+    One log serves every view attached to an engine (:meth:`LogView._share`).
+    A fold sees the rows in arrival order, so it makes the additions a
+    live callback would have made, in the same order.  The only live
+    work is the gauge sampling of views whose gauges must be read at an
+    exact moment of the run (:meth:`LogView._cross`).
+    """
+
+    def __init__(self) -> None:
+        self._rows: list[tuple] = []
+        self._views: list[LogView] = []
+        #: Views that sample gauges when simulated time crosses their
+        #: next boundary, and the earliest such boundary.
+        self._crossers: list[LogView] = []
+        self._boundary = inf
+        #: Whether any view folds busy and sync-wait spans; until one
+        #: does, those callbacks record nothing.
+        self._spans = False
+
+    def add(self, view: LogView) -> None:
+        """Fold into ``view`` every row recorded from now on."""
+        self.flush()
+        self._views.append(view)
+        self._spans = self._spans or view._folds_spans
+        if type(view)._cross is not LogView._cross:
+            self._crossers.append(view)
+            self._boundary = min(v._next_boundary for v in self._crossers)
+
+    def flush(self) -> None:
+        """Fold the rows recorded since the last fold into every view."""
+        rows = self._rows
+        if rows:
+            for view in self._views:
+                view._fold(rows)
+            rows.clear()
+
+    def _cross(self, t: float) -> None:
+        n = len(self._rows)
+        for view in self._crossers:
+            if t >= view._next_boundary:
+                view._cross(t, n)
+        self._boundary = min(v._next_boundary for v in self._crossers)
+
+    # -- engine-observer callbacks ----------------------------------------
+    # A crossing is tested where interval metrics deposits cycles: every
+    # span but a phase marker, and every access the engine charged time
+    # for (not a non-blocking read, not a zero-latency outcome).
+    def on_busy(self, proc: int, start: float, cycles: float) -> None:
+        if not self._spans:
+            return
+        rows = self._rows
+        rows.append((BUSY, proc, start, cycles))
+        if start >= self._boundary:
+            self._cross(start)
+        if len(rows) >= _CHUNK:
+            self.flush()
+
+    def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
+        rows = self._rows
+        complete = res.time
+        rows.append((
+            kind, proc, target, issue, complete,
+            res.read_stall, res.write_stall, res.buffer_flush, res.hit, busy,
+        ))
+        if issue >= self._boundary and complete > issue and kind != "read_nb":
+            self._cross(issue)
+        if len(rows) >= _CHUNK:
+            self.flush()
+
+    def on_stall(self, proc: int, start: float, cycles: float, category: str) -> None:
+        rows = self._rows
+        rows.append((STALL, proc, start, cycles, category))
+        if start >= self._boundary:
+            self._cross(start)
+        if len(rows) >= _CHUNK:
+            self.flush()
+
+    def on_sync_wait(self, proc: int, start: float, cycles: float) -> None:
+        if not self._spans:
+            return
+        rows = self._rows
+        rows.append((WAIT, proc, start, cycles))
+        if start >= self._boundary:
+            self._cross(start)
+        if len(rows) >= _CHUNK:
+            self.flush()
+
+    def on_phase(self, proc: int, time: float, label: str) -> None:
+        rows = self._rows
+        rows.append((PHASE, proc, label, time, time, 0.0, 0.0, 0.0, True, 0.0))
+        if len(rows) >= _CHUNK:
+            self.flush()
+
+
+def _passthrough(name: str) -> property:
+    """A view's engine callback ``name``: its log's."""
+    return property(lambda view: getattr(view._log, name))
+
+
+class LogView:
+    """A fold over an :class:`EventLog`'s rows.
+
+    A view built directly owns a private log and passes its five engine
+    callbacks through to it, so it can be fed by hand; ``attach`` folds
+    from the engine's shared log instead.  Readers fold the pending rows
+    first (:meth:`EventLog.flush`).
+    """
+
+    #: Simulated time at which :meth:`_cross` is next due (views that
+    #: sample gauges override both).
+    _next_boundary = inf
+    #: Whether :meth:`_fold` reads busy and sync-wait rows.
+    _folds_spans = False
+
+    on_busy = _passthrough("on_busy")
+    on_access = _passthrough("on_access")
+    on_stall = _passthrough("on_stall")
+    on_sync_wait = _passthrough("on_sync_wait")
+    on_phase = _passthrough("on_phase")
+
+    def __init__(self) -> None:
+        self._log = EventLog()
+        self._log.add(self)
+
+    def _share(self, engine):
+        """Fold from ``engine``'s event log, subscribing one if it has
+        none; returns the view."""
+        self._log = shared(engine, EventLog)
+        self._log.add(self)
+        return self
+
+    def _fold(self, rows: list[tuple]) -> None:
+        """Make this view's additions for ``rows``, in order."""
+        raise NotImplementedError
+
+    def _cross(self, t: float, row: int) -> None:
+        """Sample gauges at simulated time ``t``, at or past
+        :attr:`_next_boundary`, during the callback that recorded the
+        ``row``-th pending row (counting from one)."""
+
+
+class TracingMemory(LogView):
+    """Event-log view keeping every memory-system outcome as a row.
 
     ``max_events`` bounds memory use; later events are dropped (the
     counters keep full totals).  A non-blocking read is recorded as a
     ``"read"`` with the memory system's own result.
 
-    Events are stored as parallel columns of plain values, so a long
+    Events are stored as parallel columns of the log's rows, so a long
     trace adds no objects for the garbage collector to traverse;
     :attr:`events` builds the :class:`TraceEvent` objects when read.
     """
@@ -86,75 +264,61 @@ class TracingMemory(Observer):
         #: Optional :class:`repro.runtime.sharedmem.SharedMemory`; when
         #: set, block rankings resolve block numbers to array names.
         self.shm = shm
-        self.dropped = 0
-        #: One list per TraceEvent field every event has, in field
-        #: order, a row per recorded event.
+        self._dropped = 0
+        #: The first nine fields of each recorded access or phase row, a
+        #: column each: kind, proc, target (address, SyncPoint or phase
+        #: label), issue, complete, the stall decomposition and hit.
         self._columns = (
-            self._kind, self._proc, self._addr, self._issue, self._complete,
+            self._kind, self._proc, self._target, self._issue, self._complete,
             self._read_stall, self._write_stall, self._buffer_flush, self._hit,
         ) = tuple([] for _ in range(9))
-        #: Row -> (sync_kind, sync_id, episode, label), for the sync ops
-        #: and phase markers that carry them.
-        self._tags: dict[int, tuple] = {}
         #: :attr:`events` as last built (rebuilt once more rows exist).
         self._built: list[TraceEvent] = []
         #: Per block, stall cycles and accesses over every data access,
         #: in arrival order: the first ``_tallied`` rows, then each
-        #: dropped access as it arrives.  Rows are folded in when a
-        #: ranking is asked for or the first access is dropped, so a
-        #: recorded access costs only its row.
+        #: dropped access as it is folded.  Recorded rows are tallied
+        #: when a ranking is asked for or the first access is dropped,
+        #: so a recorded access costs only its row.
         self._block_stall: dict[int, float] = {}
         self._block_access: dict[int, int] = {}
         self._tallied = 0
+        super().__init__()
 
     # -- construction ---------------------------------------------------
     @classmethod
     def attach(cls, machine, max_events: int | None = None) -> TracingMemory:
-        """Subscribe a tracer to a Machine's engine."""
+        """Fold a tracer from a Machine's engine event log."""
         tracer = cls(
             machine.engine.memsys.line_size, max_events, shm=getattr(machine, "shm", None)
         )
-        subscribe(machine.engine, tracer)
-        return tracer
+        return tracer._share(machine.engine)
 
-    # -- engine-observer callbacks ----------------------------------------
-    def on_access(self, proc: int, kind: str, target, issue: float, res, busy: float) -> None:
-        kinds = self._kind
-        row = len(kinds)
-        if target.__class__ is SyncPoint:
-            addr = None
-            if row < self.max_events:
-                self._tags[row] = (target.kind, target.sync_id, target.episode, None)
-        else:
-            addr = target
-            if kind == "read_nb":
-                kind = "read"
-            if row >= self.max_events:
-                if self._tallied < row:
-                    self._tally_rows()
-                self._tally(target // self._line_size, res.read_stall + res.write_stall)
-        if row < self.max_events:
-            kinds.append(kind)
-            self._proc.append(proc)
-            self._addr.append(addr)
-            self._issue.append(issue)
-            self._complete.append(res.time)
-            self._read_stall.append(res.read_stall)
-            self._write_stall.append(res.write_stall)
-            self._buffer_flush.append(res.buffer_flush)
-            self._hit.append(res.hit)
-        else:
-            self.dropped += 1
+    @property
+    def dropped(self) -> int:
+        """Events past ``max_events``, not recorded."""
+        self._log.flush()
+        return self._dropped
 
-    def on_phase(self, proc: int, time: float, label: str) -> None:
-        row = len(self._kind)
-        if row < self.max_events:
-            values = ("phase", proc, None, time, time, 0.0, 0.0, 0.0, True)
-            for column, value in zip(self._columns, values):
-                column.append(value)
-            self._tags[row] = (None, None, None, label)
-        else:
-            self.dropped += 1
+    # -- fold -------------------------------------------------------------
+    def _fold(self, rows: list[tuple]) -> None:
+        """Keep the access and phase rows while there is room; tally the
+        data accesses among the rest."""
+        room = self.max_events - len(self._kind)
+        mine = [row for row in rows if row[0] not in _SPANS]
+        if room > 0:
+            for column, values in zip(self._columns, zip(*mine[:room])):
+                column.extend(values)
+            mine = mine[room:]
+            if not mine:
+                return
+        if self._tallied < len(self._kind):
+            self._tally_rows()
+        self._dropped += len(mine)
+        line = self._line_size
+        for row in mine:
+            target = row[2]
+            if row[0] is not PHASE and target.__class__ is not SyncPoint:
+                self._tally(target // line, row[5] + row[6])
 
     # -- block tallies ----------------------------------------------------
     def _tally(self, block: int, stall: float) -> None:
@@ -167,18 +331,18 @@ class TracingMemory(Observer):
             block_stall[block] = block_stall.get(block, 0) + stall
 
     def _tally_rows(self) -> None:
-        """Fold the data rows recorded since the last call into the
-        block tallies."""
+        """Tally the data rows recorded since the last call."""
         start = self._tallied
         line = self._line_size
-        for addr, rs, ws in zip(
-            islice(self._addr, start, None),
+        for kind, target, rs, ws in zip(
+            islice(self._kind, start, None),
+            islice(self._target, start, None),
             islice(self._read_stall, start, None),
             islice(self._write_stall, start, None),
         ):
-            if addr is not None:
-                self._tally(addr // line, rs + ws)
-        self._tallied = len(self._addr)
+            if kind is not PHASE and target.__class__ is not SyncPoint:
+                self._tally(target // line, rs + ws)
+        self._tallied = len(self._target)
 
     # -- analysis ---------------------------------------------------------
     @property
@@ -188,13 +352,10 @@ class TracingMemory(Observer):
         The list is shared between reads until more events arrive;
         treat it as read-only.
         """
+        self._log.flush()
         built = self._built
         if len(built) != len(self._kind):
-            tags = self._tags
-            built = self._built = [
-                TraceEvent(*row, *tags[i]) if i in tags else TraceEvent(*row)
-                for i, row in enumerate(zip(*self._columns))
-            ]
+            built = self._built = [_event(*row) for row in zip(*self._columns)]
         return built
 
     def _ranked(self, tally: dict, n: int) -> list[tuple]:
@@ -211,11 +372,13 @@ class TracingMemory(Observer):
 
     def hottest_blocks(self, n: int = 10) -> list[tuple[str, float]]:
         """Blocks ranked by accumulated stall cycles, named by array."""
+        self._log.flush()
         self._tally_rows()
         return self._ranked(self._block_stall, n)
 
     def busiest_blocks(self, n: int = 10) -> list[tuple[str, int]]:
         """Blocks ranked by access count, named by array."""
+        self._log.flush()
         self._tally_rows()
         return self._ranked(self._block_access, n)
 
@@ -227,18 +390,19 @@ class TracingMemory(Observer):
         return [e for e in self.events if e.proc == proc]
 
     def summary(self) -> dict[str, float]:
+        self._log.flush()
         kinds = self._kind
         hits = self._hit
         reads = writes = read_misses = write_misses = 0
         for kind, hit in zip(kinds, hits):
-            if kind == "read":
+            if kind == "read" or kind == "read_nb":
                 reads += 1
                 read_misses += not hit
             elif kind == "write":
                 writes += 1
                 write_misses += not hit
         out: dict[str, float] = {
-            "events": len(kinds) + self.dropped,
+            "events": len(kinds) + self._dropped,
             "recorded": len(kinds),
             "reads": reads,
             "writes": writes,
@@ -249,6 +413,9 @@ class TracingMemory(Observer):
                 for rs, ws, bf in zip(self._read_stall, self._write_stall, self._buffer_flush)
             ),
         }
-        for kind, count in sorted(Counter(kinds).items()):
+        counts = Counter(kinds)
+        if "read_nb" in counts:
+            counts["read"] += counts.pop("read_nb")
+        for kind, count in sorted(counts.items()):
             out[f"events_{kind}"] = count
         return out

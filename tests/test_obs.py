@@ -79,8 +79,9 @@ def test_deposit_splits_across_bucket_boundary_exactly():
     mc = MetricsCollector(nprocs=1, interval=100.0)
     # A 50-cycle busy span straddling the t=100 boundary: 30 cycles in
     # bucket 0, 20 in bucket 1, preserving the total bit-for-bit.
-    mc._deposit(0, 70.0, 50.0, busy=50.0)
-    b0, b1 = mc._bucket(0), mc._bucket(1)
+    mc.on_busy(0, 70.0, 50.0)
+    b0, b1 = mc.to_dict()["buckets"]
+    assert (b0["index"], b1["index"]) == (0, 1)
     assert abs(b0["busy"][0] - 30.0) < 1e-12
     assert abs(b1["busy"][0] - 20.0) < 1e-12
     assert b0["busy"][0] + b1["busy"][0] == 50.0
@@ -88,16 +89,19 @@ def test_deposit_splits_across_bucket_boundary_exactly():
 
 def test_deposit_span_ending_on_boundary_stays_in_lower_bucket():
     mc = MetricsCollector(nprocs=1, interval=100.0)
-    mc._deposit(0, 50.0, 50.0, busy=50.0)  # [50, 100) ends exactly at the edge
-    assert mc._bucket(0)["busy"][0] == 50.0
-    assert 1 not in mc._buckets
+    mc.on_busy(0, 50.0, 50.0)  # [50, 100) ends exactly at the edge
+    (b0,) = mc.to_dict()["buckets"]
+    assert b0["index"] == 0
+    assert b0["busy"][0] == 50.0
 
 
 def test_deposit_many_buckets_total_preserved():
     mc = MetricsCollector(nprocs=2, interval=10.0)
     amount = 123.456789
-    mc._deposit(1, 3.25, 97.5, sync_wait=amount)
-    total = sum(b["sync_wait"][1] for b in mc._buckets.values())
+    mc.on_sync_wait(1, 3.25, amount)
+    buckets = mc.to_dict()["buckets"]
+    assert len(buckets) == 13
+    total = sum(b["sync_wait"][1] for b in buckets)
     assert total == amount  # exact, not approximate: remainder goes last
 
 

@@ -40,7 +40,7 @@ from repro.sim.engine import DeadlockError, Engine
 from repro.sim.events import Acquire
 from repro.sim.observer import FanOut
 from repro.sim.stats import AccessResult
-from repro.sim.trace import TracingMemory
+from repro.sim.trace import EventLog, TracingMemory
 from repro.sim.wheel import EventWheel
 
 from .golden import PROC_FIELDS, run_case
@@ -157,13 +157,17 @@ def test_signal_delivery_never_perturbs_sync_heavy_run(name, system):
 
 def test_metrics_collector_composes():
     """Armed over a MetricsCollector, results stay bit-identical, and
-    its callbacks, their helpers and its reporting are observer time."""
+    the event log's callbacks, the metrics fold and its helpers and
+    its reporting are observer time."""
     plain, m_plain, _ = _run("IS", "RCinv", profiled=False, metrics=True)
     prof_res, m_prof, _ = _run("IS", "RCinv", profiled=True, metrics=True)
     assert _fingerprint(plain, m_plain) == _fingerprint(prof_res, m_prof)
     prof = HostProfiler()
-    assert prof.classify(_chain(_RUN, MetricsCollector.on_access)) == "observer"
-    chain = _chain(_RUN, MetricsCollector.on_access, MetricsCollector._deposit_one)
+    assert prof.classify(_chain(_RUN, EventLog.on_access)) == "observer"
+    chain = _chain(
+        _RUN, EventLog.on_access, EventLog.flush, MetricsCollector._fold,
+        MetricsCollector._spread,
+    )
     assert prof.classify(chain) == "observer"
     assert prof.classify(_chain(_RUN, MetricsCollector.to_dict)) == "observer"
 
@@ -205,9 +209,15 @@ def test_metrics_collector_composes():
             "observer",
             id="Engine.run/Races.on_access/array_at-observer",
         ),
-        ((_RUN, TracingMemory.on_access), "observer"),
+        pytest.param(
+            (_RUN, EventLog.on_access, EventLog.flush, TracingMemory._fold), "observer",
+            id="Engine.run/EventLog.on_access/TracingMemory._fold-observer",
+        ),
         ((_RUN, FanOut.add), "observer"),
-        ((_RUN, AttributionCollector.on_stall), "observer"),
+        pytest.param(
+            (_RUN, EventLog.on_stall, EventLog.flush, AttributionCollector._fold), "observer",
+            id="Engine.run/EventLog.on_stall/AttributionCollector._fold-observer",
+        ),
         ((_RUN, RCInv.read, AccessResult.__init__), "mem"),
         ((_RUN, AccessResult.__init__), "dispatch"),
         ((_RUN, RCInv.read, HostProfiler._on_sample), "mem"),

@@ -89,7 +89,8 @@ class TestTracing:
     def test_subscribes_to_engine_without_wrapping_memory(self):
         machine, tracer, _ = run_traced()
         assert machine.engine.memsys is machine.memsys
-        assert machine.engine.observer is tracer
+        # The engine's one subscriber is the event log the tracer folds.
+        assert machine.engine.observer is tracer._log
 
     def test_invalid_max_events(self):
         with pytest.raises(ValueError):
