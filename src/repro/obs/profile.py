@@ -25,9 +25,10 @@ nanoseconds go?  Components:
     the wakes it triggers.
 ``observer``
     The observer modules: the fan-out of :mod:`repro.sim.observer`, the
-    tracer (:mod:`repro.sim.trace`), :mod:`repro.obs` and the
-    correctness checkers (:mod:`repro.analysis.checkers`), callbacks
-    and reporting alike.  Zero when nothing is attached.
+    event log and tracer (:mod:`repro.sim.trace`), :mod:`repro.obs` and
+    the correctness checkers (:mod:`repro.analysis.checkers`),
+    callbacks, folds and reporting alike.  Zero when nothing is
+    attached.
 ``dispatch``
     Everything else inside ``Engine.run``: op-class dispatch,
     stall-decomposition accounting, run-ahead checks.
