@@ -18,7 +18,6 @@ from ..apps.base import Application
 from ..config import MachineConfig
 from ..mem.systems import PAPER_SYSTEMS
 from ..obs.manifest import build_manifest
-from ..runtime.context import Machine
 from ..sim.stats import SimResult
 from .parallel import JobResult, JobSpec, ResultCache, run_jobs
 
@@ -69,10 +68,6 @@ class SystemResult:
         )
 
     @classmethod
-    def from_run(cls, machine: Machine, result: SimResult) -> SystemResult:
-        return cls.from_sim(machine.system_name, result, machine.memsys.traffic_summary())
-
-    @classmethod
     def from_job(cls, job: JobResult) -> SystemResult:
         return cls.from_sim(job.system, job.result, job.traffic)
 
@@ -96,10 +91,6 @@ class StudyResult:
     @property
     def zmachine(self) -> SystemResult:
         return self.by_system("z-mc")
-
-    def overhead_of(self, name: str) -> float:
-        """Memory-system overhead (cycles beyond the z-machine's zero)."""
-        return self.by_system(name).overhead
 
 
 def run_study(

@@ -88,9 +88,6 @@ class BaseMemorySystem:
     def block_of(self, addr: int) -> int:
         return addr // self.line_size
 
-    def word_of(self, addr: int) -> int:
-        return (addr % self.line_size) // self.config.word_size
-
     def home_of(self, block: int) -> int:
         # The transaction builders inline this as ``block % self._nprocs``.
         return self.config.home_node(block)

@@ -88,10 +88,6 @@ class Logger:
     def error(self, msg: str, **fields: Any) -> None:
         self._emit("error", msg, fields, self.err_stream)
 
-    def json_out(self, payload: Any) -> None:
-        """Emit a structured payload (pretty JSON on the payload channel)."""
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str), file=self.stream)
-
     def state(self) -> dict[str, bool]:
         """Picklable configuration, for re-creating this logger in pool
         workers (streams are process-local and intentionally omitted)."""

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any
 
 from ..analysis.naming import sync_label
+from .attrib import SYNC_ROW
 
 #: tid offset for the per-processor phase lanes.
 PHASE_LANE = 1000
@@ -213,11 +214,16 @@ def attribution_to_perfetto(report: dict[str, Any], top: int = 8) -> dict[str, A
     the same run shows where in simulated time each hot structure paid.
     """
     phases = {p["label"]: p["first_mark"] for p in report.get("phases", ())}
-    hot = [r["key"] for r in report["dims"]["block"][:top]]
+    # Rows rank largest overhead first; a zero row (the "(no overhead)"
+    # remainder, or an uncharged row of a schema-1 report) has nothing
+    # to draw.
+    hot = [r["key"] for r in report["dims"]["block"][:top] if r["overhead"]]
     per_cell: dict[tuple[str, str], float] = {}
     per_cat: dict[tuple[str, str], float] = {}
     for c in report["cells"]:
-        key = c["key"] if c["kind"] == "data" else "(sync ops)"
+        # The block dimension keys a data cell by its span name, and
+        # folds every sync cell into one row.
+        key = SYNC_ROW if c["kind"] == "sync" else c["name"]
         if key in hot:
             pair = (c["phase"], key)
             per_cell[pair] = per_cell.get(pair, 0.0) + (

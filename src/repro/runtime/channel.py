@@ -97,10 +97,6 @@ class DataChannel:
         self._produced += 1
         yield FlagSet(self.flag_id, self.slot_blocks[slot_idx])
 
-    @property
-    def epochs_produced(self) -> int:
-        return self._produced
-
     # -- consumer side ---------------------------------------------------
     def consume(self, epoch: int, consumer: int = 0) -> Generator[Op, None, list]:
         """Wait for the ``epoch``-th payload (1-based) and return it.

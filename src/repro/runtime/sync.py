@@ -102,10 +102,6 @@ class SyncManager:
         self._flags.append(_FlagState(home=flag_id % self.config.nprocs, name=name))
         return flag_id
 
-    @property
-    def num_locks(self) -> int:
-        return len(self._locks)
-
     def sync_name(self, kind: str, sync_id: int) -> str:
         """Declaration name of a sync object ("" if anonymous).
 

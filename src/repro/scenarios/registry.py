@@ -115,10 +115,6 @@ def _stride_links(config: MachineConfig, count: int) -> list[tuple[int, int]]:
 # scenario builders
 
 
-def _build_baseline(config: MachineConfig, knobs: dict) -> None:
-    return None
-
-
 def _build_hotspot(config: MachineConfig, knobs: dict) -> Degradation:
     factor = float(knobs["mem_factor"])
     nodes = _stride_nodes(config.nprocs, int(knobs["hot_nodes"]))

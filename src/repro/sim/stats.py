@@ -124,15 +124,6 @@ class SimResult:
     def total_fences(self) -> int:
         return sum(p.fences for p in self.procs)
 
-    def sync_counts(self) -> dict[str, int]:
-        """Machine-wide synchronisation operation counts by kind."""
-        return {
-            "acquires": self.total_acquires,
-            "releases": self.total_releases,
-            "barriers": self.total_barriers,
-            "fences": self.total_fences,
-        }
-
 
 class SyncPoint(NamedTuple):
     """Identity of the synchronisation operation behind a memory-system call.

@@ -398,6 +398,19 @@ def test_attribution_heatmap_structure():
     assert doc["otherData"]["kind"] == "attribution-heatmap"
     ts = [e["ts"] for e in doc["traceEvents"]]
     assert ts == sorted(ts)
+    # Every hot region has its own counter track.
+    tracks = {n for n in names if n.startswith("stall: ")}
+    assert len(tracks) == doc["otherData"]["tracks"] == 4
+
+
+def test_attribution_heatmap_skips_rows_without_overhead():
+    """A z-machine report is one "(no overhead)" row per dimension: the
+    heatmap draws no region track and counts none."""
+    report, _, _ = _run("IS", "z-mc")
+    assert [r["overhead"] for r in report["dims"]["block"]] == [0.0]
+    doc = attribution_to_perfetto(report, top=4)
+    assert doc["otherData"]["tracks"] == 0
+    assert not any(e["name"].startswith("stall: ") for e in doc["traceEvents"])
 
 
 def test_cli_attribute_roundtrip(tmp_path, capsys):

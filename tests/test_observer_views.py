@@ -60,7 +60,7 @@ STACKS = (
 DIGESTS = {
     "Cholesky/RCupd": {
         "metrics": "e58eb5c89a708e11b64e9aaf5b85b9206389e155f10382ce8b745ba8180dba2a",
-        "attrib": "a33ddcdcc2018d7b5046eaaa2059a1e63cb6cb62f0b504e90e61c68f74ea61c4",
+        "attrib": "d607b2e0194cd96ef173f8ea4901af0c55798dedba5d90d6ed5e0a01c38eeef6",
         "summary": "43dbc5d190749714c74f9c4150a5385dc99eb630fbd4b1ddd2e914329e02b347",
         "hottest": "66a7be5650a2a0f1360662b9eb935c5c26d26f4d90849c55cdd4b0bcbef39bac",
         "busiest": "31c65ee803092b2624c2138298305741d3a782bfc3b8ad7a5e479c8f593adcdc",
@@ -68,7 +68,7 @@ DIGESTS = {
     },
     "Maxflow/RCinv": {
         "metrics": "9c27d0b4130ba7e743b2cf4d1c6c5bdfe180bf20458f086da8311c70be6751b8",
-        "attrib": "4c4dedcd7359d7b20ec639288c3c585a7d0e968e33aae836cb58079a085d1b9d",
+        "attrib": "1dc0bfe1cb09833781f9b888b91971030f7b78a7a92f388ea9a815e905e063ac",
         "summary": "be48ceb8d74b46f75a89c9230ebaaef3dcf84cd146657c1a8172357e486ef153",
         "hottest": "0996585940b7baf8c9b0340902e218709f112ac3c04da929eb215d1f09aa45a3",
         "busiest": "5bc5567fd54d2c3bf87cf5e0acc048e7978dbc9aa7bed2d526db3a38d63dc25c",
@@ -76,7 +76,7 @@ DIGESTS = {
     },
     "IS/z-mc": {
         "metrics": "7b02b5be9e6037b06d5ad16f9574008c58e932dfadb8e595921291c106c830cb",
-        "attrib": "1a54f9cf4e39a31f318c38fb23c6a728815b3b17e9492fece2b4d357c4f1bda6",
+        "attrib": "7016bf9eb2c4ba67c111925c4c9f50a2a740cca30c0035c5e685b647fb87bb68",
         "summary": "970ecaba6ddd3cb7a4ba33f6647734747650d88f58253ca1a8506f7489288ceb",
         "hottest": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "busiest": "fe622b0977954cb6981052b8851e71a65a7bd4a9445abea791c857b76e12ed90",
