@@ -164,11 +164,25 @@ def force_and_cost(
     return ax, ay, cycles
 
 
+#: Host-side memo of :func:`reference_run`, keyed by value on the body
+#: arrays and the integration parameters.  A study verifies the same
+#: input under five memory systems; each job still compares its own
+#: positions and velocities against the (read-only) memoised result.
+_REFERENCE_MEMO: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_REFERENCE_MEMO_MAX = 8
+
+
 def reference_run(
     bodies: BodySet, steps: int, dt: float, theta: float, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sequential Barnes-Hut with the same arithmetic as the parallel
-    version; returns final (pos, vel)."""
+    version; returns final (pos, vel), read-only and memoised per
+    input within the process."""
+    arrays = (bodies.pos, bodies.vel, bodies.mass)
+    key = (*(np.asarray(a, dtype=np.float64).tobytes() for a in arrays), steps, dt, theta, eps)
+    hit = _REFERENCE_MEMO.get(key)
+    if hit is not None:
+        return hit
     xs = [float(v) for v in bodies.pos[:, 0]]
     ys = [float(v) for v in bodies.pos[:, 1]]
     vx = [float(v) for v in bodies.vel[:, 0]]
@@ -183,7 +197,12 @@ def reference_run(
             vy[i] += acc[i][1] * dt
             xs[i] += vx[i] * dt
             ys[i] += vy[i] * dt
-    return np.column_stack([xs, ys]), np.column_stack([vx, vy])
+    pos, vel = np.column_stack([xs, ys]), np.column_stack([vx, vy])
+    pos.flags.writeable = vel.flags.writeable = False
+    if len(_REFERENCE_MEMO) >= _REFERENCE_MEMO_MAX:
+        del _REFERENCE_MEMO[next(iter(_REFERENCE_MEMO))]  # FIFO, like _FORCE_MEMO
+    _REFERENCE_MEMO[key] = pos, vel
+    return pos, vel
 
 
 class BarnesHut(Application):

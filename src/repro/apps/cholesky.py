@@ -17,7 +17,7 @@ reported for reference).
 from __future__ import annotations
 
 from collections.abc import Generator
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import sqrt
 
 import numpy as np
@@ -44,6 +44,13 @@ _C_CMOD = Compute(FMA + LOOP_OVERHEAD)
 _C_SQRT = Compute(FSQRT)
 _C_CDIV = Compute(FDIV + LOOP_OVERHEAD)
 _C_LOOP = Compute(LOOP_OVERHEAD)
+
+#: Bound on ``|A - L Lᵀ|`` at each position of L's structure, relative
+#: to A's largest diagonal entry (which bounds every ``|A[i,j]|`` and
+#: every ``sum_k |L[i,k] L[j,k]|`` of an SPD matrix).  Rounding leaves
+#: about 2e-16 on the preset and random inputs; an entry ``L[i,j]`` off
+#: by ``d`` leaves ``L[j,j] * d`` at ``(i, j)``.
+RESIDUAL_TOL = 1e-10
 
 
 class Cholesky(Application):
@@ -177,8 +184,46 @@ class Cholesky(Application):
         return l
 
     def verify(self) -> None:
-        l = self.computed_factor()
-        want = np.linalg.cholesky(self.a.dense())
-        if not np.allclose(l, want, rtol=1e-8, atol=1e-8):
-            err = float(np.abs(l - want).max())
-            raise AssertionError(f"Cholesky factor mismatch, max abs err {err}")
+        """Check the factor by its residual: a positive diagonal and
+        ``|A - L Lᵀ| <= RESIDUAL_TOL * max(diag A)`` at every position of
+        L's structure, in sparse form (no n x n array).  Outside that
+        structure both sides are zero (the structure is closed under
+        elimination), and the SPD factor with a positive diagonal is
+        unique, so a residual at rounding level means L is A's factor."""
+        n = self.n
+        struct = self.symbolic.col_struct
+        colptr = self._colptr
+        lvals = np.array(self.lvals.snapshot())
+        diag = lvals[colptr[:-1]]
+        if not np.all(diag > 0):
+            j = int(np.argmin(diag > 0))
+            raise AssertionError(f"Cholesky factor diagonal L[{j},{j}] = {diag[j]} is not positive")
+        # Position keys ``col * n + row`` of L's entries ascend in lvals
+        # order; A's lower triangle sits inside L's structure.
+        rows = np.fromiter(chain.from_iterable(struct), np.int64, len(lvals))
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(colptr)) + rows
+        a_keys = [j * n + i for j, col in enumerate(self.a.cols) for i in col]
+        resid = np.zeros(len(lvals))
+        resid[np.searchsorted(keys, a_keys)] = list(chain.from_iterable(self.a.vals))
+        # Subtract L Lᵀ one column of L at a time: column k adds
+        # L[i,k] L[j,k] at every (i, j) of its rows with i >= j, and
+        # those positions are distinct, so a fancy-indexed subtract drops
+        # no term.
+        tril: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for k in range(n):
+            lo, hi = colptr[k], colptr[k + 1]
+            if hi - lo not in tril:
+                tril[hi - lo] = np.tril_indices(hi - lo)
+            ia, ib = tril[hi - lo]
+            r = rows[lo:hi]
+            v = lvals[lo:hi]
+            resid[np.searchsorted(keys, r[ib] * n + r[ia])] -= v[ia] * v[ib]
+        tol = RESIDUAL_TOL * max(vals[0] for vals in self.a.vals)
+        err = np.abs(resid)
+        err[np.isnan(err)] = np.inf
+        p = int(err.argmax())
+        if err[p] > tol:
+            i, j = int(rows[p]), int(keys[p] // n)
+            raise AssertionError(
+                f"Cholesky residual |A - L L^T|[{i},{j}] = {abs(resid[p]):.3g} exceeds {tol:.3g}"
+            )

@@ -1,7 +1,7 @@
 """Synthetic workload generators standing in for the paper's inputs."""
 
 from .bodies import BodySet, direct_forces, two_clusters, uniform_disc
-from .graphs import FlowNetwork, random_flow_network, reference_max_flow
+from .graphs import FlowNetwork, random_flow_network
 from .keys import nas_keys, reference_ranks, uniform_keys
 from .matrices import (
     SparseSPD,
@@ -9,7 +9,6 @@ from .matrices import (
     find_supernodes,
     grid_laplacian,
     random_spd,
-    reference_cholesky,
     symbolic_cholesky,
 )
 
@@ -24,8 +23,6 @@ __all__ = [
     "nas_keys",
     "random_flow_network",
     "random_spd",
-    "reference_cholesky",
-    "reference_max_flow",
     "reference_ranks",
     "symbolic_cholesky",
     "two_clusters",

@@ -100,20 +100,3 @@ def random_flow_network(
         edges.append((u, v, int(rng.integers(1, max_cap + 1)), int(rng.integers(1, max_cap + 1))))
     return _build(n, source, sink, edges)
 
-
-def reference_max_flow(net: FlowNetwork) -> int:
-    """Max-flow value via networkx (verification reference)."""
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(range(net.n))
-    for e in range(net.num_arcs):
-        c = int(net.cap[e])
-        if c > 0:
-            u, v = int(net.tail[e]), net.head[e]
-            if g.has_edge(u, v):
-                g[u][v]["capacity"] += c
-            else:
-                g.add_edge(u, v, capacity=c)
-    value, _ = nx.maximum_flow(g, net.source, net.sink)
-    return int(value)

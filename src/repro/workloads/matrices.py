@@ -222,7 +222,3 @@ def find_supernodes(factor: SymbolicFactor) -> list[tuple[int, int]]:
         j = last + 1
     return supernodes
 
-
-def reference_cholesky(a: SparseSPD) -> np.ndarray:
-    """Dense numpy Cholesky for verification."""
-    return np.linalg.cholesky(a.dense())

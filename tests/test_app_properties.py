@@ -2,15 +2,19 @@
 
 Each property runs the real parallel algorithm through the simulator on
 randomly drawn inputs/configurations and relies on the applications'
-built-in verification against independent references.
+built-in verification (references for IS and Barnes-Hut, certificates
+for Cholesky and Maxflow); the Cholesky and Maxflow properties also
+cross-check the result against dense LAPACK and networkx.
 """
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import MachineConfig
 from repro.apps import BarnesHut, Cholesky, IntegerSort, Maxflow
 from repro.apps.base import run_on
 from repro.workloads.matrices import random_spd
+from tests.oracles import reference_cholesky, reference_max_flow
 
 SLOW = settings(
     max_examples=10,
@@ -44,6 +48,7 @@ def test_is_ranks_always_correct(n_keys, nbuckets, nprocs, system, seed):
 def test_cholesky_factor_always_correct(rows, cols, nprocs, system):
     app = Cholesky(grid=(rows, cols))
     run_on(app, system, MachineConfig(nprocs=nprocs))
+    assert np.allclose(app.computed_factor(), reference_cholesky(app.a), rtol=1e-8, atol=1e-8)
 
 
 @SLOW
@@ -55,6 +60,7 @@ def test_cholesky_factor_always_correct(rows, cols, nprocs, system):
 def test_cholesky_random_spd(n, density, seed):
     app = Cholesky(matrix=random_spd(n, density=density, seed=seed))
     run_on(app, "RCinv", MachineConfig(nprocs=4))
+    assert np.allclose(app.computed_factor(), reference_cholesky(app.a), rtol=1e-8, atol=1e-8)
 
 
 @SLOW
@@ -80,3 +86,4 @@ def test_barneshut_matches_reference(n_bodies, steps, boost, system, seed):
 def test_maxflow_matches_networkx(n, extra, nprocs, seed):
     app = Maxflow(n=n, extra_edges=extra, seed=seed)
     run_on(app, "RCinv", MachineConfig(nprocs=nprocs))
+    assert app.flow_value() == reference_max_flow(app.net)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.workloads.bodies import direct_forces, two_clusters, uniform_disc
-from repro.workloads.graphs import random_flow_network, reference_max_flow
+from repro.workloads.graphs import random_flow_network
 from repro.workloads.keys import nas_keys, reference_ranks, uniform_keys
+from tests.oracles import reference_max_flow
 
 
 class TestFlowNetwork:

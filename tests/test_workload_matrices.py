@@ -8,9 +8,9 @@ from repro.workloads.matrices import (
     grid_laplacian,
     nested_dissection_order,
     random_spd,
-    reference_cholesky,
     symbolic_cholesky,
 )
+from tests.oracles import reference_cholesky
 
 
 class TestGridLaplacian:
