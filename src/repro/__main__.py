@@ -50,6 +50,10 @@ per-job progress (with ETA) on the diagnostic channel unless
 ``--manifest PATH`` to record a structured run manifest; the global
 ``--verbose``/``--quiet``/``--json`` flags control diagnostics and
 propagate into pool workers (see docs/observability.md).
+
+Every command names its cells one way: an application is a canonical
+name, an alias or ``all`` (resolved by ``repro.apps.resolve_apps``), and
+an unknown application or memory system exits with the list of choices.
 """
 
 from __future__ import annotations
@@ -62,11 +66,10 @@ from functools import partial
 from pathlib import Path
 
 from . import MachineConfig, figure1_scenario, run_study
-from .analysis import format_claims, format_figure, format_table1, standard_claims
+from .analysis import format_claims, format_figure, format_table1, fuzz, standard_claims
 from .analysis.checkers import check_matrix, format_outcomes, run_checks
 from .analysis.report import studies_to_csv, studies_to_json, table1_to_csv
-from .apps import SCALES, default_scale, preset, run_machine
-from .apps.factory import AppFactory
+from .apps import SCALES, default_scale, resolve_apps, run_machine
 from .core import perf
 from .core.parallel import ResultCache
 from .core.table1 import table1_with_manifest
@@ -95,22 +98,6 @@ from .scenarios import (
 )
 from .sim.trace import TracingMemory
 
-#: factory + reuse expectation per application, at moderate default scale.
-APP_FACTORIES = default_scale()
-
-#: Friendly aliases accepted by ``repro trace`` in addition to registry names.
-TRACE_APP_ALIASES = {
-    "intsort": "IS",
-    "is": "IS",
-    "cholesky": "Cholesky",
-    "maxflow": "Maxflow",
-    "nbody": "Nbody",
-    "barneshut": "Nbody",
-    "racy": "RacyDemo",
-    "racydemo": "RacyDemo",
-}
-
-
 def _config(args: argparse.Namespace) -> MachineConfig:
     return MachineConfig(nprocs=args.nprocs)
 
@@ -119,16 +106,23 @@ def _cache(args: argparse.Namespace) -> ResultCache | None:
     return None if args.no_cache else ResultCache.default()
 
 
-def _selected_apps(name: str, scale: str = "default") -> dict:
-    apps = APP_FACTORIES if scale == "default" else preset(scale)
-    if name == "all":
-        return apps
-    if name not in apps:
-        raise SystemExit(
-            f"unknown application {name!r}; choose from "
-            f"{', '.join(apps)} or 'all'"
-        )
-    return {name: apps[name]}
+def _apps(name: str, scale: str = "default") -> dict:
+    """The cells an app argument names at ``scale`` (see ``resolve_apps``);
+    exits with the list of choices when ``name`` is not an app."""
+    try:
+        return resolve_apps(name, scale)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _check_systems(*systems: str) -> None:
+    """Exit with the list of memory systems when any of ``systems`` is not one."""
+    for system in systems:
+        if system not in SYSTEM_REGISTRY:
+            raise SystemExit(
+                f"unknown memory system {system!r}; choose from "
+                f"{', '.join(sorted(SYSTEM_REGISTRY))}"
+            )
 
 
 def _emit_manifest(path: str | None, manifests: list[dict], kind: str) -> None:
@@ -149,12 +143,10 @@ def cmd_study(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
     systems = tuple(args.systems) if args.systems else PAPER_SYSTEMS
-    for s in systems:
-        if s not in SYSTEM_REGISTRY:
-            raise SystemExit(f"unknown memory system {s!r}")
+    _check_systems(*systems)
     cache = _cache(args)
     studies = []
-    for name, (factory, _) in _selected_apps(args.app, args.scale).items():
+    for name, (factory, _) in _apps(args.app, args.scale).items():
         log.debug(f"running study: {name}", systems=",".join(systems))
         studies.append(run_study(factory, cfg, systems=systems, jobs=args.jobs, cache=cache))
     if args.format == "csv":
@@ -172,7 +164,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 def cmd_table1(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
-    factories = {k: f for k, (f, _) in _selected_apps(args.app).items()}
+    factories = {k: f for k, (f, _) in _apps(args.app).items()}
     rows, manifest = table1_with_manifest(factories, cfg, jobs=args.jobs, cache=_cache(args))
     if args.format == "csv":
         log.out(table1_to_csv(rows).rstrip("\n"))
@@ -182,15 +174,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Systems shown by ``fig1``, in display order.
-FIG1_SYSTEMS = ("z-mc", "RCinv", "RCupd", "RCadapt", "RCcomp", "SCinv")
-
-
 def cmd_fig1(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
     log.out(f"{'system':8s} {'early stall':>12s} {'class':>10s} {'late stall':>12s} {'class':>10s}")
-    for system in FIG1_SYSTEMS:
+    for system in SYSTEM_REGISTRY:
         t = figure1_scenario(system, cfg)
         log.out(
             f"{t.system:8s} {t.early_read.stall:12.1f} {t.early_kind:>10s} "
@@ -205,7 +193,7 @@ def cmd_claims(args: argparse.Namespace) -> int:
     cache = _cache(args)
     all_hold = True
     manifests = []
-    for name, (factory, reuse) in _selected_apps(args.app).items():
+    for name, (factory, reuse) in _apps(args.app).items():
         study = run_study(factory, cfg, jobs=args.jobs, cache=cache)
         manifests.append(study.manifest)
         checks = standard_claims(study, expect_reuse=reuse)
@@ -216,31 +204,11 @@ def cmd_claims(args: argparse.Namespace) -> int:
     return 0 if all_hold else 1
 
 
-def _check_system(system: str) -> None:
-    """Exit with the list of memory systems when ``system`` is not one."""
-    if system not in SYSTEM_REGISTRY:
-        raise SystemExit(
-            f"unknown memory system {system!r}; choose from "
-            f"{', '.join(sorted(SYSTEM_REGISTRY))}"
-        )
-
-
-def _resolve_trace_app(name: str) -> tuple[str, AppFactory]:
-    """Resolve a ``repro trace`` app argument (registry name or alias)."""
-    canonical = TRACE_APP_ALIASES.get(name.lower(), name)
-    if canonical in APP_FACTORIES:
-        return canonical, APP_FACTORIES[canonical][0]
-    if canonical == "RacyDemo":
-        return canonical, AppFactory("RacyDemo")
-    choices = ", ".join([*APP_FACTORIES, "RacyDemo", *sorted(TRACE_APP_ALIASES)])
-    raise SystemExit(f"unknown application {name!r}; choose from {choices}")
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
-    _check_system(args.system)
-    name, factory = _resolve_trace_app(args.app)
+    _check_systems(args.system)
+    [(name, (factory, _))] = _apps(args.app).items()
     hooks = [partial(TracingMemory.attach, max_events=args.max_events)]
     if args.metrics:
         hooks.append(partial(MetricsCollector.attach, interval=args.interval))
@@ -293,9 +261,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
-    _check_system(args.system)
-    name, factory = _resolve_trace_app(args.app)
-    factory = _scaled_factory(name, factory, args.scale)
+    _check_systems(args.system)
+    [(name, (factory, _))] = _apps(args.app, args.scale).items()
     with HostProfiler() as prof:
         _, result = run_machine(factory(), args.system, cfg, verify=False)
     log.info(
@@ -316,21 +283,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scaled_factory(name: str, factory: AppFactory, scale: str) -> AppFactory:
-    """Swap in the preset factory for ``scale`` when the app has one."""
-    if scale != "default":
-        scale_apps = preset(scale)
-        if name in scale_apps:
-            factory = scale_apps[name][0]
-    return factory
-
-
 def cmd_attribute(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
-    _check_system(args.system)
-    name, factory = _resolve_trace_app(args.app)
-    factory = _scaled_factory(name, factory, args.scale)
+    _check_systems(args.system)
+    [(name, (factory, _))] = _apps(args.app, args.scale).items()
     log.debug(f"attributing {name} on {args.system}", scale=args.scale)
     report, result = run_attribution(
         factory, args.system, cfg, app=name, scale=args.scale
@@ -389,21 +346,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
     systems = tuple(args.systems) if args.systems else tuple(sorted(SYSTEM_REGISTRY))
-    for s in systems:
-        if s not in SYSTEM_REGISTRY:
-            raise SystemExit(f"unknown memory system {s!r}")
-    scale_apps = {name: factory for name, (factory, _) in preset(args.scale).items()}
-    if args.all or args.app == "all":
-        factories = scale_apps
-    elif args.app in scale_apps:
-        factories = {args.app: scale_apps[args.app]}
-    elif args.app == "RacyDemo":
-        factories = {"RacyDemo": AppFactory("RacyDemo")}
-    else:
-        raise SystemExit(
-            f"unknown application {args.app!r}; choose from "
-            f"{', '.join(scale_apps)}, RacyDemo or 'all'"
-        )
+    _check_systems(*systems)
+    factories = {name: f for name, (f, _) in _apps(args.app, args.scale).items()}
     specs = check_matrix(factories, systems, cfg)
     outcomes = run_checks(specs, jobs=args.jobs, cache=_cache(args))
     log.out(format_outcomes(outcomes))
@@ -416,8 +360,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from .analysis import fuzz
-
     log = get_logger()
     if args.replay:
         draw, ev = fuzz.replay_repro(args.replay)
@@ -454,8 +396,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     log = get_logger()
     root = Path(args.root).resolve() if args.root else repo_root()
-    apps = args.apps or args.all or not args.core
-    core = args.core or args.all or not args.apps
+    apps = args.apps or not args.core
+    core = args.core or not args.apps
     report, app_reports = run_lint(apps=apps, core=core, root=root)
 
     baseline_path = Path(args.baseline)
@@ -542,27 +484,23 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
     systems = tuple(args.systems) if args.systems else PAPER_SYSTEMS
-    for s in systems:
-        if s not in SYSTEM_REGISTRY:
-            raise SystemExit(f"unknown memory system {s!r}")
+    _check_systems(*systems)
     scenarios = list(args.scenario) if args.scenario else list(SCENARIO_NAMES)
     for name in scenarios:
         if name not in SCENARIO_NAMES:
             raise SystemExit(
                 f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}"
             )
-    scale = "smoke" if args.smoke else args.scale
     try:
         overrides = parse_overrides(args.set or [])
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    apps = None if args.app == "all" else [args.app]
     try:
         report = run_scenario_matrix(
             scenarios,
             config=cfg,
-            scale=scale,
-            apps=apps,
+            scale=args.scale,
+            apps=[args.app],
             systems=systems,
             overrides=overrides,
             jobs=args.jobs,
@@ -630,7 +568,7 @@ def cmd_perf_compare(args: argparse.Namespace) -> int:
 def cmd_systems(args: argparse.Namespace) -> int:
     log = get_logger()
     log.out(f"memory systems: {', '.join(sorted(SYSTEM_REGISTRY))}")
-    log.out(f"applications:   {', '.join(APP_FACTORIES)}")
+    log.out(f"applications:   {', '.join(default_scale())}")
     return 0
 
 
@@ -864,9 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="happens-before race detection + protocol invariant checking",
     )
     p_check.add_argument("--app", default="all", help="application name, 'RacyDemo' or 'all'")
-    p_check.add_argument(
-        "--all", action="store_true", help="check every preset app on every memory system"
-    )
     p_check.add_argument("--systems", nargs="*", help="memory systems (default: all six)")
     p_check.add_argument("--scale", choices=SCALES, default="smoke")
     _add_parallel_flags(p_check)
@@ -898,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--oracle",
         action="append",
-        choices=("reference", "decorators", "checkers"),
+        choices=fuzz.ORACLES,
         metavar="NAME",
         help="oracle family to run (repeatable; default all three)",
     )
@@ -955,17 +890,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn_run = scn_sub.add_parser(
         "run", help="run the scenario matrix and print the degradation report"
     )
-    group = p_scn_run.add_mutually_exclusive_group()
-    group.add_argument(
+    p_scn_run.add_argument(
         "--scenario",
         action="append",
         metavar="NAME",
-        help="scenario to run (repeatable; baseline is always included)",
-    )
-    group.add_argument(
-        "--all",
-        action="store_true",
-        help="run every registered scenario (the default when --scenario is absent)",
+        help="scenario to run (repeatable; default every registered scenario; "
+        "baseline is always included)",
     )
     p_scn_run.add_argument("--app", default="all", help="application name or 'all'")
     p_scn_run.add_argument(
@@ -982,11 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="KNOB=VALUE",
         help="override a scenario knob (repeatable; see 'scenario describe')",
-    )
-    p_scn_run.add_argument(
-        "--smoke",
-        action="store_true",
-        help="force the smoke workload preset (the CI matrix mode)",
     )
     p_scn_run.add_argument(
         "--out",
@@ -1008,9 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--core", action="store_true", help="run only the core determinism pass"
-    )
-    p_lint.add_argument(
-        "--all", action="store_true", help="run both passes (the default)"
     )
     p_lint.add_argument(
         "--baseline",

@@ -56,9 +56,10 @@ from pathlib import Path
 from random import Random
 
 from ..apps.base import run_machine
-from ..apps.factory import AppFactory
+from ..apps.factory import APP_REGISTRY, AppFactory
 from ..config import MachineConfig
 from ..core.parallel import ResultCache, resolve_jobs, run_jobs
+from ..mem.systems import SYSTEM_REGISTRY
 from ..obs.attrib import AttributionCollector
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsCollector
@@ -77,19 +78,16 @@ ORACLES = ("reference", "decorators", "checkers")
 #: these names, so they must not change.
 DECORATORS = ("checked", "tracer", "metrics", "attrib", "profiler")
 
-#: Memory systems in the draw space (kept in lockstep with the golden set).
-SYSTEMS = ("z-mc", "RCinv", "RCupd", "RCadapt", "RCcomp", "SCinv")
+#: Memory systems in the draw space, in registry order (``make_draw``
+#: picks by index, so the order is part of the corpus key space).
+SYSTEMS = tuple(SYSTEM_REGISTRY)
 
 #: Processor counts in the draw space.
 NPROC_CHOICES = (1, 2, 3, 4, 6, 8, 16)
 
 #: app name -> module file for the static-analysis oracle.
 APP_MODULES = {
-    "Cholesky": "cholesky.py",
-    "IS": "intsort.py",
-    "Maxflow": "maxflow.py",
-    "Nbody": "barneshut.py",
-    "RacyDemo": "racy.py",
+    name: f"{cls.__module__.rpartition('.')[2]}.py" for name, cls in APP_REGISTRY.items()
 }
 
 #: Default corpus ledger and repro directory (repo-relative).

@@ -6,7 +6,15 @@ from .cholesky import Cholesky
 from .factory import APP_REGISTRY, AppFactory
 from .intsort import IntegerSort, bucket_stable_ranks
 from .maxflow import Maxflow
-from .presets import SCALES, default_scale, large_scale, paper_scale, preset, smoke_scale
+from .presets import (
+    SCALES,
+    default_scale,
+    large_scale,
+    paper_scale,
+    preset,
+    resolve_apps,
+    smoke_scale,
+)
 
 __all__ = [
     "APP_REGISTRY",
@@ -22,6 +30,7 @@ __all__ = [
     "large_scale",
     "paper_scale",
     "preset",
+    "resolve_apps",
     "smoke_scale",
     "reference_run",
     "run_machine",

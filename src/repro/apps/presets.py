@@ -14,6 +14,9 @@ a 33x33 grid gives 1089 columns, the closest square to the paper's
 1086).  Expect long wall-clock times: this is execution-driven
 simulation in Python.  ``default_scale()`` is the reduced configuration
 used by the benchmark harness; ``smoke_scale()`` is for tests.
+
+``resolve_apps(name, scale)`` is how every command names its cells: a
+canonical name, an alias (any case) or ``all``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .base import Application
-from .factory import AppFactory
+from .factory import APP_REGISTRY, AppFactory
 
 #: (factory, expect_reuse) per application name.  Factories are
 #: :class:`AppFactory` instances, so every preset is picklable and can
@@ -105,3 +108,28 @@ def preset(scale: str) -> Preset:
         }[scale]()
     except KeyError:
         raise ValueError(f"unknown scale {scale!r}; choose from {', '.join(SCALES)}") from None
+
+
+#: Names accepted besides the canonical :data:`APP_REGISTRY` keys, which
+#: also match in any case (``is``, ``cholesky``, ``racydemo``...).
+APP_ALIASES = {"intsort": "IS", "barneshut": "Nbody", "racy": "RacyDemo"}
+
+
+def resolve_apps(name: str, scale: str = "default") -> Preset:
+    """``{canonical: (factory, expect_reuse)}`` for one app name or ``all``.
+
+    ``all`` is the scale's preset.  An app without a preset entry
+    (``RacyDemo``) runs with its constructor defaults and
+    ``expect_reuse=False``; ``all`` never includes it.
+    """
+    apps = preset(scale)
+    if name == "all":
+        return apps
+    lookup = {key.lower(): key for key in APP_REGISTRY} | APP_ALIASES
+    canonical = lookup.get(name.lower())
+    if canonical is None:
+        raise ValueError(
+            f"unknown application {name!r}; choose from all, {', '.join(APP_REGISTRY)} "
+            f"or an alias ({', '.join(sorted(APP_ALIASES))}), in any case"
+        )
+    return {canonical: apps.get(canonical, (AppFactory(canonical), False))}

@@ -54,8 +54,6 @@ def build_manifest(
     systems: list[str] | None = None,
     wall_seconds: float | None = None,
     jobs: list[Any] | None = None,
-    cache_hits: int | None = None,
-    cache_misses: int | None = None,
     cache_size: tuple[int, int] | None = None,
     extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
@@ -64,7 +62,8 @@ def build_manifest(
     ``kind`` names the producing command (``study``, ``sweep``,
     ``check``, ``bench``, ``trace``, ``paper-run``...).  ``jobs`` are
     JobResult-like objects; each contributes a per-job record plus the
-    aggregate events / events-per-second figures.
+    aggregate events / events-per-second figures, and the cache block
+    counts the jobs that were (not) served from the cache.
     """
     # Imported here so repro.obs stays importable without repro.core.
     from ..core.parallel import code_fingerprint
@@ -99,24 +98,12 @@ def build_manifest(
         if fresh_elapsed > 0:
             fresh_events = sum(e["events"] for e in entries if not e["cached"])
             manifest["events_per_sec"] = fresh_events / fresh_elapsed
-        manifest["cache"] = {
-            "hits": (
-                cache_hits if cache_hits is not None
-                else sum(1 for e in entries if e["cached"])
-            ),
-            "misses": (
-                cache_misses if cache_misses is not None
-                else sum(1 for e in entries if not e["cached"])
-            ),
-        }
-    elif cache_hits is not None or cache_misses is not None:
-        manifest["cache"] = {"hits": cache_hits or 0, "misses": cache_misses or 0}
-    if "cache" in manifest:
-        block = manifest["cache"]
-        lookups = block["hits"] + block["misses"]
-        block["hit_rate"] = round(block["hits"] / lookups, 4) if lookups else None
+        hits = sum(1 for e in entries if e["cached"])
+        block = {"hits": hits, "misses": len(entries) - hits}
+        block["hit_rate"] = round(hits / len(entries), 4)
         if cache_size is not None:
             block["entries"], block["bytes"] = cache_size
+        manifest["cache"] = block
     if extra:
         manifest.update(extra)
     return manifest

@@ -20,7 +20,7 @@ import os
 import time
 from pathlib import Path
 
-from ..apps.presets import preset
+from ..apps.presets import resolve_apps
 from ..config import MachineConfig
 from ..core.parallel import JobResult, JobSpec, ResultCache, run_jobs
 from ..core.study import SystemResult
@@ -48,9 +48,11 @@ def run_scenario_matrix(
 ) -> dict:
     """Run the scenario matrix and return the degradation report.
 
-    ``scenarios`` defaults to every registered scenario; knob
-    ``overrides`` apply to every selected scenario that has the knob's
-    name (mixing scenarios with ``--set`` on knobs only some of them
+    ``scenarios`` defaults to every registered scenario and ``apps`` to
+    the scale's preset (each name goes through
+    :func:`~repro.apps.presets.resolve_apps`, so ``all`` and aliases
+    work); knob ``overrides`` apply to every selected scenario that has
+    the knob's name (mixing scenarios with ``--set`` on knobs only some of them
     define is an error, to avoid silent typos).  The ``baseline``
     scenario is always included — the report's deltas need it.
     """
@@ -58,15 +60,9 @@ def run_scenario_matrix(
     if "baseline" not in names:
         names.insert(0, "baseline")
     base_cfg = config if config is not None else MachineConfig()
-    apps_preset = preset(scale)
-    if apps:
-        unknown = sorted(set(apps) - set(apps_preset))
-        if unknown:
-            raise ValueError(
-                f"unknown app(s) {', '.join(unknown)}; choose from "
-                f"{', '.join(sorted(apps_preset))}"
-            )
-        apps_preset = {k: v for k, v in apps_preset.items() if k in apps}
+    apps_preset = {}
+    for app in apps or ["all"]:
+        apps_preset.update(resolve_apps(app, scale))
 
     specs: list[JobSpec] = []
     index: list[tuple[str, str, str]] = []  # (scenario, app, system)
@@ -101,8 +97,7 @@ def run_scenario_matrix(
         systems=list(systems),
         wall_seconds=wall,
         jobs=results,
-        cache_hits=cache.hits if cache is not None else None,
-        cache_misses=cache.misses if cache is not None else None,
+        cache_size=cache.size() if cache is not None else None,
         extra={"scenarios": names, "scale": scale},
     )
     return build_report(

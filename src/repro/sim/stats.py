@@ -108,22 +108,6 @@ class SimResult:
     def total_read_misses(self) -> int:
         return sum(p.read_misses for p in self.procs)
 
-    @property
-    def total_acquires(self) -> int:
-        return sum(p.acquires for p in self.procs)
-
-    @property
-    def total_releases(self) -> int:
-        return sum(p.releases for p in self.procs)
-
-    @property
-    def total_barriers(self) -> int:
-        return sum(p.barriers for p in self.procs)
-
-    @property
-    def total_fences(self) -> int:
-        return sum(p.fences for p in self.procs)
-
 
 class SyncPoint(NamedTuple):
     """Identity of the synchronisation operation behind a memory-system call.

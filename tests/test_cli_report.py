@@ -106,14 +106,61 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    @pytest.mark.parametrize("command", ["trace", "profile", "attribute"])
-    def test_unknown_system_lists_the_choices(self, command):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "intsort", "bogus"],
+            ["profile", "intsort", "bogus"],
+            ["attribute", "intsort", "bogus"],
+            ["study", "--app", "IS", "--systems", "z-mc", "bogus"],
+            ["check", "--systems", "bogus"],
+            ["scenario", "run", "--systems", "bogus"],
+        ],
+        ids=lambda argv: argv[0] if argv[0] != "scenario" else "scenario run",
+    )
+    def test_unknown_system_lists_the_choices(self, argv):
         with pytest.raises(SystemExit) as exc:
-            main([command, "intsort", "bogus"])
+            main(argv)
         assert str(exc.value) == (
             "unknown memory system 'bogus'; choose from "
             "RCadapt, RCcomp, RCinv, RCupd, SCinv, z-mc"
         )
+
+    def test_unknown_app_lists_the_same_choices_on_every_command(self):
+        messages = set()
+        for argv in (
+            ["study", "--app", "bogus"],
+            ["table1", "--app", "bogus"],
+            ["claims", "--app", "bogus"],
+            ["check", "--app", "bogus"],
+            ["scenario", "run", "--app", "bogus"],
+            ["trace", "bogus", "RCinv"],
+            ["profile", "bogus", "RCinv"],
+            ["attribute", "bogus", "RCinv"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            messages.add(str(exc.value))
+        [message] = messages
+        assert message.startswith("unknown application 'bogus'; choose from all, ")
+        for choice in ("Cholesky", "IS", "Maxflow", "Nbody", "RacyDemo", "intsort"):
+            assert choice in message
+
+    def test_study_accepts_an_alias_with_identical_output(self, capsys):
+        outputs = []
+        for app in ("IS", "intsort"):
+            argv = ["study", "--app", app, "--scale", "smoke", "--format", "csv", "--no-cache"]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\nIS,") == 5
+
+    def test_check_and_attribute_accept_aliases(self, capsys):
+        argv = ["--nprocs", "4", "check", "--app", "intsort", "--systems", "z-mc", "--no-cache"]
+        assert main(argv) == 0
+        assert "OK: 1 run(s)" in capsys.readouterr().out
+        assert main(["--nprocs", "4", "attribute", "racy", "RCinv", "--scale", "smoke"]) == 0
+        assert "racy.data" in capsys.readouterr().out
 
     def test_bench_subcommand_is_retired(self):
         with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit):

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.apps import SCALES, default_scale, large_scale, paper_scale, preset, smoke_scale
+from repro.apps import (
+    SCALES,
+    AppFactory,
+    default_scale,
+    large_scale,
+    paper_scale,
+    preset,
+    resolve_apps,
+    smoke_scale,
+)
 from repro.apps.base import run_on
 from repro.config import MachineConfig
 
@@ -75,6 +84,26 @@ class TestLargeScale:
         assert large["Cholesky"][0]().n >= 64
         assert large["Maxflow"][0]().net.n >= 64
         assert large["Nbody"][0]().n >= 64 * 4
+
+
+class TestResolveApps:
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_all_is_the_scales_preset(self, scale):
+        assert resolve_apps("all", scale) == preset(scale)
+
+    @pytest.mark.parametrize("name", ["IS", "is", "intsort", "INTSORT"])
+    def test_names_aliases_and_case_resolve_to_the_preset_cell(self, name):
+        assert resolve_apps(name, "smoke") == {"IS": smoke_scale()["IS"]}
+
+    def test_app_without_a_preset_runs_its_defaults_without_reuse(self):
+        expected = {"RacyDemo": (AppFactory("RacyDemo"), False)}
+        assert resolve_apps("racy", "paper") == expected
+        assert resolve_apps("RacyDemo") == expected
+
+    def test_unknown_name_lists_the_choices(self):
+        with pytest.raises(ValueError, match=r"unknown application 'LINPACK'; choose from all, "
+                           r"Cholesky, IS, Maxflow, Nbody, RacyDemo"):
+            resolve_apps("LINPACK")
 
 
 class TestSmokeRuns:

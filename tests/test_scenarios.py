@@ -370,6 +370,25 @@ def test_report_builds_without_zmachine():
     assert entry["vs_baseline"]["slowdown"] > 0
 
 
+def test_matrix_manifest_counts_this_calls_cache_hits(tmp_path):
+    """The manifest's cache block describes this call's jobs, not the
+    lifetime counters of a cache shared across calls."""
+    from repro.core.parallel import ResultCache
+
+    cache = ResultCache(tmp_path)
+    blocks = [
+        run_scenario_matrix(
+            ["hotspot"], scale="smoke", apps=["IS"], systems=("z-mc",), cache=cache
+        )["manifest"]["cache"]
+        for _ in range(2)
+    ]
+    assert [(b["hits"], b["misses"], b["hit_rate"]) for b in blocks] == [
+        (0, 2, 0.0),
+        (2, 0, 1.0),
+    ]
+    assert blocks[1]["entries"] == 2
+
+
 def test_build_report_is_pure():
     """build_report over hand-made runs — no simulation needed."""
     from repro.core.parallel import JobResult
@@ -412,7 +431,7 @@ def test_cli_scenario_run_smoke(tmp_path, capsys):
 
     out = tmp_path / "report.json"
     rc = main([
-        "scenario", "run", "--scenario", "hotspot", "--app", "IS", "--smoke",
+        "scenario", "run", "--scenario", "hotspot", "--app", "IS", "--scale", "smoke",
         "--systems", "z-mc", "RCinv", "--no-cache", "--out", str(out),
     ])
     assert rc == 0
@@ -425,7 +444,7 @@ def test_cli_scenario_run_rejects_unknowns():
     from repro.__main__ import main
 
     with pytest.raises(SystemExit):
-        main(["scenario", "run", "--scenario", "nope", "--smoke", "--no-cache"])
+        main(["scenario", "run", "--scenario", "nope", "--scale", "smoke", "--no-cache"])
     with pytest.raises(SystemExit):
         main(["scenario", "run", "--scenario", "hotspot", "--set", "bogus=2",
-              "--smoke", "--no-cache"])
+              "--scale", "smoke", "--no-cache"])

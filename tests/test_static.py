@@ -508,13 +508,13 @@ class TestRepoLint:
         assert report.findings == []
 
     def test_cli_lint_clean_exit(self, capsys):
-        assert main(["lint", "--all"]) == 0
+        assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "0 new finding(s)" in out
 
     def test_cli_lint_json_report(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
-        assert main(["lint", "--all", "--report", str(out_path), "--format", "json"]) == 0
+        assert main(["lint", "--report", str(out_path), "--format", "json"]) == 0
         capsys.readouterr()
         doc = json.loads(out_path.read_text())
         assert doc["new"] == []
