@@ -50,8 +50,9 @@ def paper_study(factory, config: MachineConfig = PAPER_CFG):
 
 
 def paper_table1(factories, config: MachineConfig = PAPER_CFG):
-    """Run Table 1 through the parallel/caching layer."""
-    return table1(factories, config, jobs=JOBS, cache=CACHE)
+    """Run Table 1 through the parallel/caching layer; returns its rows."""
+    rows, _ = table1(factories, config, jobs=JOBS, cache=CACHE)
+    return rows
 
 
 def run_once(benchmark, fn):

@@ -3,14 +3,15 @@
 
 Factors a nested-dissection-ordered grid Laplacian with a central work
 queue on all five memory systems, verifies the factor against numpy,
-and prints the overhead breakdown and the z-machine Table 1 row.
+and prints the overhead breakdown and the Table 1 row of its z-machine
+run.
 
 Usage:  python examples/cholesky_study.py [grid_side]
 """
 
 import sys
 
-from repro import MachineConfig, run_study, table1_row
+from repro import MachineConfig, run_study, table1_rows
 from repro.analysis import format_figure, format_table1
 from repro.apps import Cholesky
 from repro.workloads import grid_laplacian, symbolic_cholesky
@@ -31,7 +32,7 @@ def main() -> None:
     study = run_study(factory, cfg)
     print(format_figure(study, "Cholesky — cf. paper Figure 2"))
     print()
-    print(format_table1([table1_row(factory, cfg)]))
+    print(format_table1(table1_rows([study])))
     print("\nEvery run verified: simulated parallel factor == numpy.linalg.cholesky.")
 
 

@@ -2,8 +2,8 @@
 """Regenerate every figure and table of the paper in one run.
 
 Runs all four applications on all five memory systems (Figures 2-5),
-computes Table 1 on the z-machine, and evaluates the paper's
-qualitative claims.  Scaled-down inputs by default; pass ``--paper``
+evaluates the paper's qualitative claims, and prints Table 1 from each
+study's z-machine run (the z-mc bar of its figure; no second run).  Scaled-down inputs by default; pass ``--paper``
 for paper-scale inputs (much slower: execution-driven simulation in
 Python).
 
@@ -27,7 +27,7 @@ Usage:  python examples/full_paper_run.py [--paper] [--jobs N]
 import sys
 import time
 
-from repro import MachineConfig, ResultCache, run_study, table1_row
+from repro import MachineConfig, ResultCache, run_study, table1_rows
 from repro.analysis import format_claims, format_figure, format_table1, standard_claims
 from repro.apps import default_scale, paper_scale
 from repro.obs import build_manifest, configure, write_manifest
@@ -53,20 +53,18 @@ def main() -> None:
     )
     cfg = MachineConfig(nprocs=16)
     figure_no = {"Cholesky": 2, "IS": 3, "Maxflow": 4, "Nbody": 5}
-    rows = []
-    study_manifests = []
+    studies = []
     wall_start = time.time()
     for name, (factory, reuse) in factories(paper).items():
         t0 = time.time()
         study = run_study(factory, cfg, jobs=jobs, cache=cache)
-        study_manifests.append(study.manifest)
+        studies.append(study)
         log.out(format_figure(study, f"{name} — cf. paper Figure {figure_no[name]}"))
         log.out()
         log.out(format_claims(standard_claims(study, expect_reuse=reuse)))
         log.info(f"{name} simulated in {time.time() - t0:.1f}s wall time")
         log.out()
-        rows.append(table1_row(factory, cfg))
-    log.out(format_table1(rows))
+    log.out(format_table1(table1_rows(studies)))
     manifest = build_manifest(
         "paper-run",
         config=cfg,
@@ -76,7 +74,7 @@ def main() -> None:
             "scale": "paper" if paper else "default",
             "jobs": jobs,
             "cached": cache is not None,
-            "studies": study_manifests,
+            "studies": [study.manifest for study in studies],
         },
     )
     write_manifest(manifest_path, manifest)

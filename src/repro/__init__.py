@@ -35,7 +35,7 @@ from .core import (
     run_jobs,
     run_study,
     table1,
-    table1_row,
+    table1_rows,
 )
 from .runtime import Machine
 
@@ -53,6 +53,6 @@ __all__ = [
     "run_jobs",
     "run_study",
     "table1",
-    "table1_row",
+    "table1_rows",
     "__version__",
 ]

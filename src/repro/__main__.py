@@ -67,12 +67,12 @@ from pathlib import Path
 
 from . import MachineConfig, figure1_scenario, run_study
 from .analysis import format_claims, format_figure, format_table1, fuzz, standard_claims
-from .analysis.checkers import check_matrix, format_outcomes, run_checks
+from .analysis.checkers import check_matrix, execute_check, format_outcomes
 from .analysis.report import studies_to_csv, studies_to_json, table1_to_csv
 from .apps import SCALES, default_scale, resolve_apps, run_machine
 from .core import perf
-from .core.parallel import ResultCache
-from .core.table1 import table1_with_manifest
+from .core.parallel import ResultCache, run_jobs
+from .core.table1 import table1
 from .mem.systems import PAPER_SYSTEMS, SYSTEM_REGISTRY
 from .obs import MetricsCollector, configure, get_logger, to_perfetto, write_trace
 from .obs import telemetry
@@ -165,7 +165,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     log = get_logger()
     cfg = _config(args)
     factories = {k: f for k, (f, _) in _apps(args.app).items()}
-    rows, manifest = table1_with_manifest(factories, cfg, jobs=args.jobs, cache=_cache(args))
+    rows, manifest = table1(factories, cfg, jobs=args.jobs, cache=_cache(args))
     if args.format == "csv":
         log.out(table1_to_csv(rows).rstrip("\n"))
     else:
@@ -349,7 +349,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     _check_systems(*systems)
     factories = {name: f for name, (f, _) in _apps(args.app, args.scale).items()}
     specs = check_matrix(factories, systems, cfg)
-    outcomes = run_checks(specs, jobs=args.jobs, cache=_cache(args))
+    outcomes = run_jobs(specs, jobs=args.jobs, cache=_cache(args), executor=execute_check)
     log.out(format_outcomes(outcomes))
     findings = sum(o.races.total + o.violation_total for o in outcomes)
     if findings:

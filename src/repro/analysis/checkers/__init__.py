@@ -16,18 +16,10 @@ docs/correctness.md):
 
 from .invariants import InvariantChecker, Violation
 from .races import Race, RaceAccess, RaceDetector, RaceReport
-from .runner import (
-    CheckOutcome,
-    CheckSpec,
-    check_matrix,
-    execute_check,
-    format_outcomes,
-    run_checks,
-)
+from .runner import CheckOutcome, check_matrix, execute_check, format_outcomes
 
 __all__ = [
     "CheckOutcome",
-    "CheckSpec",
     "InvariantChecker",
     "Race",
     "RaceAccess",
@@ -37,5 +29,4 @@ __all__ = [
     "check_matrix",
     "execute_check",
     "format_outcomes",
-    "run_checks",
 ]

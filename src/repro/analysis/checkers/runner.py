@@ -1,16 +1,19 @@
 """Run the correctness checkers over an apps × systems matrix.
 
-One :class:`CheckSpec` is one instrumented simulation: the application
-runs with two engine observers subscribed, an
+:func:`execute_check` runs one ordinary
+:class:`~repro.core.parallel.JobSpec` as an instrumented simulation:
+the application runs with two engine observers subscribed, an
 :class:`~repro.analysis.checkers.invariants.InvariantChecker` (protocol
 invariants audited after every memory-system operation) and a
 :class:`~repro.analysis.checkers.races.RaceDetector` (the
 happens-before race pass, run as the accesses arrive).
 
-Specs and outcomes are picklable and carry a stable fingerprint, so the
-matrix fans out through :func:`repro.core.parallel.run_jobs` and caches
-through the ordinary :class:`~repro.core.parallel.ResultCache` — a CI
-re-run with unchanged sources is near-free.
+Outcomes are picklable, so the matrix fans out through
+:func:`repro.core.parallel.run_jobs` with ``executor=execute_check`` and
+caches through the ordinary :class:`~repro.core.parallel.ResultCache`
+(the executor is part of the key, so a check never collides with a
+plain run of the same spec) — a CI re-run with unchanged sources is
+near-free.
 """
 
 from __future__ import annotations
@@ -20,30 +23,10 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from ...apps.base import run_machine
-from ...apps.factory import AppFactory
 from ...config import MachineConfig
-from ...core.parallel import CACHE_SCHEMA, ResultCache, run_jobs
+from ...core.parallel import JobSpec
 from .invariants import InvariantChecker, Violation
 from .races import RaceDetector, RaceReport
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    """One instrumented run: application factory + system + config."""
-
-    factory: AppFactory
-    system: str
-    config: MachineConfig
-    max_ops: int | None = None
-    verify: bool = True
-
-    def fingerprint(self) -> str:
-        """Stable identity for cache keying (see ``JobSpec``)."""
-        return (
-            f"task=check;schema={CACHE_SCHEMA};factory={self.factory!r};"
-            f"system={self.system};config={self.config!r};max_ops={self.max_ops};"
-            f"verify={self.verify}"
-        )
 
 
 @dataclass
@@ -79,8 +62,8 @@ class CheckOutcome:
         return "\n".join(parts)
 
 
-def execute_check(spec: CheckSpec) -> CheckOutcome:
-    """Run one :class:`CheckSpec` in the current process."""
+def execute_check(spec: JobSpec) -> CheckOutcome:
+    """Run ``spec`` with both checkers attached, in the current process."""
     t0 = time.perf_counter()
     app = spec.factory()
     _, _, checker, detector = run_machine(
@@ -107,22 +90,13 @@ def check_matrix(
     factories: dict[str, Callable[[], object]],
     systems: Sequence[str],
     config: MachineConfig,
-) -> list[CheckSpec]:
+) -> list[JobSpec]:
     """Build the apps × systems spec matrix."""
     return [
-        CheckSpec(factory=factory, system=system, config=config)
+        JobSpec(factory=factory, system=system, config=config)
         for factory in factories.values()
         for system in systems
     ]
-
-
-def run_checks(
-    specs: Sequence[CheckSpec],
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-) -> list[CheckOutcome]:
-    """Execute ``specs`` (pool fan-out + result cache) in spec order."""
-    return run_jobs(specs, jobs=jobs, cache=cache, executor=execute_check)
 
 
 def format_outcomes(outcomes: Sequence[CheckOutcome]) -> str:
@@ -148,9 +122,7 @@ def format_outcomes(outcomes: Sequence[CheckOutcome]) -> str:
 
 __all__ = [
     "CheckOutcome",
-    "CheckSpec",
     "check_matrix",
     "execute_check",
     "format_outcomes",
-    "run_checks",
 ]

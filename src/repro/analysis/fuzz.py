@@ -58,7 +58,7 @@ from random import Random
 from ..apps.base import run_machine
 from ..apps.factory import APP_REGISTRY, AppFactory
 from ..config import MachineConfig
-from ..core.parallel import ResultCache, resolve_jobs, run_jobs
+from ..core.parallel import JobSpec, ResultCache, resolve_jobs, run_jobs
 from ..mem.systems import SYSTEM_REGISTRY
 from ..obs.attrib import AttributionCollector
 from ..obs.log import get_logger
@@ -440,9 +440,9 @@ def _static_report(app: str):
 
 def oracle_checkers(draw: FuzzDraw) -> str | None:
     """Oracle 3: dynamic findings ⊆ static findings; clean apps stay clean."""
-    from .checkers.runner import CheckSpec, execute_check
+    from .checkers.runner import execute_check
 
-    spec = CheckSpec(
+    spec = JobSpec(
         factory=draw.factory(),
         system=draw.system,
         config=draw.config(),
@@ -492,7 +492,7 @@ class FuzzJob:
 
     def fingerprint(self) -> str:
         return (
-            f"task=fuzz;schema={FUZZ_SCHEMA};draw={self.draw.key()};"
+            f"schema={FUZZ_SCHEMA};draw={self.draw.key()};"
             f"oracles={','.join(self.oracles)}"
         )
 

@@ -65,5 +65,7 @@ class RacyDemo(Application):
         )
         # The racy counter is deterministic *in the simulator* (the
         # engine serialises accesses in simulated time) but would not be
-        # on a real machine; only sanity-bound it.
-        assert 1 <= self.data.peek(0) <= RACERS * self.rounds
+        # on a real machine; only sanity-bound it.  Processor 0's
+        # ``data.write(pid, pid)`` stores 0 into this same word, so 0 is
+        # a value the kernel can leave (it does on z-mc).
+        assert 0 <= self.data.peek(0) <= RACERS * self.rounds

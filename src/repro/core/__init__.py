@@ -3,7 +3,7 @@
 from .parallel import JobResult, JobSpec, ResultCache, execute_job, run_jobs
 from .study import StudyResult, SystemResult, run_study
 from .sweep import SweepPoint, SweepResult, sweep
-from .table1 import Table1Row, table1, table1_row
+from .table1 import Table1Row, table1, table1_rows
 from .timeline import ReadObservation, TimelineResult, figure1_scenario
 
 __all__ = [
@@ -23,5 +23,5 @@ __all__ = [
     "run_study",
     "sweep",
     "table1",
-    "table1_row",
+    "table1_rows",
 ]

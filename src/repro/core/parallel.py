@@ -8,10 +8,9 @@ other.  This module exploits that structure:
 * :class:`JobSpec` — a picklable description of one simulation run
   (application factory + memory system + :class:`MachineConfig`);
 * :func:`execute_job` — runs one spec and returns a :class:`JobResult`
-  whose payload (a :class:`SimResult` plus the traffic summary and
-  z-machine counters) is itself picklable, so nothing heavyweight — in
-  particular no :class:`~repro.runtime.context.Machine` — crosses the
-  pool boundary;
+  whose payload (a :class:`SimResult` plus the traffic summary) is
+  itself picklable, so nothing heavyweight — in particular no
+  :class:`~repro.runtime.context.Machine` — crosses the pool boundary;
 * :func:`run_jobs` — submits specs to a ``ProcessPoolExecutor`` one
   future each and lands every result as it finishes: stored in spec
   order, written to the optional on-disk :class:`ResultCache` and
@@ -20,9 +19,10 @@ other.  This module exploits that structure:
   they land.  Only what a pool cannot run (``jobs == 1``, a single
   pending spec, an unpicklable spec, a host that cannot build the
   pool) runs in-process;
-* :class:`ResultCache` — keyed by a stable hash of (job spec, code
-  fingerprint), so repeated studies and sweeps are near-free while any
-  change to the simulator's source invalidates every entry.
+* :class:`ResultCache` — a key → entry store; :func:`run_jobs` owns the
+  key (:func:`cache_key`: executor, job spec, schema and code
+  fingerprint), so repeated studies, sweeps and checks are near-free
+  while any change to the simulator's source invalidates every entry.
 
 See docs/performance.md for the architecture and cache-invalidation
 rules; ``tests/test_parallel.py`` pins that pool, cache and serial runs
@@ -47,7 +47,6 @@ from pathlib import Path
 from ..apps.base import Application, run_machine
 from ..apps.factory import AppFactory
 from ..config import MachineConfig
-from ..mem.systems.zmachine import ZMachine
 from ..obs import telemetry
 from ..obs.log import configure as _configure_logger, get_logger
 from ..sim.stats import SimResult
@@ -57,7 +56,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Bump to invalidate every cache entry independently of source changes.
 #: 2: SimResult gained the ``ops`` field (manifests report events/sec).
-CACHE_SCHEMA = 2
+#: 3: JobResult lost ``zstats``; keys name the executor.
+CACHE_SCHEMA = 3
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ class JobSpec:
     max_ops: int | None = None
 
     def fingerprint(self) -> str:
-        """Stable identity of this spec, for cache keying.
+        """Stable identity of this spec (part of its :func:`cache_key`).
 
         Raises ``ValueError`` for factories with no stable identity.
         """
@@ -96,7 +96,7 @@ class JobSpec:
                     "use repro.apps.AppFactory for cacheable jobs"
                 ) from None
         return (
-            f"schema={CACHE_SCHEMA};factory={fact};system={self.system};"
+            f"factory={fact};system={self.system};"
             f"config={self.config!r};verify={self.verify};max_ops={self.max_ops}"
         )
 
@@ -113,11 +113,9 @@ class JobResult:
     result: SimResult
     #: Canonical application name (``Application.name``).
     app: str = ""
-    #: ``memsys.traffic_summary()`` of the run's machine.
+    #: ``memsys.traffic_summary()`` of the run's machine (the z-machine's
+    #: also carries ``shared_writes`` and ``network_cycles``).
     traffic: dict[str, float] = field(default_factory=dict)
-    #: z-machine-only counters (``shared_writes``, ``network_cycles``),
-    #: ``None`` for the real memory systems.
-    zstats: dict[str, float] | None = None
     #: Wall-clock seconds the simulation took (when freshly executed).
     elapsed: float = 0.0
     #: Whether this result was served from the on-disk cache.
@@ -136,18 +134,11 @@ def execute_job(spec: JobSpec) -> JobResult:
     machine, result = run_machine(
         app, spec.system, spec.config, verify=spec.verify, max_ops=spec.max_ops
     )
-    zstats = None
-    if isinstance(machine.memsys, ZMachine):
-        zstats = {
-            "shared_writes": machine.memsys.shared_writes,
-            "network_cycles": machine.memsys.network_cycles,
-        }
     return JobResult(
         system=machine.system_name,
         result=result,
         app=app.name,
         traffic=machine.memsys.traffic_summary(),
-        zstats=zstats,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -177,14 +168,23 @@ def code_fingerprint() -> str:
 _CODE_FINGERPRINT: str | None = None
 
 
-def cache_key(spec: JobSpec) -> str:
-    """sha256 over (spec fingerprint, code fingerprint)."""
-    text = f"{spec.fingerprint()}|code={code_fingerprint()}"
+def cache_key(spec, executor: Callable = execute_job) -> str:
+    """The one cache key of ``spec`` run by ``executor``.
+
+    sha256 over (executor identity, ``spec.fingerprint()``,
+    :data:`CACHE_SCHEMA`, :func:`code_fingerprint`), so the same spec
+    under two executors (a plain run and an instrumented check) gets two
+    entries.  Raises ``ValueError`` for a spec with no stable identity.
+    """
+    text = (
+        f"{executor.__module__}.{executor.__qualname__}|{spec.fingerprint()}"
+        f"|schema={CACHE_SCHEMA}|code={code_fingerprint()}"
+    )
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 class ResultCache:
-    """Directory of pickled :class:`JobResult`\\ s keyed by :func:`cache_key`.
+    """Directory of pickled run results, one file per :func:`cache_key`.
 
     Entries carry the code fingerprint inside their key, so stale
     results are never *returned* — they are simply unreachable garbage
@@ -196,8 +196,6 @@ class ResultCache:
 
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory).expanduser()
-        self.hits = 0
-        self.misses = 0
 
     @classmethod
     def default(cls) -> ResultCache:
@@ -207,34 +205,21 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
-    def get(self, spec: JobSpec) -> JobResult | None:
-        """Return the cached result for ``spec``, or ``None`` on a miss."""
-        try:
-            key = cache_key(spec)
-        except ValueError:
-            self.misses += 1
-            return None
+    def get(self, key: str):
+        """The entry stored under ``key``, or ``None`` on a miss."""
         try:
             with open(self._path(key), "rb") as fh:
-                job = pickle.load(fh)
+                return pickle.load(fh)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            self.misses += 1
             return None
-        self.hits += 1
-        job.cached = True
-        return job
 
-    def put(self, spec: JobSpec, job: JobResult) -> None:
-        """Store ``job`` under ``spec``'s key (atomic; best-effort)."""
-        try:
-            key = cache_key(spec)
-        except ValueError:
-            return
+    def put(self, key: str, entry) -> None:
+        """Store ``entry`` under ``key`` (atomic; best-effort)."""
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(job, fh, protocol=4)
+                pickle.dump(entry, fh, protocol=4)
             os.replace(tmp, self._path(key))
         except OSError:
             pass
@@ -250,11 +235,6 @@ class ResultCache:
                 except OSError:
                     pass
         return removed
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def size(self) -> tuple[int, int]:
         """(number of entries, total bytes) on disk."""
@@ -282,12 +262,10 @@ class ResultCache:
             return {"hits": 0, "misses": 0}
 
     def persist_stats(self, hits: int, misses: int) -> None:
-        """Fold a batch's hit/miss delta into the on-disk totals.
+        """Fold one batch's hit/miss counts into the on-disk totals.
 
-        Called by :func:`run_jobs` with the counters this batch added
-        (session counters themselves stay untouched — manifests read
-        them after the run).  Best-effort: a read-only cache directory
-        must never fail a run.
+        Called by :func:`run_jobs` once per batch.  Best-effort: a
+        read-only cache directory must never fail a run.
         """
         if hits == 0 and misses == 0:
             return
@@ -389,6 +367,13 @@ def _outcomes(
             yield futures[future], future.result() if error is None else None, error
 
 
+def _key_or_none(spec, executor: Callable) -> str | None:
+    try:
+        return cache_key(spec, executor)
+    except ValueError:
+        return None
+
+
 def run_jobs(
     specs: Sequence[JobSpec],
     jobs: int | None = 1,
@@ -410,23 +395,26 @@ def run_jobs(
     ``executor`` maps one spec to one result and defaults to
     :func:`execute_job`; any module-level callable over specs that have
     a ``fingerprint()`` and results that have ``cached``, ``events`` and
-    ``elapsed`` attributes works (``repro.analysis.checkers.runner`` and
-    ``repro.analysis.fuzz`` reuse this machinery).  Telemetry numbers
+    ``elapsed`` attributes works (``repro check`` passes
+    ``repro.analysis.checkers.execute_check``, ``repro fuzz``
+    ``repro.analysis.fuzz.evaluate_job``).  Each spec is cached
+    under :func:`cache_key` of (spec, executor); a spec with no stable
+    fingerprint always runs.  The batch's hits (results with ``cached``
+    set) and misses go to the cache's ``stats.json``.  Telemetry numbers
     jobs across the session, so several runs under one session count
     up instead of restarting at 1.
     """
     specs = list(specs)
     tele = telemetry.get_session()
-    hits0 = cache.hits if cache is not None else 0
-    misses0 = cache.misses if cache is not None else 0
+    keys = [None if cache is None else _key_or_none(spec, executor) for spec in specs]
     first = tele.attach_total(len(specs)) if tele is not None else 0
     results: list[JobResult | None] = [None] * len(specs)
     failures: dict[int, Exception] = {}
 
     def land(i: int, job) -> None:
         results[i] = job
-        if cache is not None and not job.cached:
-            cache.put(specs[i], job)
+        if keys[i] is not None and not job.cached:
+            cache.put(keys[i], job)
         if tele is not None:
             tele.emit(
                 telemetry.job_finished(
@@ -440,8 +428,9 @@ def run_jobs(
 
     pending = []
     for i, spec in enumerate(specs):
-        hit = cache.get(spec) if cache is not None else None
+        hit = cache.get(keys[i]) if keys[i] is not None else None
         if hit is not None:
+            hit.cached = True
             land(i, hit)
         else:
             pending.append((i, spec))
@@ -451,7 +440,7 @@ def run_jobs(
         else:
             land(i, job)
     if cache is not None:
-        cache.persist_stats(cache.hits - hits0, cache.misses - misses0)
+        cache.persist_stats(len(specs) - len(pending), len(pending))
     if failures:
         raise failures[min(failures)]
     return results

@@ -40,6 +40,9 @@ class SystemResult:
     network_messages: int
     network_bytes: int
     traffic: dict[str, float] = field(default_factory=dict)
+    #: The run payload this row was built from (``None`` when built from
+    #: a bare :class:`SimResult`); Table 1 reads the z-mc run from here.
+    job: JobResult | None = field(default=None, repr=False, compare=False)
 
     @property
     def overhead(self) -> float:
@@ -69,7 +72,9 @@ class SystemResult:
 
     @classmethod
     def from_job(cls, job: JobResult) -> SystemResult:
-        return cls.from_sim(job.system, job.result, job.traffic)
+        row = cls.from_sim(job.system, job.result, job.traffic)
+        row.job = job
+        return row
 
 
 @dataclass
@@ -131,7 +136,7 @@ def run_study(
         systems=list(systems),
         wall_seconds=wall,
         jobs=jobs_done,
-        cache_size=cache.size() if cache is not None else None,
+        cache=cache,
     )
     return StudyResult(
         app_name=app_name or "?", config=cfg, systems=results, manifest=manifest

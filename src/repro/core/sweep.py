@@ -113,6 +113,7 @@ def sweep(
         systems=[system],
         wall_seconds=time.perf_counter() - t0,
         jobs=jobs_done,
+        cache=cache,
         extra={"parameter": parameter, "values": [repr(v) for v in values]},
     )
     return SweepResult(parameter=parameter, system=system, points=points, manifest=manifest)

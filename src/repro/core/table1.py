@@ -5,6 +5,11 @@ fraction of execution time the propagation of those writes represents
 (the data's time on the network, almost all of it hidden under
 computation), and the observed cost — the read-stall cycles actually
 seen, which are ≈0 because the inherent communication is overlapped.
+
+A row is each application's z-machine run, the same run as the z-mc bar
+of a study: :func:`table1` runs those z-machine jobs on their own,
+:func:`table1_rows` reads them from studies already run.  Either way the
+run went through :func:`repro.core.parallel.run_jobs` (pool and cache).
 """
 # lint: ok-module[wall-clock] — measurement harness: wall-clock here times the
 # host, never the simulation; simulated timing comes only from cycle counts.
@@ -12,13 +17,14 @@ seen, which are ≈0 because the inherent communication is overlapped.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from ..apps.base import Application
 from ..config import MachineConfig
 from ..obs.manifest import build_manifest
-from .parallel import JobResult, JobSpec, ResultCache, execute_job, run_jobs
+from .parallel import JobResult, JobSpec, ResultCache, run_jobs
+from .study import StudyResult
 
 
 @dataclass
@@ -37,13 +43,13 @@ class Table1Row:
     total_time: float
 
 
-def _row_from_job(cfg: MachineConfig, job: JobResult) -> Table1Row:
+def _row_from_job(cfg: MachineConfig, job: JobResult | None) -> Table1Row:
     """Assemble a row from a z-machine run's picklable payload."""
-    assert job.zstats is not None, "table 1 rows require a z-machine run"
+    assert job is not None and job.system == "z-mc", "table 1 rows require a z-machine run"
     result = job.result
     total = result.total_time
-    shared_writes = int(job.zstats["shared_writes"])
-    network_cycles = job.zstats["network_cycles"]
+    shared_writes = int(job.traffic["shared_writes"])
+    network_cycles = job.traffic["network_cycles"]
     observed = sum(p.read_stall for p in result.procs)
     return Table1Row(
         app=job.app,
@@ -58,42 +64,19 @@ def _row_from_job(cfg: MachineConfig, job: JobResult) -> Table1Row:
     )
 
 
-def table1_row(
-    app_factory: Callable[[], Application],
-    config: MachineConfig | None = None,
-    verify: bool = True,
-) -> Table1Row:
-    """Run one application on the z-machine and compute its Table 1 row."""
-    cfg = config if config is not None else MachineConfig()
-    job = execute_job(JobSpec(factory=app_factory, system="z-mc", config=cfg, verify=verify))
-    return _row_from_job(cfg, job)
-
-
 def table1(
     app_factories: dict[str, Callable[[], Application]],
     config: MachineConfig | None = None,
     verify: bool = True,
     jobs: int | None = 1,
     cache: ResultCache | None = None,
-) -> list[Table1Row]:
-    """Compute Table 1 for a set of applications.
+) -> tuple[list[Table1Row], dict]:
+    """Table 1 for a set of applications, plus its run manifest.
 
     The per-application z-machine runs are independent, so ``jobs > 1``
     fans them out over worker processes and ``cache`` reuses previous
     identical runs (see :mod:`repro.core.parallel`).
     """
-    rows, _ = table1_with_manifest(app_factories, config, verify=verify, jobs=jobs, cache=cache)
-    return rows
-
-
-def table1_with_manifest(
-    app_factories: dict[str, Callable[[], Application]],
-    config: MachineConfig | None = None,
-    verify: bool = True,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-) -> tuple[list[Table1Row], dict]:
-    """:func:`table1` plus a run manifest (see :mod:`repro.obs.manifest`)."""
     cfg = config if config is not None else MachineConfig()
     specs = [
         JobSpec(factory=factory, system="z-mc", config=cfg, verify=verify)
@@ -108,6 +91,11 @@ def table1_with_manifest(
         systems=["z-mc"],
         wall_seconds=time.perf_counter() - t0,
         jobs=jobs_done,
-        cache_size=cache.size() if cache is not None else None,
+        cache=cache,
     )
     return [_row_from_job(cfg, job) for job in jobs_done], manifest
+
+
+def table1_rows(studies: Iterable[StudyResult]) -> list[Table1Row]:
+    """Table 1 from studies already run: one row from each study's z-mc run."""
+    return [_row_from_job(study.config, study.zmachine.job) for study in studies]

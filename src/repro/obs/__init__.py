@@ -38,7 +38,7 @@ from .attrib import (
 )
 from .log import Logger, configure, get_logger
 from .manifest import build_manifest, read_manifest, write_manifest
-from .metrics import Counter, Gauge, Histogram, MetricsCollector
+from .metrics import Counter, Histogram, MetricsCollector
 from .profile import HostProfiler
 from .telemetry import TelemetrySession
 from .timeline import attribution_to_perfetto, to_perfetto, write_trace
@@ -46,7 +46,6 @@ from .timeline import attribution_to_perfetto, to_perfetto, write_trace
 __all__ = [
     "AttributionCollector",
     "Counter",
-    "Gauge",
     "Histogram",
     "HostProfiler",
     "Logger",

@@ -54,7 +54,7 @@ def build_manifest(
     systems: list[str] | None = None,
     wall_seconds: float | None = None,
     jobs: list[Any] | None = None,
-    cache_size: tuple[int, int] | None = None,
+    cache: Any = None,
     extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Build a manifest dict for one run.
@@ -63,7 +63,9 @@ def build_manifest(
     ``check``, ``bench``, ``trace``, ``paper-run``...).  ``jobs`` are
     JobResult-like objects; each contributes a per-job record plus the
     aggregate events / events-per-second figures, and the cache block
-    counts the jobs that were (not) served from the cache.
+    counts the jobs that were (not) served from the cache.  ``cache``
+    (a :class:`~repro.core.parallel.ResultCache`, when the run used one)
+    adds the store's ``entries`` and ``bytes`` to that block.
     """
     # Imported here so repro.obs stays importable without repro.core.
     from ..core.parallel import code_fingerprint
@@ -101,8 +103,8 @@ def build_manifest(
         hits = sum(1 for e in entries if e["cached"])
         block = {"hits": hits, "misses": len(entries) - hits}
         block["hit_rate"] = round(hits / len(entries), 4)
-        if cache_size is not None:
-            block["entries"], block["bytes"] = cache_size
+        if cache is not None:
+            block["entries"], block["bytes"] = cache.size()
         manifest["cache"] = block
     if extra:
         manifest.update(extra)

@@ -51,22 +51,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """Point-in-time value; remembers the peak."""
-
-    __slots__ = ("name", "value", "peak")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self.peak = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.peak:
-            self.peak = value
-
-
 class Histogram:
     """Fixed-bound histogram (Prometheus ``le`` style, plus overflow)."""
 

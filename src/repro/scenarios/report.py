@@ -97,7 +97,7 @@ def run_scenario_matrix(
         systems=list(systems),
         wall_seconds=wall,
         jobs=results,
-        cache_size=cache.size() if cache is not None else None,
+        cache=cache,
         extra={"scenarios": names, "scale": scale},
     )
     return build_report(

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro import MachineConfig, run_study, table1_row
+from repro import MachineConfig, run_study, table1
 from repro.__main__ import build_parser, main
 from repro.analysis.report import (
     STUDY_FIELDS,
@@ -49,10 +49,10 @@ class TestReportExports:
         assert len(doc[0]["systems"]) == 5
 
     def test_table1_csv(self):
-        row = table1_row(
-            lambda: IntegerSort(n_keys=256, nbuckets=16), MachineConfig(nprocs=4)
+        rows, _ = table1(
+            {"IS": lambda: IntegerSort(n_keys=256, nbuckets=16)}, MachineConfig(nprocs=4)
         )
-        text = table1_to_csv([row])
+        text = table1_to_csv(rows)
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert parsed[0]["app"] == "IS"
         assert int(parsed[0]["shared_writes"]) > 0

@@ -25,7 +25,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.log import Logger
-from repro.obs.metrics import CATEGORIES, Counter, Gauge, Histogram
+from repro.obs.metrics import CATEGORIES, Counter, Histogram
 from repro.runtime.context import Machine
 from repro.sim.observer import FanOut, Observer, subscribe
 from repro.sim.trace import TracingMemory
@@ -51,16 +51,11 @@ def run_observed(factory, system, cfg=CFG, interval=500.0, trace=True):
 # metric primitives
 
 
-def test_counter_gauge_histogram():
+def test_counter_histogram():
     c = Counter("n")
     c.inc()
     c.inc(3)
     assert c.value == 4
-    g = Gauge("depth")
-    g.set(2.0)
-    g.set(7.0)
-    g.set(1.0)
-    assert g.value == 1.0 and g.peak == 7.0
     h = Histogram("lat", bounds=(1.0, 10.0))
     for v in (0.5, 5.0, 50.0):
         h.observe(v)

@@ -128,8 +128,8 @@ def test_run_study_jobs_equivalence():
 
 def test_table1_jobs_equivalence():
     factories = {"IS": IS_FACTORY}
-    (serial,) = table1(factories, CFG, jobs=1)
-    (pooled,) = table1(factories, CFG, jobs=2)
+    (serial,), _ = table1(factories, CFG, jobs=1)
+    (pooled,), _ = table1(factories, CFG, jobs=2)
     assert pooled == serial
     assert pooled.app == "IS"
 
@@ -174,7 +174,8 @@ def test_failing_job_keeps_finished_siblings(tmp_path, jobs):
     out = tmp_path / "telemetry.jsonl"
     with telemetry.session(out=out), pytest.raises(DeadlockError, match="injected"):
         run_jobs(specs, jobs=jobs, cache=cache, executor=deadlock_on_rcupd)
-    assert [cache.get(s) is not None for s in specs] == [True, True, False, True]
+    stored = [cache.get(cache_key(s, deadlock_on_rcupd)) is not None for s in specs]
+    assert stored == [True, True, False, True]
     finished = [r["system"] for r in telemetry.load_records(out) if r["event"] == "finish"]
     assert finished == ["z-mc", "RCinv", "RCadapt"]
 
@@ -200,10 +201,29 @@ def test_cache_miss_then_hit(tmp_path):
     cache = ResultCache(tmp_path)
     specs = is_specs(("z-mc",))
     first = run_jobs(specs, jobs=1, cache=cache)
-    assert not first[0].cached and cache.hits == 0 and cache.misses == 1
+    assert [job.cached for job in first] == [False]
     second = run_jobs(specs, jobs=1, cache=cache)
-    assert second[0].cached and cache.hits == 1
+    assert [job.cached for job in second] == [True]
     assert second[0].result == first[0].result
+    assert cache.lifetime_stats() == {"hits": 1, "misses": 1}
+
+
+def test_check_and_plain_run_of_one_spec_get_two_entries(tmp_path):
+    """The executor is part of the key: the same JobSpec run plain and
+    under the checkers lands in two entries, each served on a rerun."""
+    from repro.analysis.checkers import execute_check
+
+    cache = ResultCache(tmp_path)
+    (spec,) = is_specs(("RCinv",))
+    assert cache_key(spec, execute_job) != cache_key(spec, execute_check)
+    for executor in (execute_job, execute_check):
+        (first,) = run_jobs([spec], jobs=1, cache=cache, executor=executor)
+        assert not first.cached
+    assert cache.size()[0] == 2
+    plain = run_jobs([spec], jobs=1, cache=cache)
+    check = run_jobs([spec], jobs=1, cache=cache, executor=execute_check)
+    assert [job.cached for job in plain + check] == [True, True]
+    assert plain[0].result.ops > 0 and check[0].races.clean
 
 
 def test_cache_key_sensitive_to_spec(tmp_path):
@@ -218,10 +238,10 @@ def test_cache_key_sensitive_to_spec(tmp_path):
 def test_cache_invalidated_by_code_change(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
     specs = is_specs(("z-mc",))
-    run_jobs(specs, jobs=1, cache=cache)
+    first = run_jobs(specs, jobs=1, cache=cache)
     monkeypatch.setattr(parallel, "_CODE_FINGERPRINT", "different-code-version")
-    run_jobs(specs, jobs=1, cache=cache)
-    assert cache.hits == 0 and cache.misses == 2
+    second = run_jobs(specs, jobs=1, cache=cache)
+    assert [job.cached for job in first + second] == [False, False]
 
 
 def test_cache_clear(tmp_path):
@@ -244,9 +264,10 @@ def test_cache_ignores_corrupt_entries(tmp_path):
 def test_lambda_specs_are_never_cached(tmp_path):
     cache = ResultCache(tmp_path)
     spec = JobSpec(factory=lambda: IS_FACTORY(), system="z-mc", config=CFG)
-    run_jobs([spec], jobs=1, cache=cache)
-    run_jobs([spec], jobs=1, cache=cache)
-    assert cache.hits == 0  # no stable fingerprint -> recompute both times
+    first = run_jobs([spec], jobs=1, cache=cache)
+    second = run_jobs([spec], jobs=1, cache=cache)
+    # no stable fingerprint -> recompute both times
+    assert [job.cached for job in first + second] == [False, False]
 
 
 def test_code_fingerprint_stable():
@@ -259,5 +280,13 @@ def test_sweep_with_cache_hits(tmp_path):
     kwargs = dict(base_config=CFG, system="RCupd", cache=cache)
     cold = sweep(IS_FACTORY, "merge_buffer_lines", [1, 2], **kwargs)
     warm = sweep(IS_FACTORY, "merge_buffer_lines", [1, 2], **kwargs)
-    assert cache.hits == 2
+    assert [job["cached"] for job in warm.manifest["jobs"]] == [True, True]
     assert [p.result for p in warm.points] == [p.result for p in cold.points]
+
+
+def test_sweep_manifest_reports_cache_store(tmp_path):
+    cache = ResultCache(tmp_path)
+    result = sweep(IS_FACTORY, "merge_buffer_lines", [1], base_config=CFG, cache=cache)
+    block = result.manifest["cache"]
+    assert (block["hits"], block["misses"], block["entries"]) == (0, 1, 1)
+    assert block["bytes"] == cache.size()[1] > 0

@@ -12,7 +12,7 @@ import textwrap
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.checkers import CheckSpec, execute_check
+from repro.analysis.checkers import execute_check
 from repro.analysis.naming import sync_label
 from repro.analysis.static import (
     analyze_app_module,
@@ -30,6 +30,7 @@ from repro.analysis.static.model import (
 )
 from repro.apps.factory import AppFactory
 from repro.config import MachineConfig
+from repro.core.parallel import JobSpec
 from repro.runtime.context import Machine
 
 
@@ -533,7 +534,7 @@ class TestRacyDifferential:
         )
         assert static.race_labels  # the oracle must be flagged at all
 
-        spec = CheckSpec(
+        spec = JobSpec(
             factory=AppFactory("RacyDemo", rounds=2),
             system="RCinv",
             config=MachineConfig(nprocs=2),

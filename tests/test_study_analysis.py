@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import MachineConfig, figure1_scenario, run_study, table1, table1_row
+from repro import MachineConfig, figure1_scenario, run_study, table1, table1_rows
 from repro.analysis import (
     format_claims,
     format_comparison,
@@ -62,9 +62,15 @@ class TestRunStudy:
         assert study.app_name == "IS"
 
 
+def zmc_row(factory=small_is, cfg=CFG):
+    """The Table 1 row of a one-system (z-mc) study."""
+    (row,) = table1_rows([run_study(factory, cfg, systems=("z-mc",))])
+    return row
+
+
 class TestTable1:
     def test_row_fields(self):
-        row = table1_row(small_is, CFG)
+        row = zmc_row()
         assert row.app == "IS"
         assert row.shared_writes > 0
         assert row.total_time > 0
@@ -73,12 +79,17 @@ class TestTable1:
         assert row.network_cycles == pytest.approx(row.shared_writes * 6.4)
 
     def test_observed_cost_is_tiny(self):
-        row = table1_row(small_is, CFG)
+        row = zmc_row()
         assert row.observed_cost / row.total_time < 0.01
 
     def test_table_of_multiple_apps(self):
-        rows = table1({"IS": small_is}, CFG)
+        rows, manifest = table1({"IS": small_is}, CFG)
         assert len(rows) == 1
+        assert manifest["kind"] == "table1"
+
+    def test_table1_matches_rows_from_a_study(self, study):
+        (row,), _ = table1({"IS": small_is}, CFG)
+        assert table1_rows([study]) == [row]
 
 
 class TestFigure1:
@@ -110,7 +121,7 @@ class TestRendering:
         assert format_figure(study, "My Title").startswith("My Title")
 
     def test_table1_render(self):
-        text = format_table1([table1_row(small_is, CFG)])
+        text = format_table1([zmc_row()])
         assert "IS" in text
         assert "Observed" in text
 
