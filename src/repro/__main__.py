@@ -28,11 +28,11 @@ check    run the correctness analyses (happens-before race detection +
          protocol invariant checking) over an apps × systems matrix;
          exits nonzero on any finding
 fuzz     differential fuzzing: seeded random draws (app × system ×
-         nprocs × scenario × decorator stack) cross-checked against the
-         plain-heapq reference engine, decorator neutrality, and
-         dynamic-vs-static checker agreement; mismatches are
-         delta-debug shrunk into repro files and every draw is recorded
-         in a resumable corpus ledger
+         nprocs × scenario × observer stack) whose bare run is
+         cross-checked against the plain-heapq reference engine and the
+         observed run, plus dynamic-vs-static checker agreement;
+         mismatches are delta-debug shrunk into repro files and every
+         draw is recorded in a resumable corpus ledger
 scenario named degradation scenarios (limping nodes, slow links, bursty
          load, ...): list / describe them, or run the scenario matrix
          and emit the overhead-degradation report (BENCH_scenarios.json)
@@ -810,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing with auto-minimised repros: random "
-        "draws cross-checked three ways, resumable corpus ledger",
+        "draws cross-checked by each oracle family, resumable corpus ledger",
     )
     p_fuzz.add_argument(
         "--budget",
@@ -835,21 +835,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         choices=fuzz.ORACLES,
         metavar="NAME",
-        help="oracle family to run (repeatable; default all three)",
+        help=f"oracle family to run: {', '.join(fuzz.ORACLES)} (repeatable; "
+        "default all)",
     )
     p_fuzz.add_argument(
         "--ledger",
-        default="benchmarks/fuzz_corpus.jsonl",
+        default=str(fuzz.DEFAULT_LEDGER),
         metavar="PATH",
-        help="corpus ledger recording every evaluated draw "
-        "(default benchmarks/fuzz_corpus.jsonl)",
+        help="corpus ledger recording every evaluated draw (default %(default)s)",
     )
     p_fuzz.add_argument(
         "--repro-dir",
-        default="tests/fixtures/fuzz_repros",
+        default=str(fuzz.DEFAULT_REPRO_DIR),
         metavar="DIR",
-        help="where shrunk repro files are written "
-        "(default tests/fixtures/fuzz_repros)",
+        help="where shrunk repro files are written (default %(default)s)",
     )
     p_fuzz.add_argument(
         "--no-resume",

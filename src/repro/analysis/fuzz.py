@@ -7,17 +7,15 @@ simulated results, and the dynamic correctness checkers must agree with
 the static analyzer.  This module is the standing stress harness for
 those contracts: it draws seeded random configurations (application x
 memory system x nprocs x scale knobs x scenario/degradation spec x
-decorator stack) and cross-checks each draw with three oracle families:
+observer stack) and cross-checks each draw with two oracle families:
 
 ``reference``
-    wheel engine vs :class:`repro.sim.reference.ReferenceEngine` —
-    bit-identical :class:`SimResult`, traffic, network counters, and
-    final shared-memory image.
-``decorators``
-    the drawn observability stack (tracer / metrics / attribution /
-    checked invariants, attached in the drawn order, plus the stack
-    sampler armed around the run) vs the bare run — unchanged simulated
-    results.
+    one bare wheel-engine run is the point of comparison.  It must be
+    bit-identical (:class:`SimResult`, traffic, network counters, final
+    shared-memory image) to the :class:`repro.sim.reference.ReferenceEngine`
+    run and, when the draw names observers, to the wheel run with them
+    attached in the drawn order (tracer / metrics / attribution /
+    checked invariants, plus the stack sampler armed around the run).
 ``checkers``
     race detector + invariant auditor + static analyzer agreement —
     dynamic race labels must be a subset of the static report's,
@@ -26,7 +24,7 @@ decorator stack) and cross-checks each draw with three oracle families:
 
 On a mismatch a greedy delta-debugging shrinker minimises the failing
 draw (fewer processors, then smaller app input, then simpler
-degradation, then fewer decorators) and writes a commit-ready repro
+degradation, then fewer observers) and writes a commit-ready repro
 file under ``tests/fixtures/fuzz_repros/`` together with the one-line
 command that replays it.  A corpus ledger (JSONL, one record per
 evaluated draw keyed by a stable hash of the configuration) records
@@ -46,6 +44,7 @@ See docs/correctness.md ("Fuzzing") for the handbook.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import time
 from collections.abc import Callable, Iterator, Mapping
@@ -65,18 +64,18 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsCollector
 from ..obs.profile import HostProfiler
 from ..scenarios import SCENARIO_NAMES, apply_scenario, get_scenario
-from ..sim.reference import capture_outcome, run_case
+from ..sim.reference import capture_outcome, use_reference_engine
 from ..sim.trace import TracingMemory
 from .checkers.invariants import InvariantChecker
 
 #: Oracle families, in evaluation order.
-ORACLES = ("reference", "decorators", "checkers")
+ORACLES = ("reference", "checkers")
 
-#: Observability attachments a draw may stack (attach order = draw order):
-#: the engine-observer subscribers (``"checked"`` is the invariant
-#: checker) and the sampler.  The corpus and the committed repros store
-#: these names, so they must not change.
-DECORATORS = ("checked", "tracer", "metrics", "attrib", "profiler")
+#: Observers a draw may stack (attach order = draw order): the
+#: engine-observer subscribers (``"checked"`` is the invariant checker)
+#: and the sampler.  The corpus and the committed repros store these
+#: names, so they must not change.
+OBSERVERS = ("checked", "tracer", "metrics", "attrib", "profiler")
 
 #: Memory systems in the draw space, in registry order (``make_draw``
 #: picks by index, so the order is part of the corpus key space).
@@ -94,20 +93,8 @@ APP_MODULES = {
 DEFAULT_LEDGER = Path("benchmarks") / "fuzz_corpus.jsonl"
 DEFAULT_REPRO_DIR = Path("tests") / "fixtures" / "fuzz_repros"
 
-#: Bump when the draw encoding or oracle semantics change — invalidates
-#: cached evaluations without touching the corpus key space.
-FUZZ_SCHEMA = 1
-
-#: Constructor defaults of the scale-bearing app kwargs (used when a
-#: hand-written draw omits them) and the smoke-scale ceiling the
+#: The smoke-scale ceiling of the scale-bearing app kwargs, which the
 #: shrinker aims for.  ``grid`` is tracked by its side length.
-_APP_SCALE_DEFAULTS = {
-    "Cholesky": {"grid": 12},
-    "IS": {"n_keys": 2048, "nbuckets": 128},
-    "Maxflow": {"n": 64, "extra_edges": 128},
-    "Nbody": {"n_bodies": 128, "steps": 10},
-    "RacyDemo": {"rounds": 4},
-}
 _SMOKE_CEILING = {
     "Cholesky": {"grid": 4},
     "IS": {"n_keys": 128, "nbuckets": 16},
@@ -115,6 +102,13 @@ _SMOKE_CEILING = {
     "Nbody": {"n_bodies": 12, "steps": 2},
     "RacyDemo": {"rounds": 4},
 }
+
+
+def _app_defaults(app: str) -> dict[str, object]:
+    """Constructor defaults of ``app``'s kwargs (used when a hand-written
+    draw omits them)."""
+    params = inspect.signature(APP_REGISTRY[app]).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +132,7 @@ class FuzzDraw:
     nprocs: int
     scenario: str | None = None
     knobs: tuple[tuple[str, float | int], ...] = ()
-    decorators: tuple[str, ...] = ()
+    observers: tuple[str, ...] = ()
     seed: int = 0
     index: int = 0
 
@@ -168,8 +162,8 @@ class FuzzDraw:
         parts = [f"{self.app}/{self.system} p{self.nprocs}"]
         if self.scenario is not None:
             parts.append(self.scenario)
-        if self.decorators:
-            parts.append("+".join(self.decorators))
+        if self.observers:
+            parts.append("+".join(self.observers))
         return " ".join(parts)
 
     def to_doc(self) -> dict:
@@ -180,7 +174,7 @@ class FuzzDraw:
             "nprocs": self.nprocs,
             "scenario": self.scenario,
             "knobs": {k: v for k, v in self.knobs},
-            "decorators": list(self.decorators),
+            "observers": list(self.observers),
             "seed": self.seed,
             "index": self.index,
         }
@@ -198,7 +192,7 @@ class FuzzDraw:
             nprocs=int(doc["nprocs"]),
             scenario=doc.get("scenario"),
             knobs=tuple(sorted(dict(doc.get("knobs", {})).items())),
-            decorators=tuple(doc.get("decorators", ())),
+            observers=tuple(doc.get("observers", ())),
             seed=int(doc.get("seed", 0)),
             index=int(doc.get("index", 0)),
         )
@@ -261,13 +255,15 @@ def _draw_scenario(rng: Random, nprocs: int) -> tuple[str | None, dict]:
 
 def make_draw(seed: int, index: int) -> FuzzDraw:
     """Draw ``index`` of stream ``seed`` — pure function of its arguments."""
-    rng = Random(f"repro-fuzz/{FUZZ_SCHEMA}/{seed}/{index}")
+    # The seed prefix is part of the corpus key space: changing it
+    # re-seeds every stream and orphans the ledger.
+    rng = Random(f"repro-fuzz/1/{seed}/{index}")
     app, kwargs = _draw_app(rng)
     system = rng.choice(SYSTEMS)
     nprocs = rng.choice(NPROC_CHOICES)
     scenario, knobs = _draw_scenario(rng, nprocs)
-    n_dec = rng.randint(0, len(DECORATORS))
-    decorators = tuple(rng.sample(DECORATORS, n_dec))
+    n_obs = rng.randint(0, len(OBSERVERS))
+    observers = tuple(rng.sample(OBSERVERS, n_obs))
     return FuzzDraw(
         app=app,
         app_kwargs=tuple(sorted(kwargs.items())),
@@ -275,7 +271,7 @@ def make_draw(seed: int, index: int) -> FuzzDraw:
         nprocs=nprocs,
         scenario=scenario,
         knobs=tuple(sorted(knobs.items())),
-        decorators=decorators,
+        observers=observers,
         seed=seed,
         index=index,
     )
@@ -291,10 +287,9 @@ def draw_stream(seed: int, start: int = 0) -> Iterator[FuzzDraw]:
 
 def is_smoke_scale(draw: FuzzDraw) -> bool:
     """True when every scale-bearing kwarg is at smoke scale or below."""
-    kwargs = dict(draw.app_kwargs)
-    defaults = _APP_SCALE_DEFAULTS[draw.app]
+    kwargs = {**_app_defaults(draw.app), **dict(draw.app_kwargs)}
     for name, cap in _SMOKE_CEILING[draw.app].items():
-        value = kwargs.get(name, defaults[name])
+        value = kwargs[name]
         if name == "grid" and isinstance(value, tuple):
             value = max(value)
         if value > cap:
@@ -375,19 +370,7 @@ def _simulated(events: int) -> None:
     _simulated_events += events
 
 
-def oracle_reference(draw: FuzzDraw) -> str | None:
-    """Oracle 1: wheel engine vs plain-heapq reference, bit-for-bit."""
-    wheel = run_case(
-        draw.factory(), draw.system, draw.verify, config=draw.config(), engine="wheel"
-    )
-    ref = run_case(
-        draw.factory(), draw.system, draw.verify, config=draw.config(), engine="reference"
-    )
-    _simulated(wheel["ops"] + ref["ops"])
-    return diff_outcomes(wheel, ref, "wheel", "reference")
-
-
-#: Attach hook per observer name in :data:`DECORATORS`; ``"profiler"``
+#: Attach hook per observer name in :data:`OBSERVERS`; ``"profiler"``
 #: has none (the stack sampler is armed around the run instead).
 ATTACH = {
     "checked": InvariantChecker.attach,
@@ -397,31 +380,37 @@ ATTACH = {
 }
 
 
-def run_decorated(draw: FuzzDraw) -> dict:
-    """One wheel-engine run with the draw's observability stack attached.
+def run_outcome(
+    draw: FuzzDraw, observers: tuple[str, ...] = (), hooks: tuple[Callable, ...] = ()
+) -> dict:
+    """One run of the draw's machine -> its :func:`capture_outcome` document.
 
-    Every name but ``"profiler"`` subscribes an engine observer, in the
-    drawn order; ``"profiler"`` arms the stack sampler around the run,
-    wherever it sits in that order.
+    Every name in ``observers`` but ``"profiler"`` subscribes an engine
+    observer, in the given order; ``"profiler"`` arms the stack sampler
+    around the run, wherever it sits in that order.  ``hooks`` attach
+    after them (:func:`use_reference_engine` for the reference run).
     """
-    hooks = tuple(ATTACH[name] for name in draw.decorators if name != "profiler")
-    with HostProfiler() if "profiler" in draw.decorators else nullcontext():
+    attach = tuple(ATTACH[name] for name in observers if name != "profiler")
+    with HostProfiler() if "profiler" in observers else nullcontext():
         machine, result, *_ = run_machine(
-            draw.factory()(), draw.system, draw.config(), verify=draw.verify, attach=hooks
+            draw.factory()(), draw.system, draw.config(), verify=draw.verify, attach=attach + hooks
         )
-    return capture_outcome(machine, result)
+    outcome = capture_outcome(machine, result)
+    _simulated(outcome["ops"])
+    return outcome
 
 
-def oracle_decorators(draw: FuzzDraw) -> str | None:
-    """Oracle 2: the decorated run must equal the bare run."""
-    if not draw.decorators:
-        return None
-    bare = run_case(
-        draw.factory(), draw.system, draw.verify, config=draw.config(), engine="wheel"
-    )
-    stacked = run_decorated(draw)
-    _simulated(bare["ops"] + stacked["ops"])
-    return diff_outcomes(bare, stacked, "bare", "+".join(draw.decorators))
+def oracle_reference(draw: FuzzDraw) -> str | None:
+    """Oracle 1: the bare wheel run is bit-identical to the reference
+    engine's run and, when the draw names observers, to the wheel run
+    they observe."""
+    bare = run_outcome(draw)
+    ref = run_outcome(draw, hooks=(use_reference_engine,))
+    details = [diff_outcomes(bare, ref, "wheel", "reference")]
+    if draw.observers:
+        observed = run_outcome(draw, draw.observers)
+        details.append(diff_outcomes(bare, observed, "bare", "+".join(draw.observers)))
+    return "; ".join(d for d in details if d) or None
 
 
 _STATIC_CACHE: dict[str, object] = {}
@@ -439,7 +428,7 @@ def _static_report(app: str):
 
 
 def oracle_checkers(draw: FuzzDraw) -> str | None:
-    """Oracle 3: dynamic findings ⊆ static findings; clean apps stay clean."""
+    """Oracle 2: dynamic findings ⊆ static findings; clean apps stay clean."""
     from .checkers.runner import execute_check
 
     spec = JobSpec(
@@ -465,7 +454,6 @@ def oracle_checkers(draw: FuzzDraw) -> str | None:
 #: Oracle registry; tests may pass their own mapping to inject faults.
 ORACLE_FUNCS: dict[str, Callable[[FuzzDraw], str | None]] = {
     "reference": oracle_reference,
-    "decorators": oracle_decorators,
     "checkers": oracle_checkers,
 }
 
@@ -491,10 +479,7 @@ class FuzzJob:
         return self.draw.system
 
     def fingerprint(self) -> str:
-        return (
-            f"schema={FUZZ_SCHEMA};draw={self.draw.key()};"
-            f"oracles={','.join(self.oracles)}"
-        )
+        return f"draw={self.draw.key()};oracles={','.join(self.oracles)}"
 
 
 @dataclass
@@ -573,9 +558,9 @@ def _with_kwargs(draw: FuzzDraw, kwargs: dict) -> FuzzDraw:
 def _scale_candidates(draw: FuzzDraw) -> Iterator[FuzzDraw]:
     """Smaller-input variants of the draw, most aggressive first."""
     kwargs = dict(draw.app_kwargs)
-    defaults = _APP_SCALE_DEFAULTS[draw.app]
+    defaults = _app_defaults(draw.app)
     if draw.app == "Cholesky":
-        grid = kwargs.get("grid", (defaults["grid"], defaults["grid"]))
+        grid = kwargs.get("grid", defaults["grid"])
         side = max(grid) if isinstance(grid, tuple) else int(grid)
         for cand in (3, 4):
             if cand < side:
@@ -613,7 +598,7 @@ def _scale_candidates(draw: FuzzDraw) -> Iterator[FuzzDraw]:
 
 def _shrink_candidates(draw: FuzzDraw) -> Iterator[FuzzDraw]:
     """One round of smaller variants: nprocs, then input scale, then
-    degradation knobs, then decorators."""
+    degradation knobs, then observers."""
     for p in (1, 2, 4):
         if p < draw.nprocs:
             yield replace(draw, nprocs=p)
@@ -626,12 +611,12 @@ def _shrink_candidates(draw: FuzzDraw) -> Iterator[FuzzDraw]:
                 neutral = dict(draw.knobs)
                 neutral[name] = defaults[name]
                 yield replace(draw, knobs=tuple(sorted(neutral.items())))
-    if draw.decorators:
-        yield replace(draw, decorators=())
-        if len(draw.decorators) > 1:
-            for i in range(len(draw.decorators)):
-                kept = draw.decorators[:i] + draw.decorators[i + 1 :]
-                yield replace(draw, decorators=kept)
+    if draw.observers:
+        yield replace(draw, observers=())
+        if len(draw.observers) > 1:
+            for i in range(len(draw.observers)):
+                kept = draw.observers[:i] + draw.observers[i + 1 :]
+                yield replace(draw, observers=kept)
 
 
 def failure_predicate(
@@ -714,7 +699,7 @@ def corpus_record(draw: FuzzDraw, ev: FuzzEval, oracles: tuple[str, ...]) -> dic
         "system": draw.system,
         "nprocs": draw.nprocs,
         "scenario": draw.scenario,
-        "decorators": list(draw.decorators),
+        "observers": list(draw.observers),
         "oracles": list(oracles),
         "status": ev.status,
     }
@@ -946,10 +931,10 @@ def run_fuzz(
 __all__ = [
     "APP_MODULES",
     "ATTACH",
-    "DECORATORS",
     "DEFAULT_LEDGER",
     "DEFAULT_REPRO_DIR",
     "NPROC_CHOICES",
+    "OBSERVERS",
     "ORACLES",
     "ORACLE_FUNCS",
     "SYSTEMS",
@@ -969,12 +954,11 @@ __all__ = [
     "load_corpus",
     "make_draw",
     "oracle_checkers",
-    "oracle_decorators",
     "oracle_reference",
     "replay_repro",
     "reproduce_command",
-    "run_decorated",
     "run_fuzz",
+    "run_outcome",
     "shrink_draw",
     "write_repro",
 ]
