@@ -380,17 +380,6 @@ class MetricsCollector(LogView):
                 out[cat] += sum(bucket[cat])
         return out
 
-    def per_proc_totals(self) -> dict[str, list[float]]:
-        self._log.flush()
-        out = {cat: [0.0] * self.nprocs for cat in CATEGORIES}
-        for bucket in self._buckets.values():
-            for cat in CATEGORIES:
-                cells = bucket[cat]
-                acc = out[cat]
-                for p in range(self.nprocs):
-                    acc[p] += cells[p]
-        return out
-
     def to_dict(self) -> dict:
         """JSON-ready export (see docs/observability.md for the schema)."""
         self._log.flush()

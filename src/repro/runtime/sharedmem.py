@@ -173,7 +173,7 @@ class SharedArray:
     models timing, so the Python heap carries the data (see DESIGN.md).
     """
 
-    __slots__ = ("shm", "base", "n", "name", "relaxed", "_data", "_word",
+    __slots__ = ("base", "n", "name", "relaxed", "_data", "_word",
                  "_rd_op", "_wr_op")
 
     #: Accepted values for the ``relaxed`` access label.
@@ -192,7 +192,8 @@ class SharedArray:
             raise ValueError(
                 f"relaxed must be one of {self._RELAXED_LABELS}, got {relaxed!r}"
             )
-        self.shm = shm
+        # No reference back to ``shm``: it lists this array, and the
+        # cycle would outlive a finished run until a full collection.
         self.base = shm.alloc_words(n, align_line=align_line)
         self.n = n
         self.name = name

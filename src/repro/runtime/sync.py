@@ -12,6 +12,7 @@ the engine/memory system *before* the sync operation reaches us.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 from ..analysis.naming import sync_label
@@ -70,14 +71,24 @@ class SyncManager:
         self._locks: list[_LockState] = []
         self._barriers: list[_BarrierState] = []
         self._flags: list[_FlagState] = []
-        self._engine = None
+        self._engine_ref = None
         self.lock_acquires = 0
         self.lock_contended = 0
         self.barrier_episodes = 0
         self.flag_sets = 0
 
     def bind(self, engine) -> None:
-        self._engine = engine
+        """Wake waiters on ``engine``.
+
+        Held weakly: the engine holds this manager, and a cycle between
+        the two would keep a finished run's engine, memory system and
+        directory alive until the next full collection.
+        """
+        self._engine_ref = weakref.ref(engine)
+
+    @property
+    def _engine(self):
+        return self._engine_ref()
 
     # ------------------------------------------------------------------
     # object creation

@@ -120,9 +120,18 @@ def test_metrics_totals_match_simresult_exactly():
         assert abs(totals[cat] - want[cat]) < 1e-6, (cat, totals[cat], want[cat])
 
 
+def per_proc_totals(collector) -> dict[str, list[float]]:
+    """Per category, each processor's cycles summed over the exported buckets."""
+    buckets = collector.to_dict()["buckets"]
+    return {
+        cat: [sum(cells) for cells in zip(*(bucket[cat] for bucket in buckets))]
+        for cat in CATEGORIES
+    }
+
+
 def test_metrics_per_proc_totals_match_procstats():
     _, result, _, collector = run_observed(IS_FACTORY, "RCinv")
-    per = collector.per_proc_totals()
+    per = per_proc_totals(collector)
     for p, stats in enumerate(result.procs):
         assert abs(per["busy"][p] - stats.busy) < 1e-6
         assert abs(per["sync_wait"][p] - stats.sync_wait) < 1e-6
@@ -136,7 +145,7 @@ def test_metrics_per_proc_totals_match_at_p64():
         factory, "RCupd", cfg=MachineConfig(nprocs=64), trace=False
     )
     assert len(result.procs) == 64
-    per = collector.per_proc_totals()
+    per = per_proc_totals(collector)
     for p, stats in enumerate(result.procs):
         for cat in CATEGORIES:
             assert abs(per[cat][p] - getattr(stats, cat)) < 1e-6, (cat, p)

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+from array import array
 
 import pytest
 
 from repro.config import MachineConfig
-from repro.runtime import Barrier, DataChannel, Lock, Machine, interleave
-from repro.sim.trace import TracingMemory
+from repro.runtime import Barrier, DataChannel, Lock, Machine, fence, interleave
+from repro.sim import trace
 from repro.sim.events import Compute
+from repro.sim.observer import Observer, subscribe
+from repro.sim.stats import SyncPoint
+from repro.sim.trace import TraceEvent, TracingMemory
 
 
 def run_traced(system="RCinv", max_events=100_000):
@@ -69,9 +73,11 @@ class TestTracing:
         assert busy[0][1] >= busy[-1][1]
 
     def test_events_for_proc(self):
+        """The consumer's events are its sixteen reads, in issue order."""
         _, tracer, _ = run_traced()
-        for e in tracer.events_for_proc(1):
-            assert e.proc == 1
+        mine = [e for e in tracer.events if e.proc == 1]
+        assert [(e.kind, e.addr) for e in mine] == [("read", 4 * i) for i in range(16)]
+        assert [e.issue for e in mine] == sorted(e.issue for e in mine)
 
     def test_summary(self):
         _, tracer, _ = run_traced()
@@ -210,7 +216,7 @@ def _rows(events):
 
 def test_stored_events_read_back_field_for_field():
     """Every field of every kept event, the drop count, the summary and
-    the per-processor views are those pinned above."""
+    the per-processor event counts are those pinned above."""
     assert run_mixed().dropped == 0
     assert len(run_mixed().events) == MIXED_TOTAL
     tracer = run_mixed(max_events=MIXED_KEPT)
@@ -221,10 +227,7 @@ def test_stored_events_read_back_field_for_field():
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MIXED_EVENTS_SHA256
     assert tracer.dropped == MIXED_TOTAL - MIXED_KEPT
     assert tracer.summary() == MIXED_SUMMARY
-    for proc, count in enumerate(MIXED_PER_PROC):
-        mine = tracer.events_for_proc(proc)
-        assert len(mine) == count
-        assert _rows(mine) == [row for row in rows if row[1] == proc]
+    assert [sum(row[1] == proc for row in rows) for proc in range(4)] == MIXED_PER_PROC
 
 
 #: ``[hottest_blocks(50), busiest_blocks(50)]`` of :func:`run_mixed`, as
@@ -262,3 +265,96 @@ def test_rankings_asked_mid_run_match_rankings_asked_at_the_end():
     assert quiet[2] == len(accesses) - 7
     assert feed(TracingMemory(4, max_events=7), ask_at=(2, 7, 8, 12)) == quiet
     assert feed(TracingMemory(4, max_events=100), ask_at=(3, 9))[:2] == quiet[:2]
+
+
+class _Recorder(Observer):
+    """The events a tracer should rebuild, from the callbacks' own
+    arguments, with the raw access kinds beside them."""
+
+    def __init__(self):
+        self.events, self.kinds = [], []
+
+    def on_access(self, proc, kind, target, issue, res, busy):
+        self.kinds.append(kind)
+        times = (issue, res.time, res.read_stall, res.write_stall, res.buffer_flush, res.hit)
+        if target.__class__ is SyncPoint:
+            event = TraceEvent(kind, proc, None, *times, *target)
+        else:
+            event = TraceEvent("read" if kind == "read_nb" else kind, proc, target, *times)
+        self.events.append(event)
+
+    def on_phase(self, proc, time, label):
+        self.kinds.append("phase")
+        times = (time, time, 0.0, 0.0, 0.0, True)
+        self.events.append(TraceEvent("phase", proc, None, *times, label=label))
+
+
+def run_every_kind(max_events):
+    """Phases, a lock, barriers, channel flags, fences and non-blocking
+    reads, traced and recorded side by side."""
+    machine = Machine(MachineConfig(nprocs=4), "RCinv")
+    data = machine.shm.array(32, "data")
+    lock = Lock(machine.sync)
+    barrier = Barrier(machine.sync)
+    chan = DataChannel(machine, 2, consumers=1)
+    recorder = _Recorder()
+    tracer = TracingMemory.attach(machine, max_events=max_events)
+    subscribe(machine.engine, recorder)
+
+    def context(k):
+        for i in range(k, 32, 4):
+            yield from data.read(i)
+            yield Compute(3)
+
+    def worker(ctx):
+        pid = ctx.pid
+        for round_ in range(3):
+            yield from ctx.phase(f"round{round_}")
+            for i in range(pid, 32, 4):
+                yield from data.write(i, i + round_)
+            yield from fence()
+            yield from lock.acquire()
+            yield from data.read(0)
+            yield from lock.release()
+            if pid == 0:
+                yield from chan.produce([round_, round_ + 1])
+            elif pid == 1:
+                yield from chan.consume(round_ + 1, 0)
+            elif pid == 3:
+                yield from interleave([context(0), context(1)])
+            yield from barrier.wait()
+
+    machine.run(worker)
+    return tracer, recorder
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_kept_rows_are_typed_and_bounded(chunk, monkeypatch):
+    """A trace that fills ``max_events`` mid-chunk keeps each row in
+    typed columns of at most 64 bytes, and rebuilds every kept event
+    with the original values and Python types."""
+    if chunk is not None:
+        monkeypatch.setattr(trace, "_CHUNK", chunk)
+    total = len(run_every_kind(None)[1].events)
+    max_events = total - 40
+    assert max_events % trace._CHUNK and total > max_events
+    tracer, recorder = run_every_kind(max_events)
+    assert tracer.dropped == total - max_events
+
+    store = (*tracer._columns, *tracer._sync)
+    assert all(isinstance(column, array) for column in store)
+    assert {len(column) for column in tracer._columns} == {max_events}
+    held = sum(column.itemsize * len(column) for column in store) + 8 * len(tracer._labels)
+    assert held <= 64 * max_events
+
+    events, want = tracer.events, recorder.events[:max_events]
+    assert events == want
+    assert json.dumps(_rows(events)) == json.dumps(_rows(want))
+    for e in events:
+        assert type(e.hit) is bool
+        assert e.addr is None or type(e.addr) is int
+        times = (e.issue, e.complete, e.read_stall, e.write_stall, e.buffer_flush)
+        assert all(type(t) is float for t in times)
+    kept = set(recorder.kinds[:max_events])
+    assert {"read_nb", "phase", "acquire", "release", "flag_set", "flag_wait"} <= kept
+    assert {"lock", "barrier", "flag_set", "flag_wait", "fence"} <= {e.sync_kind for e in events}
