@@ -47,7 +47,10 @@ class ZMachine:
         #: never confused with the access-path flyweight above).
         self._sync_result = AccessResult(0.0)
         self.shared_writes = 0
-        self.shared_reads = 0
+        #: The latest ``avail_time`` any write has set: from this time on
+        #: no block has a write in flight, so every read is a hit.
+        #: :meth:`write` is the only writer of z-machine ``avail_time``.
+        self._settled = 0.0
         #: Total cycles spent by data on the network (Table 1); almost all
         #: of it is hidden under computation.
         self.network_cycles = 0.0
@@ -63,9 +66,12 @@ class ZMachine:
         return self.config.home_node(block)
 
     def read(self, proc: int, addr: int, now: float) -> AccessResult:
-        self.shared_reads += 1
-        # Directory.peek without the method call (hot path: every
-        # z-machine read).
+        if now >= self._settled:
+            # Every write has landed: no block can stall this read.
+            res = self._ok_result
+            res.time = now + self._hit_cycles
+            return res
+        # Directory.peek without the method call.
         entry = self.directory.get(addr // self.line_size)
         if entry is not None and entry.last_writer != proc and entry.avail_time > now:
             # The datum is still in flight: the read stalls until the
@@ -89,6 +95,8 @@ class ZMachine:
         avail = now + latency
         if avail > entry.avail_time:
             entry.avail_time = avail
+            if avail > self._settled:
+                self._settled = avail
         entry.last_writer = proc
         self.network_cycles += latency
         stats = self.network.stats
