@@ -18,13 +18,6 @@ class NetStats:
     #: Sum over messages of time spent queued behind other traffic.
     contention_cycles: float = 0.0
 
-    def record(self, nbytes: int, latency: float, serialisation: float, queued: float) -> None:
-        self.messages += 1
-        self.bytes += nbytes
-        self.latency_cycles += latency
-        self.busy_cycles += serialisation
-        self.contention_cycles += queued
-
     def snapshot(self) -> dict[str, float]:
         """Point-in-time copy of every counter (interval metrics deltas)."""
         return {

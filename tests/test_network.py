@@ -1,10 +1,14 @@
 """Ideal and routed network timing models."""
 
+from dataclasses import astuple
+
 import pytest
 
+from repro.network.base import NetStats
 from repro.network.ideal import IdealNetwork
 from repro.network.routed import RoutedNetwork
 from repro.network.topology import Hypercube, Mesh2D, Ring, Torus2D
+from tests.oracles import link_utilisation, min_latency
 
 TOPOLOGIES = {
     "mesh": lambda: Mesh2D(3, 4),
@@ -53,6 +57,31 @@ class TestIdealNetwork:
         with pytest.raises(ValueError):
             IdealNetwork(-1.0)
 
+    @pytest.mark.parametrize(
+        "net_args", [(1.6,), (1.0, 8, 5.0), (0.3, 3, 0.7)], ids=["zmc", "header", "odd"]
+    )
+    def test_transfer_pinned_to_latency_and_record(self, net_args):
+        """``transfer`` returns ``start + latency(nbytes)`` (``start`` on a
+        local send) bit for bit, and leaves the counters that ``latency()``
+        followed by the former ``NetStats.record(nbytes, lat, lat, 0.0)``
+        left."""
+        net = IdealNetwork(*net_args)
+        want = NetStats()
+        start = 0.1
+        for nbytes in (0, 4, 8, 32):
+            for src, dst in ((0, 1), (2, 2)):
+                lat = 0.0 if src == dst else net.latency(nbytes)
+                want.messages += 1
+                want.bytes += nbytes
+                want.latency_cycles += lat
+                want.busy_cycles += lat
+                want.contention_cycles += 0.0
+                got = net.transfer(src, dst, nbytes, start)
+                assert got.hex() == (start if src == dst else start + lat).hex()
+                start = got + 0.3
+        typed = [(type(v), v) for v in astuple(net.stats)]
+        assert typed == [(type(v), v) for v in astuple(want)]
+
 
 class TestRoutedNetwork:
     def make(self, **kw):
@@ -65,7 +94,7 @@ class TestRoutedNetwork:
         # 0 -> 1 is one hop: router_delay + (8+8)*1.6
         expect = 2.0 + 16 * 1.6
         assert net.transfer(0, 1, 8, 0.0) == pytest.approx(expect)
-        assert net.min_latency(0, 1, 8) == pytest.approx(expect)
+        assert min_latency(net, 0, 1, 8) == pytest.approx(expect)
 
     def test_two_hop_latency(self):
         net = self.make()
@@ -100,7 +129,7 @@ class TestRoutedNetwork:
         net = self.make()
         net.transfer(0, 1, 8, 0.0)
         late = net.transfer(0, 1, 8, 1000.0)
-        assert late == pytest.approx(1000.0 + net.min_latency(0, 1, 8))
+        assert late == pytest.approx(1000.0 + min_latency(net, 0, 1, 8))
 
     def test_multicast_serialised_at_source(self):
         net = self.make()
@@ -113,12 +142,12 @@ class TestRoutedNetwork:
         net.transfer(0, 1, 8, 0.0)
         net.reset()
         assert net.stats.messages == 0
-        assert net.transfer(0, 1, 8, 0.0) == pytest.approx(net.min_latency(0, 1, 8))
+        assert net.transfer(0, 1, 8, 0.0) == pytest.approx(min_latency(net, 0, 1, 8))
 
     def test_monotone_in_size(self):
         net = self.make()
-        small = net.min_latency(0, 3, 4)
-        large = net.min_latency(0, 3, 64)
+        small = min_latency(net, 0, 3, 4)
+        large = min_latency(net, 0, 3, 64)
         assert large > small
 
     def test_invalid_speed(self):
@@ -128,7 +157,7 @@ class TestRoutedNetwork:
     def test_link_utilisation_diagnostic(self):
         net = self.make()
         net.transfer(0, 1, 8, 0.0)
-        assert (0, 1) in net.link_utilisation
+        assert (0, 1) in link_utilisation(net)
 
 
 class TestRouteTable:
@@ -179,11 +208,11 @@ class TestRouteTable:
         topo = Mesh2D(2, 2)
         net = RoutedNetwork(topo, cycles_per_byte=1.0)
         end = net.transfer(0, 3, 8, 0.0)
-        util = net.link_utilisation
+        util = link_utilisation(net)
         assert set(util) == set(topo.route(0, 3))
         assert all(isinstance(link, tuple) and len(link) == 2 for link in util)
         assert max(util.values()) < end
         net.transfer(3, 0, 8, 0.0)
-        util = net.link_utilisation
+        util = link_utilisation(net)
         assert set(util) == set(topo.route(0, 3)) | set(topo.route(3, 0))
         assert not set(topo.route(0, 3)) & set(topo.route(3, 0))
