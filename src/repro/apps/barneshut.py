@@ -235,7 +235,9 @@ class BarnesHut(Application):
         #: compared by value before reuse, so a divergent (racy) run
         #: falls back to a private rebuild and stays correct.  Simulated
         #: timing is untouched: each processor still pays the build's
-        #: Compute cost.
+        #: Compute cost.  The step's force memo (:func:`_force_memo_for`)
+        #: rides along, so only the processor that builds the tree builds
+        #: the memo's key.
         self._tree_memo: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -308,17 +310,17 @@ class BarnesHut(Application):
                 and memo[2] == ys
                 and memo[3] == ms
             ):
-                tree = memo[4]
+                tree, fmemo = memo[4], memo[5]
             else:
                 tree = build_tree(xs, ys, ms)
-                self._tree_memo = (step, xs, ys, ms, tree)
+                fmemo = _force_memo_for(xs, ys, ms, self.theta, self.eps)
+                self._tree_memo = (step, xs, ys, ms, tree, fmemo)
             yield Compute(
                 tree.nnodes * _BUILD_NODE_COST + n * 4 * _INSERT_LEVEL_COST
             )
             # Phase 2: forces on owned bodies (private computation).
             yield from ctx.phase(f"force.{step}")
             acc: dict[int, tuple[float, float]] = {}
-            fmemo = _force_memo_for(xs, ys, ms, self.theta, self.eps)
             for i in range(lo, hi):
                 r = fmemo.get(i)
                 if r is None:
