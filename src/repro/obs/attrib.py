@@ -170,7 +170,7 @@ class AttributionCollector(LogView):
             machine.config.nprocs,
             shm=getattr(machine, "shm", None),
         )
-        return collector._share(machine.engine)
+        return collector._share(machine)
 
     # -- fold -------------------------------------------------------------
     def _new_row(self) -> int:

@@ -160,7 +160,7 @@ class MetricsCollector(LogView):
             memsys=machine.engine.memsys,
             engine=machine.engine,
         )
-        return collector._share(machine.engine)
+        return collector._share(machine)
 
     # -- folded state -------------------------------------------------------
     @property

@@ -72,6 +72,9 @@ class Machine:
         self.sync = SyncManager(config, self.network)
         self.shm = SharedMemory(config)
         self.engine = Engine(config, self.memsys, self.sync, max_ops=max_ops)
+        #: The event-log views attached to this machine (the tracer,
+        #: metrics, attribution): their log holds them only weakly.
+        self.views: list = []
         self._ran = False
 
     @property

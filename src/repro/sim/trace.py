@@ -24,6 +24,7 @@ from itertools import compress, count, islice, repeat
 from math import inf
 from operator import add, is_, itemgetter, not_
 from struct import pack
+from weakref import ref
 
 from .observer import Observer, shared
 from .stats import SyncPoint
@@ -95,14 +96,20 @@ class EventLog(Observer):
     live callback would have made, in the same order.  The only live
     work is the gauge sampling of views whose gauges must be read at an
     exact moment of the run (:meth:`LogView._cross`).
+
+    Each view holds its log; the log holds its views weakly, so a view
+    and its log form no reference cycle and a dropped run is freed at
+    once.  The machine keeps its attached views alive.
     """
 
     def __init__(self) -> None:
         self._rows: list[tuple] = []
-        self._views: list[LogView] = []
+        #: Weak references to the views, in the order they were added.
+        self._views: list[ref[LogView]] = []
         #: Views that sample gauges when simulated time crosses their
-        #: next boundary, and the earliest such boundary.
-        self._crossers: list[LogView] = []
+        #: next boundary (weakly, like ``_views``), and the earliest such
+        #: boundary.
+        self._crossers: list[ref[LogView]] = []
         self._boundary = inf
         #: Whether any view folds busy and sync-wait spans; until one
         #: does, those callbacks record nothing.
@@ -111,26 +118,27 @@ class EventLog(Observer):
     def add(self, view: LogView) -> None:
         """Fold into ``view`` every row recorded from now on."""
         self.flush()
-        self._views.append(view)
+        self._views.append(ref(view))
         self._spans = self._spans or view._folds_spans
         if type(view)._cross is not LogView._cross:
-            self._crossers.append(view)
-            self._boundary = min(v._next_boundary for v in self._crossers)
+            self._crossers.append(ref(view))
+            self._boundary = min(v._next_boundary for v in _live(self._crossers))
 
     def flush(self) -> None:
         """Fold the rows recorded since the last fold into every view."""
         rows = self._rows
         if rows:
-            for view in self._views:
+            for view in _live(self._views):
                 view._fold(rows)
             rows.clear()
 
     def _cross(self, t: float) -> None:
         n = len(self._rows)
-        for view in self._crossers:
+        crossers = _live(self._crossers)
+        for view in crossers:
             if t >= view._next_boundary:
                 view._cross(t, n)
-        self._boundary = min(v._next_boundary for v in self._crossers)
+        self._boundary = min((v._next_boundary for v in crossers), default=inf)
 
     # -- engine-observer callbacks ----------------------------------------
     # A crossing is tested where interval metrics deposits cycles: every
@@ -183,6 +191,11 @@ class EventLog(Observer):
             self.flush()
 
 
+def _live(refs: list[ref[LogView]]) -> list[LogView]:
+    """The views behind ``refs`` that are still alive, in order."""
+    return [view for view in (r() for r in refs) if view is not None]
+
+
 def _passthrough(name: str) -> property:
     """A view's engine callback ``name``: its log's."""
     return property(lambda view: getattr(view._log, name))
@@ -213,11 +226,13 @@ class LogView:
         self._log = EventLog()
         self._log.add(self)
 
-    def _share(self, engine):
-        """Fold from ``engine``'s event log, subscribing one if it has
-        none; returns the view."""
-        self._log = shared(engine, EventLog)
+    def _share(self, machine):
+        """Fold from ``machine``'s engine event log, subscribing one if
+        it has none, and stay alive as long as ``machine``; returns the
+        view."""
+        self._log = shared(machine.engine, EventLog)
         self._log.add(self)
+        machine.views.append(self)
         return self
 
     def _fold(self, rows: list[tuple]) -> None:
@@ -330,7 +345,7 @@ class TracingMemory(LogView):
         tracer = cls(
             machine.engine.memsys.line_size, max_events, shm=getattr(machine, "shm", None)
         )
-        return tracer._share(machine.engine)
+        return tracer._share(machine)
 
     @property
     def dropped(self) -> int:

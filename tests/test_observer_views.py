@@ -17,8 +17,10 @@ with ``PYTHONPATH=src python -m tests.test_observer_views``.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import weakref
 from dataclasses import astuple
 from functools import partial
 from types import SimpleNamespace
@@ -143,7 +145,7 @@ def test_log_holds_at_most_max_events_plus_one_chunk(monkeypatch):
     flush = EventLog.flush
 
     def watched(log):
-        kept = sum(len(v._kind) for v in log._views if isinstance(v, TracingMemory))
+        kept = sum(len(v._kind) for v in trace._live(log._views) if isinstance(v, TracingMemory))
         held.append(len(log._rows) + kept)
         flush(log)
 
@@ -192,6 +194,46 @@ def test_directly_built_views_take_the_five_callbacks():
         "read_stall": [6.0, 0.0], "write_stall": [0.0, 3.0], "buffer_flush": [0.0, 4.0],
     }
     assert attrib.phase_marks == [(0.0, 0, "work")]
+
+
+@pytest.mark.parametrize("system", ["RCinv", "z-mc"])
+def test_dropped_observed_run_is_freed_without_the_collector(system):
+    """With the cycle collector off, a run observed by all three views
+    frees its engine, memory system and views once the caller drops it."""
+    hooks = (
+        TracingMemory.attach,
+        partial(MetricsCollector.attach, interval=INTERVAL),
+        AttributionCollector.attach,
+    )
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        out = run_machine(
+            preset("smoke")["IS"][0](), system, MachineConfig(nprocs=4), attach=hooks
+        )
+        machine = out[0]
+        alive = [weakref.ref(x) for x in (machine.engine, machine.memsys, *out[2:])]
+        del out, machine
+        assert [r() for r in alive] == [None] * len(alive)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_machine_keeps_unheld_views_folding():
+    """A view whose handle the caller drops still folds the whole run:
+    its machine keeps it alive."""
+    def attach_unheld(machine) -> None:
+        TracingMemory.attach(machine)
+
+    def run(hook):
+        return run_machine(preset("smoke")["IS"][0](), "z-mc", MachineConfig(), attach=(hook,))
+
+    want = run(TracingMemory.attach)[2]
+    (tracer,) = run(attach_unheld)[0].views
+    assert tracer.summary() == want.summary()
+    assert tracer.events == want.events
 
 
 if __name__ == "__main__":
