@@ -257,13 +257,6 @@ class RoutedNetwork(Network):
                 ack_done = ack
         return arrivals, ack_done
 
-    def min_latency(self, src: int, dst: int, nbytes: int) -> float:
-        """Zero-load latency between two nodes (useful for tests)."""
-        if src == dst:
-            return 0.0
-        hops = self.topology.hops(src, dst)
-        return hops * self.router_delay + self.serialisation_time(nbytes)
-
     def multicast(
         self, src: int, dsts: list[int], nbytes: int, start: float
     ) -> dict[int, float]:
@@ -282,9 +275,3 @@ class RoutedNetwork(Network):
         """Clear link reservations and statistics."""
         self._link_free = [0.0] * len(self._link_free)
         self.reset_stats()
-
-    @property
-    def link_utilisation(self) -> dict[tuple[int, int], float]:
-        """Latest reservation horizon per link (diagnostic)."""
-        free = self._link_free
-        return {link: free[lid] for link, lid in self._link_ids.items()}

@@ -9,6 +9,7 @@ from repro.mem.directory import DirEntry
 from repro.network.routed import RoutedNetwork
 from repro.network.topology import Hypercube, Mesh2D, Ring, Torus2D
 from repro.runtime import Machine
+from tests.oracles import min_latency
 
 
 # ----------------------------------------------------------------------
@@ -66,7 +67,7 @@ def test_network_arrivals_after_injection(starts, nbytes):
     net = RoutedNetwork(Mesh2D(2, 2), cycles_per_byte=1.6)
     for t in starts:
         arrival = net.transfer(0, 3, nbytes, t)
-        assert arrival >= t + net.min_latency(0, 3, nbytes) - 1e-9
+        assert arrival >= t + min_latency(net, 0, 3, nbytes) - 1e-9
 
 
 @given(seq=st.lists(st.integers(1, 64), min_size=2, max_size=20))
