@@ -56,13 +56,6 @@ class SweepResult:
     def values(self) -> list[object]:
         return [p.value for p in self.points]
 
-    def is_monotone(self, metric: str, increasing: bool = True, slack: float = 1.02) -> bool:
-        """Whether the metric is (approximately) monotone in sweep order."""
-        ys = [y for _, y in self.series(metric)]
-        if increasing:
-            return all(a <= b * slack for a, b in zip(ys, ys[1:]))
-        return all(a * slack >= b for a, b in zip(ys, ys[1:]))
-
     def format(self, metrics: tuple[str, ...] = ("total_time", "overhead_pct")) -> str:
         header = f"{self.parameter:>20s} " + " ".join(f"{m:>16s}" for m in metrics)
         lines = [f"sweep of {self.parameter} on {self.system}", header]

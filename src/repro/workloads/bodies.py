@@ -25,13 +25,6 @@ class BodySet:
     def n(self) -> int:
         return len(self.mass)
 
-    def bounding_box(self) -> tuple[float, float, float]:
-        """(xmin, ymin, size) of the square containing all bodies."""
-        xmin, ymin = self.pos.min(axis=0)
-        xmax, ymax = self.pos.max(axis=0)
-        size = max(xmax - xmin, ymax - ymin, 1e-9)
-        return float(xmin), float(ymin), float(size)
-
 
 def uniform_disc(n: int = 128, radius: float = 1.0, seed: int = 0) -> BodySet:
     """Bodies scattered uniformly in a disc with small random velocities."""

@@ -281,9 +281,12 @@ def test_startup_phase_and_per_proc_phase_switching():
     access("read", 1, 0, 3.0)    # proc 1 never saw a marker
     totals = c.proc_totals()     # reading folds the rows fed so far
     # (phase_id, block): proc 0 and proc 1's startup reads share a cell
-    cells = {(pid, block): row for pid, rows in enumerate(c._data) for block, row in rows.items()}
+    cells = {
+        (pid, block): n
+        for pid, touches in enumerate(c._touches) for block, n in enumerate(touches) if n
+    }
     assert set(cells) == {(0, 0), (1, 2)}
-    assert c._count[cells[(0, 0)]] == 2     # two startup accesses to block 0
+    assert cells[(0, 0)] == 2     # two startup accesses to block 0
     assert c.phase_name(0) == "(startup)"
     assert c.phase_name(1) == "work"
     assert totals["read_stall"] == [10.0, 5.0, 0.0, 0.0]

@@ -103,7 +103,8 @@ def test_report_emits_charged_cells_and_closes_counts(app, system):
     assert all(_overhead(cell) > 0.0 for cell in report["cells"])
     events = report["counts"]["accesses"] + report["counts"]["sync_events"]
     events += _stall_ops(collector)
-    dropped = len(collector._count) - len(report["cells"])
+    folded = report["counts"]["data_cells"] + report["counts"]["sync_cells"]
+    dropped = folded + len(collector._stall) - len(report["cells"])
     for dim in DIMENSIONS:
         rows = report["dims"][dim]
         assert sum(row["count"] for row in rows) == events, dim

@@ -66,12 +66,6 @@ class TestBodies:
         assert left.mean() < -2
         assert right.mean() > 2
 
-    def test_bounding_box_contains_all(self):
-        b = uniform_disc(50, seed=3)
-        xmin, ymin, size = b.bounding_box()
-        assert np.all(b.pos[:, 0] >= xmin - 1e-12)
-        assert np.all(b.pos[:, 0] <= xmin + size + 1e-9)
-
     def test_direct_forces_antisymmetric_for_two_equal_masses(self):
         import repro.workloads.bodies as wb
 
