@@ -60,17 +60,3 @@ def compute(cycles: float) -> Generator[Op, None, None]:
 def fence() -> Generator[Op, None, None]:
     """Stand-alone release fence (drain write buffers)."""
     yield Fence()
-
-
-def critical(lock: Lock):
-    """Not a context manager — generators cannot ``with``-wrap yields
-    across frames; provided as documentation of the intended pattern::
-
-        yield from lock.acquire()
-        ...
-        yield from lock.release()
-    """
-    raise TypeError(
-        "use `yield from lock.acquire()` / `yield from lock.release()` "
-        "explicitly inside simulated worker code"
-    )

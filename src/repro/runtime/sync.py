@@ -113,20 +113,6 @@ class SyncManager:
         self._flags.append(_FlagState(home=flag_id % self.config.nprocs, name=name))
         return flag_id
 
-    def sync_name(self, kind: str, sync_id: int) -> str:
-        """Declaration name of a sync object ("" if anonymous).
-
-        ``kind`` is ``lock``/``barrier``/``flag`` (trace kinds like
-        ``flag_set`` are normalised).
-        """
-        if kind.startswith("flag"):
-            return self._flags[sync_id].name
-        if kind == "lock":
-            return self._locks[sync_id].name
-        if kind == "barrier":
-            return self._barriers[sync_id].name
-        raise ValueError(f"unknown sync kind {kind!r}")
-
     def sync_names(self) -> dict[tuple[str, int], str]:
         """(kind, id) -> name for every named sync object (reporting)."""
         out: dict[tuple[str, int], str] = {}

@@ -5,10 +5,14 @@ max-flow/min-cut; ``Cholesky.verify``: the residual ``A - L Lᵀ``), so
 these dense or third-party solves live here, outside the runtime
 package: networkx is a test dependency only.  The routed network's
 zero-load latency formula and its link reservations are read here too,
-and an attribution report's cells are refolded one dict per cell.
+an attribution report's cells are refolded one dict per cell, and
+interval metrics are refolded one dict of per-category lists per bucket.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from itertools import islice
 
 import numpy as np
 
@@ -22,7 +26,9 @@ from repro.obs.attrib import (
     SYNC_ROW,
     UNCHARGED_ROW,
 )
+from repro.obs.metrics import CATEGORIES, Counter, Histogram
 from repro.sim.stats import SyncPoint
+from repro.sim.trace import BUSY, PHASE, STALL, WAIT, LogView
 from repro.workloads.graphs import FlowNetwork
 from repro.workloads.matrices import SparseSPD
 
@@ -154,3 +160,231 @@ def reference_attribution(calls, line_size: int, home_of=None) -> dict:
         "uncharged": uncharged,
         "data_cells": sum(1 for _, kind, _ in cells if kind == "data"),
     }
+
+
+class ReferenceMetrics(LogView):
+    """:class:`repro.obs.metrics.MetricsCollector` with every bucket a
+    ``{category: [per-proc cycles]}`` dict and every crossing sample in
+    a dict keyed by bucket: the same fold and the same additions, in the
+    same order, so ``to_dict()`` and ``totals()`` must equal the
+    collector's exactly.  Built directly, it is fed by hand like the
+    collector (``on_busy``, ``on_access``, ...).
+    """
+
+    _folds_spans = True
+    _stall_category = {
+        "read": "read_stall", "write": "write_stall", "flush": "buffer_flush", "sync": "sync_wait",
+    }
+
+    def __init__(self, nprocs: int, interval: float, network=None, memsys=None, engine=None):
+        self.nprocs = nprocs
+        self.interval = float(interval)
+        self.network = network
+        self.memsys = memsys
+        self._buckets: dict[int, dict[str, list[float]]] = {}
+        self._net_delta: dict[int, dict[str, float]] = {}
+        self._depths: dict[int, dict[str, list[int]]] = {}
+        self._access_delta: dict[int, int] = {}
+        self._last_accesses = 0
+        self._engine = engine
+        self._wheel_depth: dict[int, int] = {}
+        self._cursor = 0
+        self._next_boundary = self.interval
+        self._crossings: list[tuple[int, int]] = []
+        self._last_net = network.stats.snapshot() if network is not None else None
+        self._latency = Histogram("access_latency_cycles")
+        self._accesses = Counter("accesses")
+        self._sync_events = Counter("sync_events")
+        self._phases: list[tuple[float, int, str]] = []
+        super().__init__()
+
+    def _bucket(self, index: int) -> dict[str, list[float]]:
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = {cat: [0.0] * self.nprocs for cat in CATEGORIES}
+            self._buckets[index] = bucket
+        return bucket
+
+    def _cross(self, t: float, row: int) -> None:
+        b = int(t // self.interval)
+        if b <= self._cursor:
+            return
+        if self._last_net is not None:
+            snap = self.network.stats.snapshot()
+            delta = {k: snap[k] - self._last_net[k] for k in snap}
+            old = self._net_delta.get(self._cursor)
+            if old is not None:
+                for k, v in delta.items():
+                    old[k] += v
+            else:
+                self._net_delta[self._cursor] = delta
+            self._last_net = snap
+        self._crossings.append((row, self._cursor))
+        if self._engine is not None:
+            self._wheel_depth[b] = self._engine.queue_depth()
+        depths = {}
+        store = getattr(self.memsys, "store_buffers", None)
+        if store is not None:
+            depths["store_buffer"] = [len(sb._pending) for sb in store]
+        merge = getattr(self.memsys, "merge_buffers", None)
+        if merge is not None:
+            depths["merge_buffer"] = [len(mb) for mb in merge]
+        if depths:
+            self._depths[b] = depths
+        self._cursor = b
+        self._next_boundary = (b + 1) * self.interval
+
+    def _accrue_accesses(self, bucket: int) -> None:
+        acc = self._accesses.value
+        if acc != self._last_accesses:
+            cur = self._access_delta.get(bucket, 0)
+            self._access_delta[bucket] = cur + acc - self._last_accesses
+            self._last_accesses = acc
+
+    def _spread(self, proc: int, start: float, dur: float, cat: str, amount: float) -> None:
+        w = self.interval
+        b0 = int(start // w)
+        if dur > 0.0:
+            end = start + dur
+            b1 = int(end // w)
+            if b1 * w == end:
+                b1 -= 1
+            if b1 != b0:
+                rate = amount / dur
+                assigned = 0.0
+                for b in range(b0, b1):
+                    lo = start if b == b0 else b * w
+                    share = rate * ((b + 1) * w - lo)
+                    self._bucket(b)[cat][proc] += share
+                    assigned += share
+                self._bucket(b1)[cat][proc] += amount - assigned
+                return
+        self._bucket(b0)[cat][proc] += amount
+
+    def _fold(self, rows: list[tuple]) -> None:
+        w = self.interval
+        bucket = self._bucket
+        spread = self._spread
+        hist = self._latency
+        marks = self._crossings
+        marks.append((len(rows), -1))
+        it = iter(rows)
+        done = 0
+        for row_end, due in marks:
+            for row in islice(it, row_end - done):
+                kind = row[0]
+                if kind is BUSY:
+                    _, proc, start, cycles = row
+                    b0 = int(start // w)
+                    if start + cycles <= (b0 + 1) * w:
+                        bucket(b0)["busy"][proc] += cycles
+                    else:
+                        spread(proc, start, cycles, "busy", cycles)
+                elif kind is WAIT or kind is STALL:
+                    proc, start, cycles = row[1], row[2], row[3]
+                    cat = "sync_wait" if kind is WAIT else self._stall_category[row[4]]
+                    b0 = int(start // w)
+                    if cycles > 0.0:
+                        end = start + cycles
+                        b1 = int(end // w)
+                        if b1 * w == end:
+                            b1 -= 1
+                        if b1 != b0:
+                            spread(proc, start, cycles, cat, cycles)
+                            continue
+                    bucket(b0)[cat][proc] += cycles
+                elif kind is PHASE:
+                    self._phases.append((row[3], row[1], row[2]))
+                else:
+                    _, proc, target, issue, complete, rs, ws, bf, _, busy = row
+                    if target.__class__ is SyncPoint:
+                        self._sync_events.value += 1
+                    elif kind == "read_nb":
+                        continue
+                    if complete <= issue:
+                        continue
+                    latency = complete - issue
+                    self._accesses.value += 1
+                    hist.count += 1
+                    hist.sum += latency
+                    hist.counts[bisect_left(hist.bounds, latency)] += 1
+                    b0 = int(issue // w)
+                    if rs != 0.0 or ws != 0.0 or bf != 0.0:
+                        end = issue + latency
+                        b1 = int(end // w)
+                        if b1 * w == end:
+                            b1 -= 1
+                        if b0 == b1:
+                            cells = bucket(b0)
+                            for cat, amount in (
+                                ("busy", busy), ("read_stall", rs),
+                                ("write_stall", ws), ("buffer_flush", bf),
+                            ):
+                                if amount > 0.0:
+                                    cells[cat][proc] += amount
+                        else:
+                            for cat, amount in (
+                                ("busy", busy), ("read_stall", rs),
+                                ("write_stall", ws), ("buffer_flush", bf),
+                            ):
+                                if amount > 0.0:
+                                    spread(proc, issue, latency, cat, amount)
+                    elif complete <= (b0 + 1) * w:
+                        bucket(b0)["busy"][proc] += busy
+                    else:
+                        spread(proc, issue, latency, "busy", busy)
+            done = row_end
+            if due >= 0:
+                self._accrue_accesses(due)
+        marks.clear()
+
+    def totals(self) -> dict[str, float]:
+        self._log.flush()
+        out = dict.fromkeys(CATEGORIES, 0.0)
+        for bucket in self._buckets.values():
+            for cat in CATEGORIES:
+                out[cat] += sum(bucket[cat])
+        return out
+
+    def to_dict(self) -> dict:
+        self._log.flush()
+        self._accrue_accesses(self._cursor)
+        buckets = []
+        for index in sorted(self._buckets):
+            cells = self._buckets[index]
+            entry: dict = {
+                "index": index,
+                "t0": index * self.interval,
+                "t1": (index + 1) * self.interval,
+            }
+            for cat in CATEGORIES:
+                entry[cat] = list(cells[cat])
+            net = self._net_delta.get(index)
+            if net is not None:
+                entry["network"] = dict(net)
+            depths = self._depths.get(index)
+            if depths is not None:
+                entry["buffer_depth"] = depths
+            accesses = self._access_delta.get(index)
+            if accesses is not None:
+                entry["accesses"] = accesses
+            wheel = self._wheel_depth.get(index)
+            if wheel is not None:
+                entry["wheel_depth"] = wheel
+            buckets.append(entry)
+        return {
+            "schema": 1,
+            "interval": self.interval,
+            "nprocs": self.nprocs,
+            "categories": list(CATEGORIES),
+            "buckets": buckets,
+            "totals": self.totals(),
+            "counters": {
+                "accesses": self._accesses.value,
+                "sync_events": self._sync_events.value,
+            },
+            "latency_histogram": self._latency.to_dict(),
+            "phases": [
+                {"time": t, "proc": p, "label": label} for t, p, label in self._phases
+            ],
+        }

@@ -6,7 +6,7 @@ from repro.apps import Maxflow
 from repro.apps.base import Application, run_machine, run_on
 from repro.config import MachineConfig
 from repro.runtime import Machine
-from repro.runtime.primitives import compute, critical, fence
+from repro.runtime.primitives import compute, fence
 from repro.sim.events import Compute, Fence
 
 
@@ -38,10 +38,6 @@ class TestPrimitiveHelpers:
     def test_fence_helper(self):
         op = next(fence())
         assert isinstance(op, Fence)
-
-    def test_critical_is_documentation_only(self):
-        with pytest.raises(TypeError):
-            critical(None)
 
 
 class TestApplicationBase:

@@ -480,10 +480,9 @@ class TestSyncNaming:
         lid = sync.new_lock("mf.count_lock")
         bid = sync.new_barrier(2, name="phase")
         anon = sync.new_lock()  # anonymous: not in sync_names()
-        assert sync.sync_name("lock", lid) == "mf.count_lock"
-        assert sync.sync_name("barrier", bid) == "phase"
         names = sync.sync_names()
         assert names[("lock", lid)] == "mf.count_lock"
+        assert names[("barrier", bid)] == "phase"
         assert ("lock", anon) not in names
         # The shared pretty-printer renders the dynamic name the same way
         # the static pass labels the declaration.
