@@ -173,16 +173,6 @@ class Cholesky(Application):
             yield from self.pool.task_done()
 
     # ------------------------------------------------------------------
-    def computed_factor(self) -> np.ndarray:
-        """Dense lower-triangular L assembled from the shared array."""
-        l = np.zeros((self.n, self.n))
-        flat = self.lvals.snapshot()
-        for j, struct in enumerate(self.symbolic.col_struct):
-            base = self._colptr[j]
-            for k, i in enumerate(struct):
-                l[i, j] = flat[base + k]
-        return l
-
     def verify(self) -> None:
         """Check the factor by its residual: a positive diagonal and
         ``|A - L Lᵀ| <= RESIDUAL_TOL * max(diag A)`` at every position of

@@ -17,7 +17,7 @@ SPECIAL = 1
 class DirEntry:  # lint: hot
     """Directory state for one memory block."""
 
-    __slots__ = ("sharers", "owner", "mode", "avail_time", "last_writer", "write_count")
+    __slots__ = ("sharers", "owner", "mode", "avail_time", "last_writer")
 
     def __init__(self) -> None:
         #: Bitmask of processors holding a copy.
@@ -30,8 +30,6 @@ class DirEntry:  # lint: hot
         self.avail_time = 0.0
         #: z-machine: the processor whose write is the freshest.
         self.last_writer: int | None = None
-        #: Number of shared writes to this block (Table 1 accounting).
-        self.write_count = 0
 
     # -- presence-bit helpers ------------------------------------------
     def add_sharer(self, proc: int) -> None:
@@ -103,9 +101,6 @@ class Directory(dict[int, DirEntry]):  # lint: hot
         for block in self:
             counts[home_of(block)] += 1
         return counts
-
-    def total_writes(self) -> int:
-        return sum(e.write_count for e in self.values())
 
 
 class SharerTuples(dict[int, tuple[int, ...]]):  # lint: hot

@@ -94,7 +94,6 @@ class RCInv(BaseMemorySystem):
         cache = self.caches[proc]
         line = cache.lookup(block, now)
         entry = self.directory[block]
-        entry.write_count += 1
         if (
             line is not None
             and line.state == OWNED

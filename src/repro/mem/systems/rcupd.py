@@ -70,7 +70,6 @@ class RCUpd(BaseMemorySystem):
         block = addr // line_size
         word = (addr % line_size) // self.config.word_size
         entry = self.directory[block]
-        entry.write_count += 1
         # Write-validate: the writer keeps (or allocates) a local copy
         # without fetching; it is registered as a sharer so it receives
         # later updates from other writers.

@@ -34,7 +34,6 @@ class SCInv(BaseMemorySystem):
         block = addr // self.line_size
         line = self.caches[proc].lookup(block, now)
         entry = self.directory[block]
-        entry.write_count += 1
         if (
             line is not None
             and line.state == OWNED

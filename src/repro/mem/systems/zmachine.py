@@ -48,9 +48,12 @@ class ZMachine:
         self._sync_result = AccessResult(0.0)
         self.shared_writes = 0
         #: The latest ``avail_time`` any write has set: from this time on
-        #: no block has a write in flight, so every read is a hit.
-        #: :meth:`write` is the only writer of z-machine ``avail_time``.
-        self._settled = 0.0
+        #: no block has a write in flight, so every read is a hit that
+        #: changes nothing here.  :meth:`write` is the only writer of
+        #: z-machine ``avail_time``.  Declaring it lets the engine charge
+        #: those reads without calling :meth:`read`
+        #: (:class:`repro.sim.engine.MemorySystemProtocol`).
+        self.settled_horizon = 0.0
         #: Total cycles spent by data on the network (Table 1); almost all
         #: of it is hidden under computation.
         self.network_cycles = 0.0
@@ -66,7 +69,7 @@ class ZMachine:
         return self.config.home_node(block)
 
     def read(self, proc: int, addr: int, now: float) -> AccessResult:
-        if now >= self._settled:
+        if now >= self.settled_horizon:
             # Every write has landed: no block can stall this read.
             res = self._ok_result
             res.time = now + self._hit_cycles
@@ -90,13 +93,12 @@ class ZMachine:
         self.shared_writes += 1
         # Indexing creates the entry on first use (Directory.__missing__).
         entry = self.directory[addr // self.line_size]
-        entry.write_count += 1
         latency = self.latency
         avail = now + latency
         if avail > entry.avail_time:
             entry.avail_time = avail
-            if avail > self._settled:
-                self._settled = avail
+            if avail > self.settled_horizon:
+                self.settled_horizon = avail
         entry.last_writer = proc
         self.network_cycles += latency
         stats = self.network.stats

@@ -100,21 +100,6 @@ class CentralQueue:
         yield lock.release_op
         return int(task)
 
-    def put_nolock(self, task: int) -> Generator[Op, None, None]:
-        """Append while the caller already holds :attr:`lock`."""
-        trd, twr, tbase, _, tdata = self._tail
-        _, swr, sbase, sword, sdata = self._slots
-        trd.addr = tbase
-        yield trd
-        tail = tdata[0]
-        i = int(tail) % self.capacity
-        swr.addr = sbase + i * sword
-        yield swr
-        sdata[i] = task
-        twr.addr = tbase
-        yield twr
-        tdata[0] = tail + 1
-
 
 class TaskPool:
     """Central queue + termination detection via an outstanding-task count.

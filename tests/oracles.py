@@ -56,6 +56,18 @@ def reference_cholesky(a: SparseSPD) -> np.ndarray:
     return np.linalg.cholesky(a.dense())
 
 
+def cholesky_factor(app) -> np.ndarray:
+    """Dense lower-triangular L that a finished ``Cholesky`` run left in
+    its shared ``lvals`` array."""
+    l = np.zeros((app.n, app.n))
+    flat = app.lvals.snapshot()
+    for j, struct in enumerate(app.symbolic.col_struct):
+        base = app._colptr[j]
+        for k, i in enumerate(struct):
+            l[i, j] = flat[base + k]
+    return l
+
+
 def min_latency(net: RoutedNetwork, src: int, dst: int, nbytes: int) -> float:
     """Zero-load latency of an ``nbytes`` message from ``src`` to ``dst``:
     a router delay per hop, then the serialisation time."""

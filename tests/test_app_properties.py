@@ -14,7 +14,7 @@ from repro.config import MachineConfig
 from repro.apps import BarnesHut, Cholesky, IntegerSort, Maxflow
 from repro.apps.base import run_on
 from repro.workloads.matrices import random_spd
-from tests.oracles import reference_cholesky, reference_max_flow
+from tests.oracles import cholesky_factor, reference_cholesky, reference_max_flow
 
 SLOW = settings(
     max_examples=10,
@@ -48,7 +48,7 @@ def test_is_ranks_always_correct(n_keys, nbuckets, nprocs, system, seed):
 def test_cholesky_factor_always_correct(rows, cols, nprocs, system):
     app = Cholesky(grid=(rows, cols))
     run_on(app, system, MachineConfig(nprocs=nprocs))
-    assert np.allclose(app.computed_factor(), reference_cholesky(app.a), rtol=1e-8, atol=1e-8)
+    assert np.allclose(cholesky_factor(app), reference_cholesky(app.a), rtol=1e-8, atol=1e-8)
 
 
 @SLOW
@@ -60,7 +60,7 @@ def test_cholesky_factor_always_correct(rows, cols, nprocs, system):
 def test_cholesky_random_spd(n, density, seed):
     app = Cholesky(matrix=random_spd(n, density=density, seed=seed))
     run_on(app, "RCinv", MachineConfig(nprocs=4))
-    assert np.allclose(app.computed_factor(), reference_cholesky(app.a), rtol=1e-8, atol=1e-8)
+    assert np.allclose(cholesky_factor(app), reference_cholesky(app.a), rtol=1e-8, atol=1e-8)
 
 
 @SLOW

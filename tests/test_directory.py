@@ -12,7 +12,6 @@ class TestDirEntry:
         assert e.sharers == 0
         assert e.owner is None
         assert e.mode == NORMAL
-        assert e.write_count == 0
 
     def test_add_remove_sharer(self):
         e = DirEntry()
@@ -85,18 +84,12 @@ class TestDirectory:
         d.entry(9)
         assert sorted(d.blocks()) == [2, 9]
 
-    def test_total_writes(self):
-        d = Directory()
-        d.entry(0).write_count = 3
-        d.entry(1).write_count = 4
-        assert d.total_writes() == 7
-
     def test_peek_never_creates_an_entry(self):
         d = Directory()
         assert d.peek(5) is None
         assert 5 not in d
         assert len(d) == 0
-        d[3].write_count = 1
+        d[3]
         assert d.peek(5) is None
         assert d.blocks() == [3]
 
@@ -113,13 +106,6 @@ class TestDirectory:
             d[block]
         d.peek(7)  # a peek is not a directory entry
         assert d.blocks_by_home(lambda b: b % 4, 4) == [2, 3, 0, 0]
-
-    def test_total_writes_counts_indexed_entries(self):
-        d = Directory()
-        d[0].write_count = 3
-        d.entry(1).write_count = 4
-        d[2]
-        assert d.total_writes() == 7
 
 
 class TestSharerTuples:

@@ -216,11 +216,8 @@ def test_primitive_op_stream():
     expected += [("Acquire", ql), ("Read", qt), ("Read", qh), ("Release", ql)]
     got.append(_drive(q.get(), out))
     expected += get(0)
-    _drive(q.lock.acquire(), out)
-    _drive(q.put_nolock(11), out)
-    _drive(q.lock.release(), out)
-    expected += [("Acquire", ql), ("Read", qt), ("Write", q.slots.addr(0)),
-                 ("Write", qt), ("Release", ql)]
+    _drive(q.put(11), out)
+    expected += put(0)
     for _ in range(3):
         got.append(_drive(q.get(), out))
     expected += get(1) + get(0) + [("Acquire", ql), ("Read", qh), ("Read", qt),
