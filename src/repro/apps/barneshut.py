@@ -75,9 +75,11 @@ class _StepForces:
 #: no simulated timing — every processor still yields the same
 #: ``Compute(cost)`` — and a divergent (racy) run produces a different
 #: key and falls back to a fresh computation.  Trees are not kept here:
-#: each entry holds only numbers.
+#: each entry holds only numbers.  One entry per time step: the bound
+#: covers the longest preset run (``paper``: 50 steps), so a study's
+#: next system, which starts again from step 0, finds every step.
 _FORCE_MEMO: dict[tuple, _StepForces] = {}
-_FORCE_MEMO_MAX = 16
+_FORCE_MEMO_MAX = 64
 
 
 def _force_memo_for(xs, ys, ms, theta: float, eps: float) -> _StepForces:
@@ -86,8 +88,8 @@ def _force_memo_for(xs, ys, ms, theta: float, eps: float) -> _StepForces:
     memo = _FORCE_MEMO.get(key)
     if memo is None:
         if len(_FORCE_MEMO) >= _FORCE_MEMO_MAX:
-            # FIFO eviction: steps are visited in order, old states never
-            # recur, so the oldest entry is always the dead one.
+            # FIFO eviction, oldest step first; the bound keeps every
+            # step of a preset run resident.
             del _FORCE_MEMO[next(iter(_FORCE_MEMO))]
         memo = _FORCE_MEMO[key] = _StepForces()
     return memo

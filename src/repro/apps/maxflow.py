@@ -323,9 +323,6 @@ class Maxflow(Application):
         return True
 
     # ------------------------------------------------------------------
-    def flow_value(self) -> int:
-        return int(self.excess.peek(self.net.sink))
-
     def verify(self) -> None:
         """Check the flow's invariants, then its max-flow/min-cut
         certificate: no residual path from source to sink, and a flow

@@ -117,10 +117,6 @@ class StoreBuffer:  # lint: hot
         self._pending.clear()
         return done, done - now
 
-    @property
-    def last_retire(self) -> float:
-        return self._last_retire
-
 
 class MergeEntry:  # lint: hot
     """An open merge-buffer line: which words of a block are dirty.

@@ -71,12 +71,6 @@ class Cache:  # lint: hot
 
         Applies any pending invalidation whose arrival time has passed,
         and refreshes LRU recency on a hit.
-
-        Inlined copies of this exact sequence against ``_lines`` — keep
-        them in lockstep with any change here: ``RCInv.read``,
-        ``RCUpd.read`` and ``RCAdapt.read``.  Without the invalidation
-        and LRU steps (a :meth:`peek`), ``_lines.get`` is also inlined in
-        ``BaseMemorySystem._ownership_transaction``.
         """
         line = self._lines.get(block)
         if line is None:
@@ -123,6 +117,3 @@ class Cache:  # lint: hot
     def drop(self, block: int) -> None:
         """Remove a line immediately (e.g. on self-invalidation)."""
         self._lines.pop(block, None)
-
-    def blocks(self) -> list[int]:
-        return list(self._lines)

@@ -32,32 +32,11 @@ class DirEntry:  # lint: hot
         self.last_writer: int | None = None
 
     # -- presence-bit helpers ------------------------------------------
-    def add_sharer(self, proc: int) -> None:
-        self.sharers |= 1 << proc
-
     def remove_sharer(self, proc: int) -> None:
         self.sharers &= ~(1 << proc)
 
     def is_sharer(self, proc: int) -> bool:
         return bool(self.sharers >> proc & 1)
-
-    def sharer_list(self, exclude: int | None = None) -> list[int]:
-        out = []
-        bits = self.sharers
-        proc = 0
-        while bits:
-            if bits & 1 and proc != exclude:
-                out.append(proc)
-            bits >>= 1
-            proc += 1
-        return out
-
-    def num_sharers(self) -> int:
-        return self.sharers.bit_count()
-
-    def clear(self) -> None:
-        self.sharers = 0
-        self.owner = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -107,9 +86,8 @@ class SharerTuples(dict[int, tuple[int, ...]]):  # lint: hot
     """presence mask -> ascending tuple of the processors it names.
 
     Filled on first use of each mask.  ``sharers[mask & ~(1 << p)]``
-    equals ``DirEntry.sharer_list(exclude=p)`` for that mask, as a
-    tuple that the fan-out paths share instead of building a list per
-    coherence transaction.
+    names every sharer but ``p``, as a tuple that the fan-out paths
+    share instead of building a list per coherence transaction.
     """
 
     __slots__ = ()

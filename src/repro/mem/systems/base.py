@@ -248,7 +248,7 @@ class BaseMemorySystem:
         # Grant (with data if the requester lacks the line); the home does
         # not wait for acks before granting in the pipelined mode.
         cache = self.caches[proc]
-        line = cache._lines.get(block)
+        line = cache.peek(block)
         grant = net.transfer(home, proc, 0 if line is not None else self.line_size, t)
         entry.owner = proc
         entry.sharers = 1 << proc

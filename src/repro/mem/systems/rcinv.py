@@ -36,19 +36,7 @@ class RCInv(BaseMemorySystem):
     def read(self, proc: int, addr: int, now: float) -> AccessResult:
         cfg = self.config
         block = addr // self.line_size
-        cache = self.caches[proc]
-        # Inlined Cache.lookup (see its docstring): lazy invalidation +
-        # LRU refresh, without the per-read method call.
-        lines = cache._lines
-        line = lines.get(block)
-        if line is not None:
-            inval = line.inval_at
-            if inval is not None and now >= inval:
-                del lines[block]
-                line = None
-            elif cache.capacity is not None:
-                del lines[block]
-                lines[block] = line
+        line = self.caches[proc].lookup(block, now)
         if line is not None:
             if line.ready_at > 0.0:
                 # First touch of a prefetched line: stall for whatever of
@@ -63,9 +51,8 @@ class RCInv(BaseMemorySystem):
             res = self._hit_result
             res.time = now + self._hit_cycles
             return res
-        if block in self.store_buffers[proc]._pending_blocks:
-            # Forward the value from the processor's own store buffer
-            # (inlined StoreBuffer.has_pending).
+        if self.store_buffers[proc].has_pending(block):
+            # Forward the value from the processor's own store buffer.
             res = self._hit_result
             res.time = now + self._hit_cycles
             return res
@@ -107,7 +94,7 @@ class RCInv(BaseMemorySystem):
             res.time = now + self._hit_cycles
             return res
         sb = self.store_buffers[proc]
-        if block in sb._pending_blocks:
+        if sb.has_pending(block):
             # Ownership already being acquired for this block: coalesce.
             res = self._hit_result
             res.time = now + self._hit_cycles

@@ -34,29 +34,14 @@ class RCUpd(BaseMemorySystem):
     # ------------------------------------------------------------------
     def read(self, proc: int, addr: int, now: float) -> AccessResult:
         block = addr // self.line_size
-        cache = self.caches[proc]
-        # Inlined Cache.lookup (see its docstring): lazy invalidation +
-        # LRU refresh, without the per-read method call.
-        lines = cache._lines
-        line = lines.get(block)
+        line = self.caches[proc].lookup(block, now)
         if line is not None:
-            inval = line.inval_at
-            if inval is not None and now >= inval:
-                del lines[block]
-            else:
-                if cache.capacity is not None:
-                    del lines[block]
-                    lines[block] = line
-                line.updates_since_read = 0
-                res = self._hit_result
-                res.time = now + self._hit_cycles
-                return res
-        if (
-            block in self.merge_buffers[proc]._open
-            or block in self.store_buffers[proc]._pending_blocks
-        ):
-            # Forwarded from the merge or store buffer (inlined
-            # MergeBuffer.has / StoreBuffer.has_pending).
+            line.updates_since_read = 0
+            res = self._hit_result
+            res.time = now + self._hit_cycles
+            return res
+        if self.merge_buffers[proc].has(block) or self.store_buffers[proc].has_pending(block):
+            # Forwarded from the merge or store buffer.
             res = self._hit_result
             res.time = now + self._hit_cycles
             return res

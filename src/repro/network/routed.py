@@ -51,13 +51,19 @@ class RoutedNetwork(Network):
         #: Link degradation (see :meth:`degrade_link`).  ``_slow_pairs``
         #: maps a *directed* link to its (latency, bandwidth) factors;
         #: ``_lat_f`` / ``_bw_f`` are the per-link-id tables the degraded
-        #: transfer path indexes.  ``_degraded`` stays False until
-        #: ``degrade_link`` is called, so the undegraded hot paths cost
-        #: one boolean check and nothing else.
+        #: transfer path indexes.
         self._slow_pairs: dict[tuple[int, int], tuple[float, float]] = {}
         self._lat_f: list[float] = []
         self._bw_f: list[float] = []
-        self._degraded = False
+        #: Send every message through the generic paths:
+        #: :meth:`_transfer_degraded` and :meth:`Network.fanout` instead
+        #: of the fused fast ones.  Two callers set it: ``degrade_link``,
+        #: because only the generic paths apply link factors, and
+        #: :func:`repro.sim.reference.use_reference_engine`, so the
+        #: reference run checks the fused paths against their generic
+        #: twins (bit-identical at factor 1.0).  While it is False the
+        #: hot paths cost one boolean check and nothing else.
+        self._generic = False
 
     def serialisation_time(self, nbytes: int) -> float:
         return (nbytes + self.header_bytes) * self.cycles_per_byte
@@ -104,10 +110,10 @@ class RoutedNetwork(Network):
             if lid is not None:
                 self._lat_f[lid] = latency_factor
                 self._bw_f[lid] = bandwidth_factor
-        self._degraded = True
+        self._generic = True
 
     def transfer(self, src: int, dst: int, nbytes: int, start: float) -> float:
-        if self._degraded:
+        if self._generic:
             return self._transfer_degraded(src, dst, nbytes, start)
         stats = self.stats
         if src == dst:
@@ -187,7 +193,7 @@ class RoutedNetwork(Network):
         # float-summed counters are bit-identical.  on_arrival may inject
         # traffic itself; that is safe because the hoisted link/stats
         # containers are the same mutable objects transfer() uses.
-        if self._degraded:
+        if self._generic:
             # The generic helper routes everything through transfer(),
             # which applies the per-link factors; it is documented above
             # to be bit-identical to this fused loop.
@@ -256,20 +262,6 @@ class RoutedNetwork(Network):
             if ack > ack_done:
                 ack_done = ack
         return arrivals, ack_done
-
-    def multicast(
-        self, src: int, dsts: list[int], nbytes: int, start: float
-    ) -> dict[int, float]:
-        # Same serialised-unicast model as Network.multicast with the
-        # serialisation time hoisted out of the fan-out loop.
-        arrivals: dict[int, float] = {}
-        inject = start
-        ser = (nbytes + self.header_bytes) * self.cycles_per_byte
-        transfer = self.transfer
-        for dst in dsts:
-            arrivals[dst] = transfer(src, dst, nbytes, inject)
-            inject += ser
-        return arrivals
 
     def reset(self) -> None:
         """Clear link reservations and statistics."""

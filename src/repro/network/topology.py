@@ -25,9 +25,6 @@ class Topology:
         """Directed links traversed from ``src`` to ``dst``."""
         raise NotImplementedError
 
-    def hops(self, src: int, dst: int) -> int:
-        return len(self.route(src, dst))
-
     def links(self) -> tuple[Link, ...]:
         """All directed links in the topology, in sorted order.
 

@@ -320,18 +320,6 @@ class AttributionCollector(LogView):
         self._log.flush()
         return self._phase_marks
 
-    def proc_totals(self) -> dict[str, list[float]]:
-        """Per-processor attributed totals, bit-identical to ProcStats."""
-        self._log.flush()
-        return {
-            cat: [self._acc[p][i] for p in range(self.nprocs)]
-            for i, cat in enumerate(OVERHEAD_CATEGORIES)
-        }
-
-    def phase_name(self, phase_id: int) -> str:
-        self._log.flush()
-        return self._phase_names[phase_id]
-
 
 # ---------------------------------------------------------------------------
 # block naming

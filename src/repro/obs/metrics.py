@@ -70,9 +70,6 @@ class Counter:
         self.name = name
         self.value = 0
 
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
 
 class Histogram:
     """Fixed-bound histogram (Prometheus ``le`` style, plus overflow)."""

@@ -89,10 +89,6 @@ class SharedMemory:
         self._ends.append(arr.base + arr.n * arr._word)
         return arr
 
-    @property
-    def bytes_allocated(self) -> int:
-        return self._next_addr
-
     # -- address -> array ----------------------------------------------
     def array_at(self, addr: int) -> SharedArray | None:
         """The array holding byte ``addr``, or None (padding, unallocated)."""

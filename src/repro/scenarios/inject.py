@@ -106,16 +106,6 @@ class Degradation:
         """Whether the engine's Compute path must consult this spec."""
         return bool(self.node_cpu) or self.burst_period > 0.0
 
-    @property
-    def is_neutral(self) -> bool:
-        """Whether every knob is an exact identity (bit-identical runs)."""
-        return (
-            all(f == 1.0 for _, f in self.node_cpu)
-            and all(f == 1.0 for _, f in self.node_mem)
-            and all(lf == 1.0 and bf == 1.0 for _, _, lf, bf in self.links)
-            and (self.burst_period == 0.0 or self.burst_factor == 1.0)
-        )
-
     def validate_for(self, nprocs: int) -> None:
         """Raise if any node id falls outside ``0..nprocs-1``."""
         for name, entries in (("node_cpu", self.node_cpu), ("node_mem", self.node_mem)):

@@ -43,6 +43,12 @@ Equivalence notes (why this simpler loop is bit-identical):
   all stall fields 0.0 the general decomposition used here computes the
   same bits (``x - 0.0 == x`` and ``x + 0.0 == x`` for the non-negative
   accumulators involved).
+* Settled reads: the production loop charges a z-machine read at or
+  past ``settled_horizon`` without calling ``read``; this loop calls
+  ``read`` for every read, which applies only the per-block rule.
+* Network: :func:`use_reference_engine` also sends a routed network's
+  messages through its generic paths, which are bit-identical to the
+  fused ones at link factor 1.0.
 
 This module also hosts the observable-outcome capture that the golden
 fixture and the fuzz harness share (:data:`PROC_FIELDS`,
@@ -57,6 +63,7 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from ..config import MachineConfig
+from ..network.routed import RoutedNetwork
 from .engine import DeadlockError
 from .events import (
     Acquire,
@@ -467,12 +474,16 @@ def use_reference_engine(machine: "Machine") -> ReferenceEngine:
     spawns); before or after ``app.setup`` and the observers' ``attach``
     alike.  Construction rebinds the sync manager to the new engine, so
     wakes route to the reference heap, and the new engine keeps any
-    observer already attached.
+    observer already attached.  A routed network is switched to its
+    generic paths (no fused ``transfer`` or ``fanout``), so the
+    reference run also checks the network's fast paths.
     """
     old = machine.engine
     ref = ReferenceEngine(old.config, old.memsys, old.syncmgr, max_ops=old.max_ops)
     ref.observer = old.observer
     machine.engine = ref
+    if isinstance(machine.network, RoutedNetwork):
+        machine.network._generic = True
     return ref
 
 

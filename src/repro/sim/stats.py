@@ -142,15 +142,13 @@ class AccessResult:  # lint: hot
 
     Hand-written slotted class rather than a dataclass: one of these is
     built for (almost) every shared access, so construction cost is part
-    of the simulator's per-event floor.  ``extra`` defaults to ``None``
-    instead of a fresh dict — no current producer populates it, and the
-    allocation showed up in profiles.  Memory systems may reuse a single
+    of the simulator's per-event floor.  Memory systems may reuse a single
     instance for stall-free hits (see ``BaseMemorySystem._hit``);
     consumers must therefore read the fields before the next access on
     the same system, or copy (the engine copies for ``ReadNB``).
     """
 
-    __slots__ = ("time", "read_stall", "write_stall", "buffer_flush", "hit", "extra")
+    __slots__ = ("time", "read_stall", "write_stall", "buffer_flush", "hit")
 
     def __init__(
         self,
@@ -159,20 +157,18 @@ class AccessResult:  # lint: hot
         write_stall: float = 0.0,
         buffer_flush: float = 0.0,
         hit: bool = False,
-        extra: dict | None = None,
     ):
         self.time = time
         self.read_stall = read_stall
         self.write_stall = write_stall
         self.buffer_flush = buffer_flush
         self.hit = hit
-        self.extra = extra
 
     def __repr__(self) -> str:
         return (
             f"AccessResult(time={self.time!r}, read_stall={self.read_stall!r}, "
             f"write_stall={self.write_stall!r}, buffer_flush={self.buffer_flush!r}, "
-            f"hit={self.hit!r}, extra={self.extra!r})"
+            f"hit={self.hit!r})"
         )
 
     def __eq__(self, other: object) -> bool:
@@ -184,5 +180,4 @@ class AccessResult:  # lint: hot
             and self.write_stall == other.write_stall
             and self.buffer_flush == other.buffer_flush
             and self.hit == other.hit
-            and self.extra == other.extra
         )

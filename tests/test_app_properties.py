@@ -14,7 +14,7 @@ from repro.config import MachineConfig
 from repro.apps import BarnesHut, Cholesky, IntegerSort, Maxflow
 from repro.apps.base import run_on
 from repro.workloads.matrices import random_spd
-from tests.oracles import cholesky_factor, reference_cholesky, reference_max_flow
+from tests.oracles import cholesky_factor, flow_value, reference_cholesky, reference_max_flow
 
 SLOW = settings(
     max_examples=10,
@@ -86,4 +86,4 @@ def test_barneshut_matches_reference(n_bodies, steps, boost, system, seed):
 def test_maxflow_matches_networkx(n, extra, nprocs, seed):
     app = Maxflow(n=n, extra_edges=extra, seed=seed)
     run_on(app, "RCinv", MachineConfig(nprocs=nprocs))
-    assert app.flow_value() == reference_max_flow(app.net)
+    assert flow_value(app) == reference_max_flow(app.net)

@@ -38,6 +38,7 @@ from repro.obs.attrib import (
 )
 from repro.obs.timeline import attribution_to_perfetto
 from repro.runtime.context import Machine
+from tests.oracles import attributed_totals
 
 FIXTURE = Path(__file__).parent / "fixtures" / "attrib_golden.json"
 
@@ -81,7 +82,7 @@ def _report(app_name: str, system: str) -> dict:
 def test_attribution_exact_bit_for_bit(app_name, system):
     """Per-proc per-category attributed cycles == ProcStats, with ==."""
     report, result, collector = _run(app_name, system)
-    totals = collector.proc_totals()
+    totals = attributed_totals(collector)
     for cat in OVERHEAD_CATEGORIES:
         for p, proc in enumerate(result.procs):
             assert totals[cat][p] == getattr(proc, cat), (
@@ -225,7 +226,7 @@ def test_block_span_name_matches_a_scan_of_every_array():
         shm.array(1, name="one")
         shm.array(20, name="padded", align_line=True, pad_to_line=True)
         shm.array(7, name="c")
-        blocks = list(range(shm.bytes_allocated // line + 3))
+        blocks = list(range(shm._next_addr // line + 3))
         scan = [_scan_span_name(shm, line, block) for block in blocks]
         assert any(span.startswith("block:") for span, _ in scan)
         assert ("+" in "".join(span for span, _ in scan)) == (line == 32)
@@ -279,7 +280,7 @@ def test_startup_phase_and_per_proc_phase_switching():
     c.on_phase(0, 1.0, "work")
     access("read", 0, 64, 2.0)   # proc 0, now in "work"
     access("read", 1, 0, 3.0)    # proc 1 never saw a marker
-    totals = c.proc_totals()     # reading folds the rows fed so far
+    totals = attributed_totals(c)     # reading folds the rows fed so far
     # (phase_id, block): proc 0 and proc 1's startup reads share a cell
     cells = {
         (pid, block): n
@@ -287,12 +288,11 @@ def test_startup_phase_and_per_proc_phase_switching():
     }
     assert set(cells) == {(0, 0), (1, 2)}
     assert cells[(0, 0)] == 2     # two startup accesses to block 0
-    assert c.phase_name(0) == "(startup)"
-    assert c.phase_name(1) == "work"
+    assert c._phase_names == ["(startup)", "work"]
     assert totals["read_stall"] == [10.0, 5.0, 0.0, 0.0]
     # the stall-free write flyweight took the count-only fast path
     access("write", 2, 0, 4.0)
-    assert totals == c.proc_totals()
+    assert totals == attributed_totals(c)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.config import MachineConfig
 from repro.obs.attrib import DIMENSIONS, UNCHARGED_ROW, AttributionCollector, build_report
 from repro.sim.stats import AccessResult, ProcStats, SimResult, SyncPoint
 
-from .oracles import reference_attribution
+from .oracles import attributed_totals, reference_attribution
 
 NPROCS = 3
 LINE = 4
@@ -89,7 +89,7 @@ def _report(calls) -> dict:
             _, _, kind, target, rs, ws, bf = call
             res = AccessResult(t + rs + ws + bf, read_stall=rs, write_stall=ws, buffer_flush=bf)
             collector.on_access(proc, kind, target, float(t), res, 0.0)
-    totals = collector.proc_totals()
+    totals = attributed_totals(collector)
     procs = [
         ProcStats(
             read_stall=totals["read_stall"][p], write_stall=totals["write_stall"][p],

@@ -14,7 +14,8 @@ import pytest
 
 from repro.apps import barneshut
 from repro.apps.base import run_machine
-from repro.apps.presets import preset
+from repro.apps.factory import AppFactory
+from repro.apps.presets import SCALES, preset
 from repro.config import MachineConfig
 from repro.sim.observer import Observer, subscribe
 from repro.sim.reference import capture_outcome
@@ -90,3 +91,24 @@ def test_missing_owned_force_builds_the_tree(builds):
     assert built == 1
     assert again == cold
     assert 5 in entry.forces
+
+
+def test_memo_bound_covers_every_preset_run():
+    longest = max(preset(scale)["Nbody"][0]().steps for scale in SCALES)
+    assert barneshut._FORCE_MEMO_MAX >= longest
+
+
+def test_second_system_builds_no_tree_past_sixteen_steps(builds):
+    # More steps than the memo's former bound of 16: a FIFO memo that
+    # small evicts step 0 before the next system asks for it.
+    factory = AppFactory("Nbody", n_bodies=16, steps=20, boost_interval=5)
+    config = MachineConfig(nprocs=4)
+    outcomes = []
+    for system, trees in (("z-mc", 20), ("RCinv", 0), ("z-mc", 0)):
+        builds[0] = 0
+        app = factory()
+        machine, result, *_ = run_machine(app, system, config, verify=False)
+        assert builds[0] == trees, system
+        app.verify()
+        outcomes.append(json.dumps(capture_outcome(machine, result), sort_keys=True))
+    assert outcomes[2] == outcomes[0]

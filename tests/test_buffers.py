@@ -21,7 +21,7 @@ class TestStoreBuffer:
         sb = StoreBuffer(4)
         sb.push(0.0, const_service(100), 0, 0)  # retires at 100
         sb.push(0.0, const_service(100), 0, 0)  # starts at 100, retires at 200
-        assert sb.last_retire == pytest.approx(200.0)
+        assert sb.flush(0.0) == (200.0, 200.0)
 
     def test_full_buffer_stalls_until_oldest_retires(self):
         sb = StoreBuffer(2)

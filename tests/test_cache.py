@@ -46,7 +46,7 @@ class TestBasics:
         c = Cache()
         c.insert(3, SHARED)
         c.insert(7, SHARED)
-        assert sorted(c.blocks()) == [3, 7]
+        assert len(c) == 2 and 3 in c and 7 in c and 5 not in c
 
 
 class TestTimestampedInvalidation:

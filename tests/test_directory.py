@@ -15,20 +15,14 @@ class TestDirEntry:
 
     def test_add_remove_sharer(self):
         e = DirEntry()
-        e.add_sharer(3)
-        e.add_sharer(5)
+        e.sharers |= 1 << 3
+        e.sharers |= 1 << 5
         assert e.is_sharer(3)
         assert e.is_sharer(5)
         assert not e.is_sharer(4)
         e.remove_sharer(3)
         assert not e.is_sharer(3)
         assert e.is_sharer(5)
-
-    def test_add_idempotent(self):
-        e = DirEntry()
-        e.add_sharer(2)
-        e.add_sharer(2)
-        assert e.num_sharers() == 1
 
     def test_remove_missing_is_noop(self):
         e = DirEntry()
@@ -38,27 +32,18 @@ class TestDirEntry:
     def test_sharer_list_sorted(self):
         e = DirEntry()
         for p in (9, 1, 4):
-            e.add_sharer(p)
-        assert e.sharer_list() == [1, 4, 9]
+            e.sharers |= 1 << p
+        assert SharerTuples()[e.sharers] == (1, 4, 9)
 
     def test_sharer_list_exclude(self):
         e = DirEntry()
-        for p in (0, 1, 2):
-            e.add_sharer(p)
-        assert e.sharer_list(exclude=1) == [0, 2]
+        e.sharers = 0b111
+        assert SharerTuples()[e.sharers & ~(1 << 1)] == (0, 2)
 
     def test_num_sharers(self):
         e = DirEntry()
-        for p in range(16):
-            e.add_sharer(p)
-        assert e.num_sharers() == 16
-
-    def test_clear(self):
-        e = DirEntry()
-        e.add_sharer(1)
-        e.owner = 1
-        e.clear()
-        assert e.sharers == 0 and e.owner is None
+        e.sharers = (1 << 16) - 1
+        assert len(SharerTuples()[e.sharers]) == 16
 
     def test_mode_transitions(self):
         e = DirEntry()
@@ -114,11 +99,10 @@ class TestSharerTuples:
     def test_cached_tuple_matches_sharer_list(self, data, nprocs):
         mask = data.draw(st.integers(0, (1 << nprocs) - 1), label="mask")
         proc = data.draw(st.integers(0, nprocs - 1), label="proc")
-        e = DirEntry()
-        e.sharers = mask
+        members = [p for p in range(nprocs) if mask >> p & 1]
         sharers = SharerTuples()
-        assert sharers[mask & ~(1 << proc)] == tuple(e.sharer_list(exclude=proc))
-        assert sharers[mask] == tuple(e.sharer_list())
+        assert sharers[mask & ~(1 << proc)] == tuple(p for p in members if p != proc)
+        assert sharers[mask] == tuple(members)
 
     def test_cached_tuple_is_shared(self):
         sharers = SharerTuples()

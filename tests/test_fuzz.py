@@ -235,6 +235,49 @@ def test_perturbing_observer_is_caught_and_kept_by_the_shrinker(monkeypatch):
     assert shrunk.observers == ("metrics",)
 
 
+def test_fused_fanout_fault_is_caught(monkeypatch):
+    # RCcomp's update callback injects traffic, so routing each ack
+    # before its on_arrival moves the timing.  Only the fused fan-out
+    # gets the fault: the reference run takes the generic one.
+    from repro.network.routed import RoutedNetwork
+
+    fused = RoutedNetwork.fanout
+
+    def acks_first(self, src, dsts, nbytes, start, on_arrival=None):
+        if self._generic or on_arrival is None:
+            return fused(self, src, dsts, nbytes, start, on_arrival)
+        delivered = []
+        out = fused(self, src, dsts, nbytes, start, lambda d, a: delivered.append((d, a)))
+        for dst, arr in delivered:
+            on_arrival(dst, arr)
+        return out
+
+    monkeypatch.setattr(RoutedNetwork, "fanout", acks_first)
+    draw = _draw(app="Cholesky", kwargs={"grid": (3, 3)}, system="RCcomp", nprocs=4)
+    detail = oracle_reference(draw)
+    assert detail is not None and "wheel=" in detail and "reference=" in detail
+
+
+def test_lagging_settled_horizon_is_caught(monkeypatch):
+    # A horizon one latency short of the latest write lets the engine
+    # answer still-stalling reads as hits; the reference run asks the
+    # z-machine's per-block rule instead.
+    from repro.mem.systems.zmachine import ZMachine
+
+    write = ZMachine.write
+
+    def lagging(self, proc, addr, now):
+        before = self.settled_horizon
+        res = write(self, proc, addr, now)
+        if self.settled_horizon != before:
+            self.settled_horizon -= self.latency
+        return res
+
+    monkeypatch.setattr(ZMachine, "write", lagging)
+    detail = oracle_reference(_draw(app="RacyDemo", kwargs={"rounds": 1}, system="z-mc"))
+    assert detail is not None and "total_time" in detail
+
+
 # ---------------------------------------------------------------------------
 # shrinker
 

@@ -35,6 +35,7 @@ from repro.obs.metrics import MetricsCollector
 from repro.sim import trace
 from repro.sim.stats import AccessResult, SyncPoint
 from repro.sim.trace import EventLog, TracingMemory
+from tests.oracles import attributed_totals
 
 #: (app, system, scale, tracer max_events): each bound is below the
 #: cell's event count.
@@ -190,7 +191,7 @@ def test_directly_built_views_take_the_five_callbacks():
         "sync_wait": 2.0,
     }
     assert metrics.to_dict()["counters"] == {"accesses": 2, "sync_events": 1}
-    assert attrib.proc_totals() == {
+    assert attributed_totals(attrib) == {
         "read_stall": [6.0, 0.0], "write_stall": [0.0, 3.0], "buffer_flush": [0.0, 4.0],
     }
     assert attrib.phase_marks == [(0.0, 0, "work")]

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import MachineConfig
 from repro.mem.buffers import MergeBuffer, StoreBuffer
-from repro.mem.directory import DirEntry
+from repro.mem.directory import DirEntry, SharerTuples
 from repro.network.routed import RoutedNetwork
 from repro.network.topology import Hypercube, Mesh2D, Ring, Torus2D
 from repro.runtime import Machine
-from tests.oracles import min_latency
+from tests.oracles import hops, min_latency
 
 
 # ----------------------------------------------------------------------
@@ -37,7 +37,7 @@ def test_torus_never_longer_than_mesh(rows, cols, data):
     t, m = Torus2D(rows, cols), Mesh2D(rows, cols)
     s = data.draw(st.integers(0, rows * cols - 1))
     d = data.draw(st.integers(0, rows * cols - 1))
-    assert t.hops(s, d) <= m.hops(s, d)
+    assert hops(t, s, d) <= hops(m, s, d)
 
 
 @given(n=st.integers(2, 16), data=st.data())
@@ -45,7 +45,7 @@ def test_ring_route_at_most_half(n, data):
     r = Ring(n)
     s = data.draw(st.integers(0, n - 1))
     d = data.draw(st.integers(0, n - 1))
-    assert r.hops(s, d) <= n // 2
+    assert hops(r, s, d) <= n // 2
 
 
 @given(bits=st.integers(1, 5), data=st.data())
@@ -53,7 +53,7 @@ def test_hypercube_routes_symmetric_length(bits, data):
     h = Hypercube(1 << bits)
     s = data.draw(st.integers(0, h.nnodes - 1))
     d = data.draw(st.integers(0, h.nnodes - 1))
-    assert h.hops(s, d) == h.hops(d, s)
+    assert hops(h, s, d) == hops(h, d, s)
 
 
 # ----------------------------------------------------------------------
@@ -132,13 +132,13 @@ def test_direntry_bitmask_matches_set_model(ops):
     model = set()
     for add, p in ops:
         if add:
-            e.add_sharer(p)
+            e.sharers |= 1 << p
             model.add(p)
         else:
             e.remove_sharer(p)
             model.discard(p)
-    assert e.sharer_list() == sorted(model)
-    assert e.num_sharers() == len(model)
+    assert SharerTuples()[e.sharers] == tuple(sorted(model))
+    assert all(e.is_sharer(p) == (p in model) for p in range(32))
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.registry import undirected_links
 from tests.golden import FIXTURE, PROC_FIELDS, golden_cases, run_case
+from tests.oracles import is_neutral
 
 GOLDEN = json.loads(FIXTURE.read_text())
 CASE_IDS = sorted(GOLDEN["runs"])
@@ -49,7 +50,7 @@ CASE_IDS = sorted(GOLDEN["runs"])
 
 def test_degradation_defaults_are_neutral():
     d = Degradation()
-    assert d.is_neutral
+    assert is_neutral(d)
     assert not d.affects_cpu
     assert d.cpu_factor(0) == 1.0
     assert d.mem_factor(5) == 1.0
@@ -107,7 +108,7 @@ def test_every_scenario_builds_a_valid_config(name):
     scn_cfg = apply_scenario(name, cfg)  # MachineConfig.__post_init__ validates
     if name != "baseline":
         assert scn_cfg.degradation is not None
-        assert not scn_cfg.degradation.is_neutral
+        assert not is_neutral(scn_cfg.degradation)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -150,7 +151,7 @@ def test_scenarios_work_on_every_topology():
 def test_neutral_degradation_touches_every_axis():
     cfg = MachineConfig()
     nd = neutral_degradation(cfg)
-    assert nd.is_neutral
+    assert is_neutral(nd)
     assert nd.affects_cpu  # the engine branch runs
     assert len(nd.node_cpu) == cfg.nprocs
     assert len(nd.node_mem) == cfg.nprocs
@@ -338,7 +339,7 @@ def test_edge_knob_values_correctly_rejected():
         apply_scenario("slow_links", cfg, {"bandwidth_factor": 0.0})
     # period=0.0 is the documented off-switch, not an error
     off = apply_scenario("bursty", cfg, {"period": 0.0})
-    assert off.degradation.is_neutral
+    assert is_neutral(off.degradation)
 
 
 # ---------------------------------------------------------------------------
