@@ -76,6 +76,11 @@ class Network:
         (e.g. a competitive-update replacement hint).  Returns
         ``(arrivals, ack_done)`` where ``ack_done`` is the latest ack
         arrival at ``src`` (``start`` if ``dsts`` is empty).
+
+        Destinations are normally distinct: every coherence caller
+        passes a ``SharerTuples`` tuple.  A duplicate sends one data
+        message per occurrence (the later arrival replaces the earlier
+        in ``arrivals``) and one ack per distinct destination.
         """
         arrivals = self.multicast(src, dsts, nbytes, start)
         ack_done = start

@@ -48,6 +48,14 @@ class RoutedNetwork(Network):
         self._route_table: list[tuple[int, ...] | None] = [None] * (
             topology.nnodes * topology.nnodes
         )
+        #: Per-source route pairs for :meth:`fanout`: ``_pairs[src][dst]``
+        #: is ``(route src->dst, route dst->src)``, or ``()`` for ``src``
+        #: itself, so a fan-out message costs one list index and one
+        #: truth test instead of two route-table probes and a ``dst ==
+        #: src`` branch.  A row is filled from the route table the first
+        #: time its source fans out: at most ``nnodes`` rows of
+        #: ``nnodes`` pairs, and still no routes at construction.
+        self._pairs: list[list[tuple] | None] = [None] * topology.nnodes
         #: Link degradation (see :meth:`degrade_link`).  ``_slow_pairs``
         #: maps a *directed* link to its (latency, bandwidth) factors;
         #: ``_lat_f`` / ``_bw_f`` are the per-link-id tables the degraded
@@ -83,6 +91,24 @@ class RoutedNetwork(Network):
             ids.append(lid)
         route = self._route_table[src * self._nnodes + dst] = tuple(ids)
         return route
+
+    def _pair_row(self, src: int) -> list[tuple]:
+        table = self._route_table
+        nnodes = self._nnodes
+        row: list[tuple] = []
+        for dst in range(nnodes):
+            if dst == src:
+                row.append(())
+                continue
+            there = table[src * nnodes + dst]
+            if there is None:
+                there = self._route(src, dst)
+            back = table[dst * nnodes + src]
+            if back is None:
+                back = self._route(dst, src)
+            row.append((there, back))
+        self._pairs[src] = row
+        return row
 
     def degrade_link(
         self, u: int, v: int, latency_factor: float = 1.0,
@@ -129,18 +155,24 @@ class RoutedNetwork(Network):
         if route is None:
             route = self._route(src, dst)
         link_free = self._link_free
+        # A hop queues only behind a busy link; a free one adds nothing
+        # to ``queued``, and an unqueued message adds nothing to the
+        # (non-negative) contention sum, so skipping the +0.0 changes
+        # no bit.
         for lid in route:
             free_at = link_free[lid]
-            depart = free_at if free_at > head else head
-            queued += depart - head
-            link_free[lid] = depart + ser
-            head = depart + router_delay
+            if free_at > head:
+                queued += free_at - head
+                head = free_at
+            link_free[lid] = head + ser
+            head += router_delay
         arrival = head + ser
         stats.messages += 1
         stats.bytes += nbytes
         stats.latency_cycles += arrival - start
         stats.busy_cycles += ser
-        stats.contention_cycles += queued
+        if queued:
+            stats.contention_cycles += queued
         return arrival
 
     def _transfer_degraded(self, src: int, dst: int, nbytes: int, start: float) -> float:
@@ -185,82 +217,101 @@ class RoutedNetwork(Network):
         self, src: int, dsts: list[int], nbytes: int, start: float,
         on_arrival=None,
     ) -> tuple[dict[int, float], float]:
-        # Hand-fused Network.fanout: one frame for the whole multicast +
-        # ack exchange, with routes/links/stats hoisted to locals.  The
-        # link reservations and the per-message stats updates happen in
-        # exactly the order of the generic version (all data messages,
-        # then per destination: on_arrival, then its ack), so timing and
-        # float-summed counters are bit-identical.  on_arrival may inject
-        # traffic itself; that is safe because the hoisted link/stats
-        # containers are the same mutable objects transfer() uses.
+        """Hand-fused :meth:`Network.fanout`: one frame for the whole
+        multicast + ack exchange.
+
+        Destinations are normally distinct (every coherence caller
+        passes a ``SharerTuples`` tuple).  A duplicate is counted as the
+        generic path counts it: each occurrence sends a data message and
+        reserves its links, the later arrival replaces the earlier one,
+        and one ack returns per distinct destination.  So the fan-out
+        adds ``len(dsts) + len(arrivals)`` messages and ``nbytes *
+        len(dsts)`` bytes, once, at the end.
+
+        Link reservations happen in exactly the generic order (all data
+        messages, then per destination: ``on_arrival``, then its ack),
+        and the float counters are summed in that same order in locals,
+        so timing and every counter are bit-identical.  ``on_arrival``
+        may send traffic of its own (RCcomp's replacement hint), so the
+        float counters are stored back before it runs and reloaded
+        after; the link list is the same object :meth:`transfer` uses.
+        """
         if self._generic:
             # The generic helper routes everything through transfer(),
             # which applies the per-link factors; it is documented above
             # to be bit-identical to this fused loop.
             return Network.fanout(self, src, dsts, nbytes, start, on_arrival)
         stats = self.stats
-        routes = self._route_table
-        nnodes = self._nnodes
-        src_row = src * nnodes
+        pairs = self._pairs[src]
+        if pairs is None:
+            pairs = self._pair_row(src)
         link_free = self._link_free
         router_delay = self.router_delay
         cpb = self.cycles_per_byte
         hdr = self.header_bytes
         ser = (nbytes + hdr) * cpb
         ack_ser = hdr * cpb
+        latency = stats.latency_cycles
+        busy = stats.busy_cycles
+        contention = stats.contention_cycles
         arrivals: dict[int, float] = {}
         inject = start
         for dst in dsts:
-            if dst == src:
-                stats.messages += 1
-                stats.bytes += nbytes
-                arrivals[dst] = inject
-            else:
+            pair = pairs[dst]
+            if pair:
                 head = inject
                 queued = 0.0
-                route = routes[src_row + dst]
-                if route is None:
-                    route = self._route(src, dst)
-                for lid in route:
+                for lid in pair[0]:
                     free_at = link_free[lid]
-                    depart = free_at if free_at > head else head
-                    queued += depart - head
-                    link_free[lid] = depart + ser
-                    head = depart + router_delay
+                    if free_at > head:
+                        queued += free_at - head
+                        head = free_at
+                    link_free[lid] = head + ser
+                    head += router_delay
                 arrival = head + ser
-                stats.messages += 1
-                stats.bytes += nbytes
-                stats.latency_cycles += arrival - inject
-                stats.busy_cycles += ser
-                stats.contention_cycles += queued
+                latency += arrival - inject
+                busy += ser
+                if queued:
+                    contention += queued
                 arrivals[dst] = arrival
+            else:
+                arrivals[dst] = inject  # local delivery: no traversal
             inject += ser
         ack_done = start
         for dst, arr in arrivals.items():
             if on_arrival is not None:
+                stats.latency_cycles = latency
+                stats.busy_cycles = busy
+                stats.contention_cycles = contention
                 on_arrival(dst, arr)
-            if dst == src:
-                stats.messages += 1
-                ack = arr
-            else:
+                latency = stats.latency_cycles
+                busy = stats.busy_cycles
+                contention = stats.contention_cycles
+            pair = pairs[dst]
+            if pair:
                 head = arr
                 queued = 0.0
-                route = routes[dst * nnodes + src]
-                if route is None:
-                    route = self._route(dst, src)
-                for lid in route:
+                for lid in pair[1]:
                     free_at = link_free[lid]
-                    depart = free_at if free_at > head else head
-                    queued += depart - head
-                    link_free[lid] = depart + ack_ser
-                    head = depart + router_delay
+                    if free_at > head:
+                        queued += free_at - head
+                        head = free_at
+                    link_free[lid] = head + ack_ser
+                    head += router_delay
                 ack = head + ack_ser
-                stats.messages += 1
-                stats.latency_cycles += ack - arr
-                stats.busy_cycles += ack_ser
-                stats.contention_cycles += queued
+                latency += ack - arr
+                busy += ack_ser
+                if queued:
+                    contention += queued
+            else:
+                ack = arr
             if ack > ack_done:
                 ack_done = ack
+        stats.messages += len(dsts) + len(arrivals)
+        stats.bytes += nbytes * len(dsts)
+        stats.latency_cycles = latency
+        stats.busy_cycles = busy
+        stats.contention_cycles = contention
         return arrivals, ack_done
 
     def reset(self) -> None:

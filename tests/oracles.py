@@ -114,8 +114,9 @@ def min_latency(net: RoutedNetwork, src: int, dst: int, nbytes: int) -> float:
 
 
 def link_utilisation(net: RoutedNetwork) -> dict[tuple[int, int], float]:
-    """Latest reservation horizon per directed link that has carried a
-    message."""
+    """Latest reservation horizon per directed link the network has
+    built (0.0 for one that has carried nothing yet: a fan-out builds
+    its source's routes to every node)."""
     free = net._link_free
     return {link: free[lid] for link, lid in net._link_ids.items()}
 

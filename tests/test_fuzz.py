@@ -258,6 +258,33 @@ def test_fused_fanout_fault_is_caught(monkeypatch):
     assert detail is not None and "wheel=" in detail and "reference=" in detail
 
 
+def test_stale_fanout_counter_is_caught(monkeypatch):
+    # The fused fan-out sums its float counters in locals and must store
+    # them back around on_arrival, whose RCcomp hint sends a message.
+    # Dropping the callback's latency, as a missed write-back would,
+    # moves only the fused run's traffic counters.
+    from repro.network.routed import RoutedNetwork
+
+    fused = RoutedNetwork.fanout
+
+    def stale(self, src, dsts, nbytes, start, on_arrival=None):
+        if self._generic or on_arrival is None:
+            return fused(self, src, dsts, nbytes, start, on_arrival)
+
+        def forgetful(dst, arr):
+            saved = self.stats.latency_cycles
+            on_arrival(dst, arr)
+            self.stats.latency_cycles = saved
+
+        return fused(self, src, dsts, nbytes, start, forgetful)
+
+    monkeypatch.setattr(RoutedNetwork, "fanout", stale)
+    draw = _draw(app="Cholesky", kwargs={"grid": (3, 3)}, system="RCcomp", nprocs=4)
+    detail = oracle_reference(draw)
+    assert detail is not None and "latency_cycles" in detail
+    assert "wheel=" in detail and "reference=" in detail
+
+
 def test_lagging_settled_horizon_is_caught(monkeypatch):
     # A horizon one latency short of the latest write lets the engine
     # answer still-stalling reads as hits; the reference run asks the
